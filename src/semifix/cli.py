@@ -145,25 +145,12 @@ def cmd_ground(args) -> int:
     return 0
 
 
-def _system_from_args(args) -> GroundedLinearSystem:
-    if args.matrix:
-        return engine.load_system(Path(args.matrix).read_text(encoding="utf-8"))
-    if not args.program:
-        raise SemifixError("pass a matrix file or --program/--facts")
-    program, db = _load_program_db(args)
-    system = ground(program, db, prune=not args.no_prune)
-    if not isinstance(system, GroundedLinearSystem):
-        raise SemifixError("analysis needs a linear program")
-    return system
-
-
 def cmd_analyze(args) -> int:
     paths: List[str] = args.matrix_files
     reports = []
+    opts = dict(cap=args.cap, claimed_p=args.claimed_p, claimed_L=args.claimed_L)
     if paths:
-        task = functools.partial(
-            _analyze_path, cap=args.cap, claimed_p=args.claimed_p, claimed_L=args.claimed_L
-        )
+        task = functools.partial(_analyze_path, **opts)
         if args.workers > 1 and len(paths) > 1:
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
                 reports = list(pool.map(task, paths))
@@ -172,17 +159,11 @@ def cmd_analyze(args) -> int:
     else:
         if not args.program:
             raise SemifixError("pass matrix files or --program")
-        args.matrix = None
-        system = _system_from_args(args)
-        reports = [
-            bounds.analyze(
-                system,
-                cap=args.cap,
-                instance_id=args.program,
-                claimed_p=args.claimed_p,
-                claimed_L=args.claimed_L,
-            )
-        ]
+        program, db = _load_program_db(args)
+        system = ground(program, db, prune=not args.no_prune)
+        if not isinstance(system, GroundedLinearSystem):
+            raise SemifixError("analysis needs a linear program")
+        reports = [bounds.analyze(system, instance_id=args.program, **opts)]
     text = bounds.reports_jsonl(reports)
     if args.summary:
         Path(args.summary).write_text(bounds.summary_csv(reports), encoding="utf-8")
@@ -190,16 +171,9 @@ def cmd_analyze(args) -> int:
     return 3 if any(r.violations for r in reports) else 0
 
 
-def _analyze_path(
-    path: str,
-    cap: Optional[int] = None,
-    claimed_p: Optional[int] = None,
-    claimed_L: Optional[int] = None,
-) -> bounds.BoundReport:
+def _analyze_path(path: str, **opts) -> bounds.BoundReport:
     system = engine.load_system(Path(path).read_text(encoding="utf-8"))
-    return bounds.analyze(
-        system, cap=cap, instance_id=path, claimed_p=claimed_p, claimed_L=claimed_L
-    )
+    return bounds.analyze(system, instance_id=path, **opts)
 
 
 def cmd_oracle(args) -> int:
@@ -207,13 +181,14 @@ def cmd_oracle(args) -> int:
     A, s = system.A, system.semiring
     i, j, max_h = args.i, args.j, args.h
     rows = []
-    power = engine.matrix_power_sum(A, 0).value  # identity
-    psum = power
+    ident = engine.matrix_power_sum(A, 0).value
+    power = psum = ident
     all_equal = True
     for h in range(max_h + 1):
         if h > 0:
+            # A^h and S(h) = I (+) A S(h-1), the recurrence matrix_power_sum uses
             power = A.matmul(power) if h > 1 else A
-            psum = engine.matrix_power_sum(A, h).value
+            psum = ident.add(A.matmul(psum))
         exact = walks.walk_sum_exact(A, i, j, h, budget=args.budget)
         upto = walks.walk_sum_upto(A, i, j, h, budget=args.budget)
         ok = exact == power.get(i, j) and upto == psum.get(i, j)
@@ -295,16 +270,8 @@ def cmd_gen(args) -> int:
     elif family == "blocked":
         s = semiring_from_id(args.semiring or "bool")
         g = generators.gen_blocked_graph(args.n, s)
-        atoms = tuple(("v", (str(k),)) for k in range(args.n))
-        system = GroundedLinearSystem(
-            s,
-            atoms,
-            {a: k for k, a in enumerate(atoms)},
-            g.matrix,
-            tuple([s.zero] * args.n),
-            args.n,
-            False,
-        )
+        atoms = [("v", (str(k),)) for k in range(args.n)]
+        system = GroundedLinearSystem.from_matrix(s, g.matrix, [s.zero] * args.n, atoms)
         spec = g.spec
     else:  # pragma: no cover - argparse restricts choices
         raise SemifixError(f"unknown family {family}")

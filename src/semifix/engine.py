@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
-from .errors import InvalidParameter, ParseError
+from .errors import IndexOutOfRange, InvalidParameter, ParseError
 from .frontend import (
     GroundAtom,
     GroundedLinearSystem,
@@ -204,6 +204,17 @@ def save_system(sys: GroundedLinearSystem, header: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+# fields after the key on each kind of line; the last field keeps its spaces
+_LINE_FIELDS = {"semiring": 1, "n": 1, "A": 3, "b": 2}
+
+
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not an integer", lineno, 1) from None
+
+
 def load_system(text: str) -> GroundedLinearSystem:
     semiring: Optional[Semiring] = None
     n: Optional[int] = None
@@ -219,45 +230,38 @@ def load_system(text: str) -> GroundedLinearSystem:
             if len(parts) == 3 and parts[0] == "atom" and parts[1].isdigit():
                 labels[int(parts[1])] = parts[2]
             continue
-        parts = line.split(maxsplit=1)
-        key = parts[0]
-        if key == "semiring":
-            semiring = semiring_from_id(parts[1].strip())
-        elif key == "n":
-            n = int(parts[1])
-        elif key == "A":
-            if semiring is None or n is None:
-                raise ParseError("A entry before semiring/n header", lineno, 1)
-            i, j, lit = parts[1].split(maxsplit=2)
-            entries.append((int(i), int(j), semiring.parse(lit)))
-        elif key == "b":
-            if semiring is None or n is None:
-                raise ParseError("b entry before semiring/n header", lineno, 1)
-            i, lit = parts[1].split(maxsplit=1)
-            b_entries.append((int(i), semiring.parse(lit)))
-        else:
+        key, *rest = line.split(maxsplit=1)
+        want = _LINE_FIELDS.get(key)
+        if want is None:
             raise ParseError(f"unrecognized line {raw!r}", lineno, 1)
+        fields = rest[0].split(maxsplit=want - 1) if rest else []
+        if len(fields) != want:
+            raise ParseError(f"expected {want} field(s) after {key!r}", lineno, 1)
+        if key == "semiring":
+            semiring = semiring_from_id(fields[0])
+        elif key == "n":
+            n = _parse_int(fields[0], "n", lineno)
+            if n < 0:
+                raise ParseError(f"n must be >= 0, got {n}", lineno, 1)
+        elif semiring is None or n is None:
+            raise ParseError(f"{key} entry before semiring/n header", lineno, 1)
+        else:
+            idx = [_parse_int(f, f"{key} index", lineno) for f in fields[:-1]]
+            bad = [k for k in idx if not 0 <= k < n]
+            if bad:
+                raise IndexOutOfRange(f"{key} index {bad[0]} outside 0..{n - 1}", lineno, 1)
+            value = semiring.parse(fields[-1])
+            if key == "A":
+                entries.append((idx[0], idx[1], value))
+            else:
+                b_entries.append((idx[0], value))
     if semiring is None or n is None:
         raise ParseError("missing semiring or n header", 1, 1)
     b = [semiring.zero] * n
     for i, v in b_entries:
-        if not 0 <= i < n:
-            raise ParseError(f"b index {i} outside 0..{n - 1}", 1, 1)
         b[i] = semiring.add(b[i], v)
-    atoms: List[GroundAtom] = []
-    for i in range(n):
-        pred, args = _parse_label(labels.get(i, f"x{i}"))
-        atoms.append((pred, args))
-    A = Matrix(semiring, n, entries)
-    return GroundedLinearSystem(
-        semiring,
-        tuple(atoms),
-        {a: i for i, a in enumerate(atoms)},
-        A,
-        tuple(b),
-        n,
-        False,
-    )
+    atoms = [_parse_label(labels.get(i, f"x{i}")) for i in range(n)]
+    return GroundedLinearSystem.from_matrix(semiring, Matrix(semiring, n, entries), b, atoms)
 
 
 def _parse_label(label: str) -> GroundAtom:

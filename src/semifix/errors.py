@@ -33,6 +33,14 @@ class ParseError(SemifixError):
         super().__init__(message)
 
 
+class IndexOutOfRange(ParseError, InvalidParameter):
+    """An index in an input file lies outside the declared dimension.
+
+    It is also an InvalidParameter, the error an out-of-range matrix entry
+    raises when a Matrix is built directly.
+    """
+
+
 class GroundingError(SemifixError):
     """The program and database cannot be grounded to a system."""
 

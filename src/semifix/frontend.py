@@ -28,7 +28,7 @@ import itertools
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import GroundingError, ParseError
 from .matrix import Matrix
@@ -496,6 +496,15 @@ class GroundedLinearSystem:
     b: Tuple[Any, ...]
     n_raw: int
     pruned: bool
+
+    @classmethod
+    def from_matrix(
+        cls, semiring: Semiring, A: Matrix, b: Sequence[Any], atoms: Sequence[GroundAtom]
+    ) -> "GroundedLinearSystem":
+        """An unpruned system whose atom k is row and column k of A."""
+        atoms = tuple(atoms)
+        index = {a: k for k, a in enumerate(atoms)}
+        return cls(semiring, atoms, index, A, tuple(b), len(atoms), False)
 
     @property
     def n(self) -> int:

@@ -97,18 +97,10 @@ def gen_cycle_lowerbound(n: int, L: int) -> GroundedLinearSystem:
     entries = []
     for k in range(n):
         entries.append((k, (k + 1) % n, 1 if k == 0 else 0))
-    atoms = tuple(("v", (str(k),)) for k in range(n))
+    atoms = [("v", (str(k),)) for k in range(n)]
     b = [s.zero] * n
     b[0] = s.one
-    return GroundedLinearSystem(
-        s,
-        atoms,
-        {a: i for i, a in enumerate(atoms)},
-        Matrix(s, n, entries),
-        tuple(b),
-        n,
-        False,
-    )
+    return GroundedLinearSystem.from_matrix(s, Matrix(s, n, entries), b, atoms)
 
 
 def cycle_lowerbound_spec(n: int, L: int) -> InstanceSpec:
@@ -213,16 +205,8 @@ def gen_random_system(
     for i in range(n):
         if rng.random() < density:
             b[i] = draw()
-    atoms = tuple((f"x{i}", ()) for i in range(n))
-    return GroundedLinearSystem(
-        semiring,
-        atoms,
-        {a: i for i, a in enumerate(atoms)},
-        Matrix(semiring, n, entries),
-        tuple(b),
-        n,
-        False,
-    )
+    atoms = [(f"x{i}", ()) for i in range(n)]
+    return GroundedLinearSystem.from_matrix(semiring, Matrix(semiring, n, entries), b, atoms)
 
 
 def random_system_spec(n: int, density: float, semiring_id: str, seed: int) -> InstanceSpec:

@@ -85,9 +85,19 @@ class Matrix:
     def add(self, other: "Matrix") -> "Matrix":
         if self.n != other.n:
             raise InvalidParameter("dimension mismatch")
-        merged = list(self.entries())
-        merged.extend(other.entries())
-        return Matrix(self.semiring, self.n, merged)
+        s = self.semiring
+        zero = s.zero
+        result = Matrix(s, self.n)
+        for target, mine, theirs in zip(result._rows, self._rows, other._rows):
+            target.update(mine)
+            for j, v in theirs.items():
+                if j in target:
+                    v = s.add(target[j], v)
+                if v == zero:
+                    target.pop(j, None)
+                else:
+                    target[j] = v
+        return result
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

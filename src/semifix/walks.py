@@ -93,13 +93,38 @@ def _branching(A: Matrix) -> int:
     return max((len(A.row(i)) for i in range(A.n)), default=0)
 
 
-def _guard_budget(A: Matrix, h: int, budget: int):
+def _guard_budget(A: Matrix, h: int, budget: int, sources: Optional[int] = None):
+    # sources: start-vertex count of a bulk enumeration, None for a single query
     if h < 0:
         raise InvalidParameter("hop count must be >= 0")
-    if max(_branching(A), 1) ** h > budget:
-        raise EnumerationBudgetExceeded(
-            f"up to {_branching(A)}^{h} walks exceed the budget of {budget}"
-        )
+    deg = _branching(A)
+    count = 1 if sources is None else sources
+    if count and count * max(deg, 1) ** h > budget:
+        walks = f"{deg}^{h}" if sources is None else f"{sources} x {deg}^{h}"
+        raise EnumerationBudgetExceeded(f"up to {walks} walks exceed the budget of {budget}")
+
+
+def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
+    """Every walk of at most h hops from each source, as (source, hops, end, product).
+
+    Depth-first preorder with successors in ascending order, so callers fold
+    the products in a fixed order; zero-labeled edges are not stored, so no
+    walk takes one. Every visited walk counts against one budget shared by all
+    sources. The explicit stack leaves h unbounded by the recursion limit.
+    """
+    s = A.semiring
+    visited = 0
+    for i in sources:
+        stack = [(0, i, s.one)]
+        while stack:
+            hops, v, prod = stack.pop()
+            visited += 1
+            if visited > budget:
+                raise EnumerationBudgetExceeded(f"walk enumeration exceeded {budget}")
+            yield i, hops, v, prod
+            if hops < h:
+                row = A.row(v)
+                stack.extend((hops + 1, w, s.mul(prod, row[w])) for w in sorted(row, reverse=True))
 
 
 def walk_sum_exact(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK_BUDGET):
@@ -112,21 +137,9 @@ def walk_sum_exact(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK
     _guard_budget(A, h, budget)
     s = A.semiring
     total = s.zero
-    visited = 0
-
-    def rec(v, depth, prod):
-        nonlocal total, visited
-        visited += 1
-        if visited > budget:
-            raise EnumerationBudgetExceeded(f"walk enumeration exceeded {budget}")
-        if depth == h:
-            if v == j:
-                total = s.add(total, prod)
-            return
-        for w in sorted(A.row(v)):
-            rec(w, depth + 1, s.mul(prod, A.row(v)[w]))
-
-    rec(i, 0, s.one)
+    for _, hops, v, prod in _walks(A, (i,), h, budget):
+        if hops == h and v == j:
+            total = s.add(total, prod)
     return total
 
 
@@ -136,21 +149,9 @@ def walk_sum_upto(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK_
     _guard_budget(A, h, budget)
     s = A.semiring
     total = s.zero
-    visited = 0
-
-    def rec(v, depth, prod):
-        nonlocal total, visited
-        visited += 1
-        if visited > budget:
-            raise EnumerationBudgetExceeded(f"walk enumeration exceeded {budget}")
+    for _, _, v, prod in _walks(A, (i,), h, budget):
         if v == j:
             total = s.add(total, prod)
-        if depth == h:
-            return
-        for w in sorted(A.row(v)):
-            rec(w, depth + 1, s.mul(prod, A.row(v)[w]))
-
-    rec(i, 0, s.one)
     return total
 
 
@@ -160,32 +161,12 @@ def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) 
     One depth-first enumeration per start vertex, shared across endpoints and
     depths; this is the bulk interface for cross-checking matrix powers.
     """
-    if max_h < 0:
-        raise InvalidParameter("hop count must be >= 0")
-    if A.n and A.n * (max(_branching(A), 1) ** max_h) > budget:
-        raise EnumerationBudgetExceeded(
-            f"up to {A.n} x {_branching(A)}^{max_h} walks exceed the budget of {budget}"
-        )
+    _guard_budget(A, max_h, budget, sources=A.n)
     s = A.semiring
     sums: List[Dict[Tuple[int, int], Any]] = [dict() for _ in range(max_h + 1)]
-    visited = 0
-
-    def note(table, key, prod):
-        table[key] = s.add(table.get(key, s.zero), prod)
-
-    def rec(i, v, depth, prod):
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise EnumerationBudgetExceeded(f"walk enumeration exceeded {budget}")
-        note(sums[depth], (i, v), prod)
-        if depth == max_h:
-            return
-        for w in sorted(A.row(v)):
-            rec(i, w, depth + 1, s.mul(prod, A.row(v)[w]))
-
-    for i in range(A.n):
-        rec(i, i, 0, s.one)
+    for i, hops, v, prod in _walks(A, range(A.n), max_h, budget):
+        table = sums[hops]
+        table[i, v] = s.add(table.get((i, v), s.zero), prod)
     return [
         Matrix(s, A.n, ((i, j, v) for (i, j), v in table.items()))
         for table in sums
@@ -309,28 +290,25 @@ def _find_simple_cycle(edges: Counter, order: Sequence[int]) -> Optional[Walk]:
         support[u].sort()
     on_stack: Dict[int, int] = {}
     done = set()
-
-    def dfs(v, stack):
-        on_stack[v] = len(stack)
-        stack.append(v)
-        for w in support.get(v, ()):
-            if w in on_stack:
-                cyc = stack[on_stack[w]:] + [w]
-                return cyc
-            if w not in done:
-                found = dfs(w, stack)
-                if found is not None:
-                    return found
-        stack.pop()
-        del on_stack[v]
-        done.add(v)
-        return None
-
     for root in order:
-        if root in support and root not in done:
-            found = dfs(root, [])
-            if found is not None:
-                return Walk(tuple(found))
+        if root not in support or root in done:
+            continue
+        stack = [root]
+        on_stack[root] = 0
+        succ = [iter(support[root])]
+        while succ:
+            w = next(succ[-1], None)
+            if w is None:
+                v = stack.pop()
+                succ.pop()
+                del on_stack[v]
+                done.add(v)
+            elif w in on_stack:
+                return Walk(tuple(stack[on_stack[w]:]) + (w,))
+            elif w not in done:
+                on_stack[w] = len(stack)
+                stack.append(w)
+                succ.append(iter(support.get(w, ())))
     return None
 
 

@@ -279,3 +279,38 @@ def test_byte_identical_reruns_gen_and_analyze(tmp_path):
     b1 = run_cli("analyze", str(mat))
     b2 = run_cli("analyze", str(mat))
     assert b1.stdout == b2.stdout
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("semiring bool\nn abc\n", 2),
+        ("semiring bool\nn\n", 2),
+        ("semiring\nn 2\n", 1),
+        ("semiring bool\nn 2\nA 0\n", 3),
+        ("semiring bool\nn 2\nb\n", 3),
+        ("semiring bool\nn 2\nA 0 x true\n", 3),
+        ("semiring bool\nn 2\nb 1.5 true\n", 3),
+        ("semiring bool\nn 2\nA -1 0 true\n", 3),
+        ("semiring bool\nn 2\nb -1 true\n", 3),
+        ("semiring bool\nn 2\nA 0 7 true\n", 3),
+        ("semiring bool\nn 2\nA 0 1 true\n\nb 5 true\n", 5),
+    ],
+)
+def test_analyze_malformed_matrix_file_exits_1_with_line(tmp_path, text, line):
+    mat = tmp_path / "bad.mat"
+    mat.write_text(text)
+    res = run_cli("analyze", str(mat))
+    assert res.returncode == 1
+    assert f"line {line}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_oracle_beyond_the_recursion_limit(tmp_path):
+    mat = tmp_path / "loop.mat"
+    mat.write_text("semiring trop\nn 1\nA 0 0 1\n")
+    res = run_cli("oracle", str(mat), "--i", "0", "--j", "0", "--h", "1050", "--format", "csv")
+    assert res.returncode == 0
+    rows = res.stdout.splitlines()[1:]
+    assert len(rows) == 1051
+    assert all(r.endswith(",equal") for r in rows)

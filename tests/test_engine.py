@@ -24,6 +24,8 @@ from semifix.engine import linear_step
 from semifix.frontend import GroundedLinearSystem
 from semifix.generators import LINEAR_PATH_PROGRAM, gen_cycle_lowerbound, random_edge_instance
 
+from conftest import ALL_IDS, seeded_elements
+
 
 def reachability(edges, n):
     """Hop-unbounded reachability by breadth-first search."""
@@ -339,3 +341,30 @@ def test_default_cap_terminates_capped_one_by_one():
     trace = naive_eval_linear(sys_)
     assert not trace.capped
     assert trace.fixpoint == (6,)
+
+
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_matrix_add_matches_constructor_merge(sid):
+    s = semiring_from_id(sid)
+    n = 6
+    for seed in range(20):
+        rng = random.Random(seed)
+        pool = s.elements() or seeded_elements(s, 30, seed=seed)
+
+        def sparse():
+            return Matrix(
+                s,
+                n,
+                [
+                    (i, j, rng.choice(pool))
+                    for i in range(n)
+                    for j in range(n)
+                    if rng.random() < 0.4
+                ],
+            )
+
+        a, b = sparse(), sparse()
+        reference = Matrix(s, n, list(a.entries()) + list(b.entries()))
+        merged = a.add(b)
+        assert merged == reference
+        assert list(merged.entries()) == list(reference.entries())

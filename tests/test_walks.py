@@ -287,3 +287,22 @@ def test_reassemble_drop_counts_validated():
         reassemble(d, {0: 5})
     with pytest.raises(Exception):
         reassemble(d, {7: 1})
+
+
+def test_walk_sums_beyond_the_recursion_limit():
+    # out-degree 1 passes the budget guard at any depth
+    s = semiring_from_id("trop")
+    A = Matrix(s, 3, [(k, (k + 1) % 3, Fraction(1)) for k in range(3)])
+    h = 1500
+    assert walk_sum_exact(A, 0, 0, h) == Fraction(h)
+    assert walk_sum_upto(A, 0, 2, h) == Fraction(2)
+    tables = walk_sum_matrices(A, h)
+    assert tables[h].get(0, 0) == Fraction(h)
+    assert tables[h - 1].get(0, 2) == Fraction(h - 1)
+
+
+def test_cycle_decompose_long_simple_cycle():
+    walk = Walk(tuple(range(1500)) + (0,))
+    dec = cycle_decompose(walk)
+    assert dec.cycles == ((walk, 1),)
+    assert dec.path == Walk((0,))
