@@ -16,14 +16,14 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import bounds, engine, generators, walks
-from .errors import EnumerationBudgetExceeded, NotNaturallyOrdered, SemifixError
+from .errors import EnumerationBudgetExceeded, InvalidParameter, NotNaturallyOrdered, SemifixError
 from .frontend import (
     GroundedLinearSystem,
     build_edb,
     classify_linearity,
     ground,
-    parse_facts_tsv,
     parse_program,
+    tsv_fact_entries,
 )
 from .semirings import (
     check_axioms,
@@ -34,23 +34,18 @@ from .semirings import (
 )
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--semiring", help="semiring id, e.g. bool, trop, trop_p:2, capped:4")
-    p.add_argument("--cap", type=int, help="iteration cap (default derives from bounds)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized work")
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=walks.DEFAULT_WALK_BUDGET,
-        help="walk enumeration budget",
-    )
-    p.add_argument(
-        "--inflationary",
-        action="store_true",
-        help="iterate x <- x (+) f(x) instead of x <- f(x)",
-    )
-    p.add_argument("--no-prune", action="store_true", help="keep unproductive ground atoms")
-    p.add_argument("--format", choices=("human", "csv", "json"), default="human")
+# flags shared by several subcommands; each registers only those it reads
+_FLAGS = {
+    "--semiring": dict(help="semiring id, e.g. bool, trop, trop_p:2, capped:4"),
+    "--cap": dict(type=int, help="iteration cap (default derives from bounds)"),
+    "--seed": dict(type=int, default=0, help="seed for randomized work"),
+    "--no-prune": dict(action="store_true", help="keep unproductive ground atoms"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str):
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument(
         "--reproducible",
@@ -78,18 +73,12 @@ def _resolve_semiring(args, program):
 
 
 def _load_program_db(args):
-    text = Path(args.program).read_text(encoding="utf-8")
-    program = parse_program(text)
+    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
     semiring = _resolve_semiring(args, program)
     entries = [(f.pred, f.args, f.literal) for f in program.facts]
     if args.facts:
-        tsv = parse_facts_tsv(semiring, Path(args.facts).read_text(encoding="utf-8"))
-        entries.extend(
-            (pred, atom_args, semiring.show(value))
-            for (pred, atom_args), value in sorted(tsv.facts.items())
-        )
-    db = build_edb(semiring, entries)
-    return program, db
+        entries += tsv_fact_entries(Path(args.facts).read_text(encoding="utf-8"))
+    return program, build_edb(semiring, entries)
 
 
 def cmd_run(args) -> int:
@@ -146,6 +135,8 @@ def cmd_ground(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.workers < 1:
+        raise InvalidParameter(f"--workers must be >= 1, got {args.workers}")
     paths: List[str] = args.matrix_files
     reports = []
     opts = dict(cap=args.cap, claimed_p=args.claimed_p, claimed_L=args.claimed_L)
@@ -180,15 +171,13 @@ def cmd_oracle(args) -> int:
     system = engine.load_system(Path(args.matrix).read_text(encoding="utf-8"))
     A, s = system.A, system.semiring
     i, j, max_h = args.i, args.j, args.h
+    if max_h < 0:
+        raise InvalidParameter(f"--h must be >= 0, got {max_h}")
     rows = []
-    ident = engine.matrix_power_sum(A, 0).value
-    power = psum = ident
     all_equal = True
-    for h in range(max_h + 1):
-        if h > 0:
-            # A^h and S(h) = I (+) A S(h-1), the recurrence matrix_power_sum uses
-            power = A.matmul(power) if h > 1 else A
-            psum = ident.add(A.matmul(psum))
+    for h, psum in zip(range(max_h + 1), engine.power_sums(A)):
+        # A^0 = S(0) = I and A^1 = A need no matmul
+        power = psum if h == 0 else A if h == 1 else A.matmul(power)
         exact = walks.walk_sum_exact(A, i, j, h, budget=args.budget)
         upto = walks.walk_sum_upto(A, i, j, h, budget=args.budget)
         ok = exact == power.get(i, j) and upto == psum.get(i, j)
@@ -289,13 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate a program to its fixpoint")
     p.add_argument("program")
     p.add_argument("facts", nargs="?", help="optional TSV facts file")
-    _add_common_flags(p)
+    p.add_argument(
+        "--inflationary",
+        action="store_true",
+        help="iterate x <- x (+) f(x) instead of x <- f(x)",
+    )
+    p.add_argument("--format", choices=("human", "csv", "json"), default="human")
+    _add_flags(p, "--semiring", "--cap", "--no-prune")
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("ground", help="emit the matrix form of a linear program")
     p.add_argument("program")
     p.add_argument("facts", nargs="?")
-    _add_common_flags(p)
+    _add_flags(p, "--semiring", "--no-prune")
     p.set_defaults(handler=cmd_ground)
 
     p = sub.add_parser("analyze", help="measure stability indices against bounds")
@@ -316,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="claimed_L",
         help="carrier size to assume for a non-enumerable carrier (reported as claimed)",
     )
-    _add_common_flags(p)
+    _add_flags(p, "--semiring", "--cap", "--no-prune")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("oracle", help="cross-check matrix powers against walk sums")
@@ -324,7 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--h", type=int, required=True, help="largest hop count to check")
-    _add_common_flags(p)
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=walks.DEFAULT_WALK_BUDGET,
+        help="walk enumeration budget",
+    )
+    p.add_argument("--format", choices=("human", "csv"), default="human")
+    _add_flags(p)
     p.set_defaults(handler=cmd_oracle)
 
     p = sub.add_parser("semiring", help="axiom, stability and order report")
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="budget_axioms",
         help="sample budget for axiom checking",
     )
-    _add_common_flags(p)
+    _add_flags(p, "--seed")
     p.set_defaults(handler=cmd_semiring)
 
     p = sub.add_parser("gen", help="write a generated instance as a matrix file")
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--wmin", type=int, default=1)
     p.add_argument("--wmax", type=int, default=9)
-    _add_common_flags(p)
+    _add_flags(p, "--semiring", "--seed", "--no-prune")
     p.set_defaults(handler=cmd_gen)
 
     return top

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, InvalidParameter, ParseError
 from .frontend import (
@@ -146,8 +147,20 @@ def naive_eval_general(
     )
 
 
+def power_sums(A: Matrix) -> Iterator[Matrix]:
+    """S(0), S(1), S(2), ... by the recurrence S(0) = I, S(m+1) = I (+) A S(m).
+
+    Each step costs one matmul, taken only when the next sum is requested.
+    """
+    ident = Matrix.identity(A.semiring, A.n)
+    value = ident
+    while True:
+        yield value
+        value = ident.add(A.matmul(value))
+
+
 def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
-    """S(k) by the recurrence S(0) = I, S(m+1) = I (+) A S(m).
+    """S(k) by the recurrence of ``power_sums``.
 
     This equals the literal sum I (+) A (+) ... (+) A^k whenever multiplication
     distributes over addition; the capped structure does not distribute, so
@@ -155,11 +168,7 @@ def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
     """
     if k < 0:
         raise InvalidParameter("k must be >= 0")
-    ident = Matrix.identity(A.semiring, A.n)
-    value = ident
-    for _ in range(k):
-        value = ident.add(A.matmul(value))
-    return MatrixPowerSum(k, value)
+    return MatrixPowerSum(k, next(itertools.islice(power_sums(A), k, None)))
 
 
 def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int]:
@@ -168,13 +177,10 @@ def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int
         raise InvalidParameter("cap must be >= 1")
     if cap is None:
         cap = _default_cap(A.semiring, A.n)
-    ident = Matrix.identity(A.semiring, A.n)
-    prev = ident
-    for k in range(cap + 1):
-        nxt = ident.add(A.matmul(prev))
+    pairs = itertools.islice(itertools.pairwise(power_sums(A)), cap + 1)
+    for k, (prev, nxt) in enumerate(pairs):
         if nxt == prev:
             return k
-        prev = nxt
     return None
 
 
@@ -237,6 +243,8 @@ def load_system(text: str) -> GroundedLinearSystem:
         fields = rest[0].split(maxsplit=want - 1) if rest else []
         if len(fields) != want:
             raise ParseError(f"expected {want} field(s) after {key!r}", lineno, 1)
+        if key == "semiring" and semiring is not None or key == "n" and n is not None:
+            raise ParseError(f"second {key!r} header", lineno, 1)
         if key == "semiring":
             semiring = semiring_from_id(fields[0])
         elif key == "n":

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -458,8 +457,8 @@ def edb_from_program(semiring: Semiring, program: Program) -> EDBInstance:
     return build_edb(semiring, ((f.pred, f.args, f.literal) for f in program.facts))
 
 
-def parse_facts_tsv(semiring: Semiring, text: str) -> EDBInstance:
-    """Facts from TSV rows ``predicate <tab> arg1..argk <tab> literal``."""
+def tsv_fact_entries(text: str) -> List[Tuple[str, Tuple[str, ...], str]]:
+    """``build_edb`` entries from TSV rows ``predicate <tab> arg1..argk <tab> literal``."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -473,7 +472,12 @@ def parse_facts_tsv(semiring: Semiring, text: str) -> EDBInstance:
                 1,
             )
         entries.append((cols[0], tuple(cols[1:-1]), cols[-1]))
-    return build_edb(semiring, entries)
+    return entries
+
+
+def parse_facts_tsv(semiring: Semiring, text: str) -> EDBInstance:
+    """Facts from TSV rows ``predicate <tab> arg1..argk <tab> literal``."""
+    return build_edb(semiring, tsv_fact_entries(text))
 
 
 def active_domain(db: EDBInstance) -> Tuple[str, ...]:
@@ -539,14 +543,6 @@ class GroundedPolynomialSystem:
         return max((len(v) for row in self.monomials for _, v in row), default=0)
 
 
-def _empty_linear(s: Semiring) -> GroundedLinearSystem:
-    return GroundedLinearSystem(s, (), {}, Matrix(s, 0), (), 0, True)
-
-
-def _empty_polynomial(s: Semiring) -> GroundedPolynomialSystem:
-    return GroundedPolynomialSystem(s, (), {}, (), 0, True)
-
-
 def ground(
     program: Program,
     db: EDBInstance,
@@ -564,7 +560,9 @@ def ground(
     s = db.semiring
     linear = classify_linearity(program).linear and not force_polynomial
     if not db.facts:
-        return _empty_linear(s) if linear else _empty_polynomial(s)
+        if linear:
+            return GroundedLinearSystem(s, (), {}, Matrix(s, 0), (), 0, True)
+        return GroundedPolynomialSystem(s, (), {}, (), 0, True)
 
     idb = set(program.idb_predicates())
     for (pred, _args) in db.facts:
@@ -596,9 +594,9 @@ def ground(
     index = {atom: i for i, atom in enumerate(universe)}
     n_raw = len(universe)
 
-    a_entries: Dict[Tuple[int, int], Any] = {}
-    b_entries: Dict[int, Any] = {}
-    mono_entries: Dict[Tuple[int, Tuple[int, ...]], Any] = {}
+    # one entry per (head index, sorted derived-atom indices): no column is a
+    # constant term (b), one column a linear term (A), more a monomial
+    entries: Dict[Tuple[int, Tuple[int, ...]], Any] = {}
     zero, one = s.zero, s.one
 
     for rule in program.rules:
@@ -626,56 +624,35 @@ def ground(
                         coeff = s.mul(coeff, v)
                 if dead or coeff == zero:
                     continue
-                r_i = index[head_atom]
-                if linear:
-                    if not cols:
-                        b_entries[r_i] = s.add(b_entries.get(r_i, zero), coeff)
-                    else:
-                        key = (r_i, cols[0])
-                        a_entries[key] = s.add(a_entries.get(key, zero), coeff)
-                else:
-                    key = (r_i, tuple(sorted(cols)))
-                    mono_entries[key] = s.add(mono_entries.get(key, zero), coeff)
+                if len(cols) > 1:
+                    cols.sort()
+                key = (index[head_atom], tuple(cols))
+                entries[key] = s.add(entries.get(key, zero), coeff)
 
-    if linear:
-        a_entries = {k: v for k, v in a_entries.items() if v != zero}
-        b_entries = {k: v for k, v in b_entries.items() if v != zero}
-        keep = _productive_linear(n_raw, a_entries, b_entries) if prune else list(range(n_raw))
-        remap = {old: new for new, old in enumerate(keep)}
-        atoms = tuple(universe[i] for i in keep)
-        A = Matrix(
-            s,
-            len(keep),
-            (
-                (remap[i], remap[j], v)
-                for (i, j), v in a_entries.items()
-                if i in remap and j in remap
-            ),
-        )
-        b = [zero] * len(keep)
-        for i, v in b_entries.items():
-            if i in remap:
-                b[remap[i]] = v
-        return GroundedLinearSystem(
-            s, atoms, {a: i for i, a in enumerate(atoms)}, A, tuple(b), n_raw, prune
-        )
-
-    mono_entries = {k: v for k, v in mono_entries.items() if v != zero}
-    keep = _productive_polynomial(n_raw, mono_entries) if prune else list(range(n_raw))
+    entries = {k: v for k, v in entries.items() if v != zero}
+    keep = _productive(entries) if prune else range(n_raw)
     remap = {old: new for new, old in enumerate(keep)}
     atoms = tuple(universe[i] for i in keep)
+    a_entries: List[Tuple[int, int, Any]] = []
+    b = [zero] * len(keep)
     rows: List[List[Monomial]] = [[] for _ in keep]
-    for (i, cols), v in sorted(mono_entries.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        if i in remap and all(c in remap for c in cols):
-            rows[remap[i]].append((v, tuple(sorted(remap[c] for c in cols))))
-    return GroundedPolynomialSystem(
-        s,
-        atoms,
-        {a: i for i, a in enumerate(atoms)},
-        tuple(tuple(r) for r in rows),
-        n_raw,
-        prune,
-    )
+    for (i, cols), v in entries.items():
+        kept_cols = tuple(map(remap.get, cols))
+        # a term whose derived atoms are all kept has a kept head
+        if None in kept_cols:
+            continue
+        if not linear:
+            rows[remap[i]].append((v, kept_cols))
+        elif kept_cols:
+            a_entries.append((remap[i], kept_cols[0], v))
+        else:
+            b[remap[i]] = v
+    index = {a: i for i, a in enumerate(atoms)}
+    if linear:
+        A = Matrix(s, len(keep), a_entries)
+        return GroundedLinearSystem(s, atoms, index, A, tuple(b), n_raw, prune)
+    monomials = tuple(tuple(sorted(row, key=lambda m: m[1])) for row in rows)
+    return GroundedPolynomialSystem(s, atoms, index, monomials, n_raw, prune)
 
 
 def _instantiate(atom: Atom, binding: Mapping[str, str]) -> GroundAtom:
@@ -685,35 +662,32 @@ def _instantiate(atom: Atom, binding: Mapping[str, str]) -> GroundAtom:
     )
 
 
-def _productive_linear(n, a_entries, b_entries) -> List[int]:
-    # an atom can reach a nonzero value when a chain of nonzero A entries
-    # connects it to a nonzero b entry
-    by_col = defaultdict(list)
-    for (i, j) in a_entries:
-        by_col[j].append(i)
-    productive = set(b_entries)
-    work = list(productive)
+def _productive(entries: Iterable[Tuple[int, Tuple[int, ...]]]) -> List[int]:
+    """Atoms that can reach a nonzero value, ascending.
+
+    A term makes its head productive once each of its distinct derived atoms
+    is; each term counts down the atoms it still waits on.
+    """
+    heads: List[int] = []
+    missing: List[int] = []
+    waiting: Dict[int, List[int]] = {}
+    work: List[int] = []
+    for t, (i, cols) in enumerate(entries):
+        need = set(cols) if len(cols) > 1 else cols
+        heads.append(i)
+        missing.append(len(need))
+        for c in need:
+            waiting.setdefault(c, []).append(t)
+        if not need:
+            work.append(i)
+    productive = set()
     while work:
-        j = work.pop()
-        for i in by_col[j]:
-            if i not in productive:
-                productive.add(i)
-                work.append(i)
-    return sorted(productive)
-
-
-def _productive_polynomial(n, mono_entries) -> List[int]:
-    by_atom = defaultdict(list)
-    for (i, cols) in mono_entries:
-        by_atom[i].append(cols)
-    productive: set = set()
-    changed = True
-    while changed:
-        changed = False
-        for i, monos in by_atom.items():
-            if i in productive:
-                continue
-            if any(all(c in productive for c in cols) for cols in monos):
-                productive.add(i)
-                changed = True
+        i = work.pop()
+        if i in productive:
+            continue
+        productive.add(i)
+        for t in waiting.get(i, ()):
+            missing[t] -= 1
+            if not missing[t]:
+                work.append(heads[t])
     return sorted(productive)

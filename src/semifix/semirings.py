@@ -128,11 +128,11 @@ def trop_p_add(p: int, x: tuple, y: tuple) -> tuple:
     return min_p_truncate(p, x + y)
 
 
-def trop_p_mul(p: int, x: tuple, y: tuple) -> tuple:
-    """Pairwise entry sums truncated to the p+1 smallest entries."""
+def trop_p_mul(p: int, x: tuple, y: tuple, entry_add=_ext_add) -> tuple:
+    """Pairwise entry sums (by ``entry_add``) truncated to the p+1 smallest entries."""
     _check_bag(p, x)
     _check_bag(p, y)
-    return min_p_truncate(p, (_ext_add(u, v) for u in x for v in y))
+    return min_p_truncate(p, (entry_add(u, v) for u in x for v in y))
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +327,7 @@ class FiniteTropBagSemiring(TropBagSemiring):
         return min(u + v, self.cap)
 
     def mul(self, a, b):
-        _check_bag(self.p, a)
-        _check_bag(self.p, b)
-        return min_p_truncate(self.p, (self._entry_add(u, v) for u in a for v in b))
+        return trop_p_mul(self.p, a, b, self._entry_add)
 
     def _parse_entry(self, text):
         v = _parse_extended_rational(text)

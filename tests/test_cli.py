@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from semifix.cli import build_parser, main
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 TC_BOOL = """\
@@ -295,6 +297,8 @@ def test_byte_identical_reruns_gen_and_analyze(tmp_path):
         ("semiring bool\nn 2\nb -1 true\n", 3),
         ("semiring bool\nn 2\nA 0 7 true\n", 3),
         ("semiring bool\nn 2\nA 0 1 true\n\nb 5 true\n", 5),
+        ("semiring trop\nn 2\nA 0 1 3\nb 1 2\nsemiring bool\n", 5),
+        ("semiring bool\nn 3\nA 2 2 true\nn 1\n", 4),
     ],
 )
 def test_analyze_malformed_matrix_file_exits_1_with_line(tmp_path, text, line):
@@ -314,3 +318,60 @@ def test_oracle_beyond_the_recursion_limit(tmp_path):
     rows = res.stdout.splitlines()[1:]
     assert len(rows) == 1051
     assert all(r.endswith(",equal") for r in rows)
+
+
+# flags each subcommand used to accept and ignore; argparse now rejects them
+# (`semiring --budget` is left out: argparse reads it as `--budget-axioms`)
+REMOVED_FLAGS = [
+    (("run", "p.dl"), ("--seed", "1")),
+    (("run", "p.dl"), ("--budget", "10")),
+    (("ground", "p.dl"), ("--cap", "3")),
+    (("ground", "p.dl"), ("--seed", "1")),
+    (("ground", "p.dl"), ("--budget", "10")),
+    (("ground", "p.dl"), ("--inflationary",)),
+    (("ground", "p.dl"), ("--format", "json")),
+    (("analyze", "x.mat"), ("--seed", "1")),
+    (("analyze", "x.mat"), ("--budget", "10")),
+    (("analyze", "x.mat"), ("--inflationary",)),
+    (("analyze", "x.mat"), ("--format", "csv")),
+    (("oracle", "x.mat", "--i", "0", "--j", "0", "--h", "1"), ("--semiring", "bool")),
+    (("oracle", "x.mat", "--i", "0", "--j", "0", "--h", "1"), ("--cap", "3")),
+    (("oracle", "x.mat", "--i", "0", "--j", "0", "--h", "1"), ("--seed", "1")),
+    (("oracle", "x.mat", "--i", "0", "--j", "0", "--h", "1"), ("--inflationary",)),
+    (("oracle", "x.mat", "--i", "0", "--j", "0", "--h", "1"), ("--no-prune",)),
+    (("oracle", "x.mat", "--i", "0", "--j", "0", "--h", "1"), ("--format", "json")),
+    (("semiring", "bool"), ("--semiring", "bool")),
+    (("semiring", "bool"), ("--cap", "3")),
+    (("semiring", "bool"), ("--inflationary",)),
+    (("semiring", "bool"), ("--no-prune",)),
+    (("semiring", "bool"), ("--format", "json")),
+    (("gen", "random", "--n", "3"), ("--cap", "3")),
+    (("gen", "random", "--n", "3"), ("--budget", "10")),
+    (("gen", "random", "--n", "3"), ("--inflationary",)),
+    (("gen", "random", "--n", "3"), ("--format", "json")),
+]
+
+
+@pytest.mark.parametrize("base, flag", REMOVED_FLAGS, ids=lambda v: " ".join(v))
+def test_unread_flags_are_usage_errors(capsys, base, flag):
+    build_parser().parse_args(list(base))  # the command line is valid without the flag
+    with pytest.raises(SystemExit) as exc:
+        main([*base, *flag])
+    assert exc.value.code == 2  # argparse usage error
+    assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("analyze", "--workers", "0"), "--workers must be >= 1"),
+        (("oracle", "--i", "0", "--j", "0", "--h", "-1"), "--h must be >= 0"),
+    ],
+)
+def test_out_of_range_cli_values_exit_1(tmp_path, args, message):
+    mat = tmp_path / "loop.mat"
+    mat.write_text("semiring trop\nn 1\nA 0 0 1\n")
+    res = run_cli(args[0], str(mat), *args[1:])
+    assert res.returncode == 1
+    assert message in res.stderr
+    assert res.stdout == ""

@@ -21,6 +21,8 @@ from semifix import (
 )
 from semifix.frontend import Atom, Const, Product, Var
 
+from conftest import ALL_IDS
+
 TC = "T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n"
 
 
@@ -425,3 +427,61 @@ def test_grounding_matches_rule_level_oracle(ti, sid):
                 assert state[sys_.index[atom]] == value, (q, atom)
             else:
                 assert value == s.zero, (q, atom)
+
+
+# ---------------------------------------------------------------------------
+# Pruning keeps exactly the atoms with a nonzero fixpoint value
+# ---------------------------------------------------------------------------
+
+REPEATED = "T(X,Y) :- E(X,Y).\nU(X) :- T(X,X)*T(X,X).\n"
+PRUNE_PROGRAMS = [
+    TC,
+    "P(X) :- Q(X)*R(X,Y) + S(X).\n",
+    "T(X,Y) :- E(X,Y).\nT(X,Y) :- T(X,Z)*E(Z,Y).\n",
+    "T(X,Y) :- E(X,Y) + T(X,Z)*T(Z,Y).\n",
+    REPEATED,
+]
+
+
+def _seeded_db(program, s, rng):
+    arities = {a.pred: len(a.args) for r in program.rules for p in r.body for a in p.atoms}
+    edb = sorted(set(arities) - set(program.idb_predicates()))
+    entries = []
+    for pred in edb:
+        for k, combo in enumerate(itertools.product("abcd", repeat=arities[pred])):
+            if k == 0 or rng.random() < 0.3:
+                entries.append((pred, combo, s.show(s.random_element(rng))))
+    return build_edb(s, entries)
+
+
+def _fixpoint(system):
+    if isinstance(system, GroundedLinearSystem):
+        trace = naive_eval_linear(system)
+    else:
+        trace = naive_eval_general(system)
+    assert not trace.capped
+    return trace.fixpoint
+
+
+@pytest.mark.parametrize("ti", range(len(PRUNE_PROGRAMS)))
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_pruning_keeps_exactly_the_nonzero_atoms(ti, sid):
+    # every built-in carrier has no zero sums and no zero divisors, so an atom
+    # is nonzero in the fixpoint exactly when some chain of terms reaches it
+    s = semiring_from_id(sid)
+    program = parse_program(PRUNE_PROGRAMS[ti])
+    rng = random.Random(ti)
+    dbs = [_seeded_db(program, s, rng) for _ in range(4)]
+    if PRUNE_PROGRAMS[ti] == REPEATED:
+        # U(a) :- T(a,a)*T(a,a) waits on one distinct atom that occurs twice
+        dbs.append(build_edb(s, [("E", ("a", "a"), None), ("E", ("a", "b"), None)]))
+    for db in dbs:
+        for force_polynomial in (False, True):
+            full = ground(program, db, prune=False, force_polynomial=force_polynomial)
+            full_fix = _fixpoint(full)
+            nonzero = {a for a, v in zip(full.atoms, full_fix) if v != s.zero}
+            kept = ground(program, db, force_polynomial=force_polynomial)
+            assert set(kept.atoms) == nonzero
+            assert _fixpoint(kept) == tuple(full_fix[full.index[a]] for a in kept.atoms)
+    if PRUNE_PROGRAMS[ti] == REPEATED and sid != "trivial":
+        assert ("U", ("a",)) in nonzero
