@@ -23,6 +23,7 @@ from .frontend import (
     classify_linearity,
     ground,
     parse_program,
+    program_fact_entries,
     tsv_fact_entries,
 )
 from .semirings import (
@@ -75,7 +76,7 @@ def _resolve_semiring(args, program):
 def _load_program_db(args):
     program = parse_program(Path(args.program).read_text(encoding="utf-8"))
     semiring = _resolve_semiring(args, program)
-    entries = [(f.pred, f.args, f.literal) for f in program.facts]
+    entries = program_fact_entries(program)
     if args.facts:
         entries += tsv_fact_entries(Path(args.facts).read_text(encoding="utf-8"))
     return program, build_edb(semiring, entries)
@@ -272,10 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="semifix",
         description="evaluate, measure and verify semiring fixpoint systems",
+        allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="command", required=True)
+    # a flag prefix such as --sem is a usage error, not a guess
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("run", help="evaluate a program to its fixpoint")
+    p = add_parser("run", help="evaluate a program to its fixpoint")
     p.add_argument("program")
     p.add_argument("facts", nargs="?", help="optional TSV facts file")
     p.add_argument(
@@ -287,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--semiring", "--cap", "--no-prune")
     p.set_defaults(handler=cmd_run)
 
-    p = sub.add_parser("ground", help="emit the matrix form of a linear program")
+    p = add_parser("ground", help="emit the matrix form of a linear program")
     p.add_argument("program")
     p.add_argument("facts", nargs="?")
     _add_flags(p, "--semiring", "--no-prune")
     p.set_defaults(handler=cmd_ground)
 
-    p = sub.add_parser("analyze", help="measure stability indices against bounds")
+    p = add_parser("analyze", help="measure stability indices against bounds")
     p.add_argument("matrix_files", nargs="*", help="matrix files to analyze")
     p.add_argument("--program", help="program file instead of a matrix file")
     p.add_argument("--facts", help="TSV facts for --program")
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--semiring", "--cap", "--no-prune")
     p.set_defaults(handler=cmd_analyze)
 
-    p = sub.add_parser("oracle", help="cross-check matrix powers against walk sums")
+    p = add_parser("oracle", help="cross-check matrix powers against walk sums")
     p.add_argument("matrix")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p)
     p.set_defaults(handler=cmd_oracle)
 
-    p = sub.add_parser("semiring", help="axiom, stability and order report")
+    p = add_parser("semiring", help="axiom, stability and order report")
     p.add_argument("id")
     p.add_argument(
         "--budget-axioms",
@@ -341,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--seed")
     p.set_defaults(handler=cmd_semiring)
 
-    p = sub.add_parser("gen", help="write a generated instance as a matrix file")
+    p = add_parser("gen", help="write a generated instance as a matrix file")
     p.add_argument("family", choices=("cycle", "random", "randsys", "blocked"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, help="cap for the cycle family")

@@ -18,7 +18,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, InvalidParameter, ParseError
 from .frontend import (
@@ -71,17 +71,48 @@ def linear_step(sys: GroundedLinearSystem, x: Sequence) -> tuple:
 
 
 def polynomial_step(psys: GroundedPolynomialSystem, x: Sequence) -> tuple:
+    _reads, row = _polynomial_rows(psys)
+    return tuple(row(i, x) for i in range(psys.n))
+
+
+def _linear_rows(sys: GroundedLinearSystem):
+    """The columns each row of x <- Ax (+) b reads, and the row function.
+
+    A row is the ``matvec`` fold followed by (+) b[i], in ``linear_step``'s
+    operand order. The semiring's add and mul are looked up here, once per
+    evaluation and never at import, so wrappers set on the instance (the
+    benchmark's op counters) see every call.
+    """
+    s = sys.semiring
+    add, mul, zero = s.add, s.mul, s.zero
+    rows = [tuple(sys.A.row(i).items()) for i in range(sys.n)]
+    b = sys.b
+
+    def row(i, x):
+        acc = zero
+        for j, v in rows[i]:
+            acc = add(acc, mul(v, x[j]))
+        return add(acc, b[i])
+
+    return [[j for j, _ in r] for r in rows], row
+
+
+def _polynomial_rows(psys: GroundedPolynomialSystem):
+    """The columns each monomial row reads, and the row function."""
     s = psys.semiring
-    out = []
-    for row in psys.monomials:
-        acc = s.zero
-        for coeff, cols in row:
+    add, mul, zero = s.add, s.mul, s.zero
+    monomials = psys.monomials
+
+    def row(i, x):
+        acc = zero
+        for coeff, cols in monomials[i]:
             term = coeff
             for c in cols:
-                term = s.mul(term, x[c])
-            acc = s.add(acc, term)
-        out.append(acc)
-    return tuple(out)
+                term = mul(term, x[c])
+            acc = add(acc, term)
+        return acc
+
+    return [{c for _, cols in r for c in cols} for r in monomials], row
 
 
 def _default_cap(semiring: Semiring, n: int) -> int:
@@ -103,21 +134,46 @@ def _default_cap(semiring: Semiring, n: int) -> int:
     return max(candidates)
 
 
-def _iterate(semiring, n, step, cap, inflationary) -> IterationTrace:
+def _iterate(semiring, n, reads, row, cap, inflationary) -> IterationTrace:
+    """Naive iteration that recomputes only the rows whose inputs changed.
+
+    Step 1 computes every row; after that row i is recomputed only when a
+    column it reads changed in the previous step (under ``inflationary`` it
+    also reads its own column). A row whose columns all equal their previous
+    values would recompute the value it already holds, because ``==`` is a
+    congruence for add and mul; neither idempotence nor distributivity is
+    needed, so every state and index equals that of a full recompute.
+    """
     if cap is not None and cap < 1:
         raise InvalidParameter("cap must be >= 1")
     if cap is None:
         cap = _default_cap(semiring, n)
+    add = semiring.add
+    readers: List[List[int]] = [[] for _ in range(n)]
+    for i, cols in enumerate(reads):
+        for c in cols:
+            readers[c].append(i)
+        if inflationary:
+            readers[i].append(i)
     x = zero_vector(semiring, n)
     states = [x]
+    dirty: Iterable[int] = range(n)
     for q in range(cap):
-        nxt = step(x)
-        if inflationary:
-            nxt = vec_add(semiring, x, nxt)
+        nxt = list(x)
+        changed = []
+        for i in dirty:
+            v = row(i, x)
+            if inflationary:
+                v = add(x[i], v)
+            if v != x[i]:
+                nxt[i] = v
+                changed.append(i)
+        nxt = tuple(nxt)
         states.append(nxt)
-        if nxt == x:
+        if not changed:
             return IterationTrace(tuple(states), q, False)
         x = nxt
+        dirty = {r for c in changed for r in readers[c]}
     return IterationTrace(tuple(states), None, True)
 
 
@@ -132,7 +188,8 @@ def naive_eval_linear(
     Stops at ``cap`` applications without convergence and flags the trace as
     capped instead of raising. ``inflationary`` switches to x <- x (+) f(x).
     """
-    return _iterate(sys.semiring, sys.n, lambda x: linear_step(sys, x), cap, inflationary)
+    reads, row = _linear_rows(sys)
+    return _iterate(sys.semiring, sys.n, reads, row, cap, inflationary)
 
 
 def naive_eval_general(
@@ -142,9 +199,8 @@ def naive_eval_general(
     inflationary: bool = False,
 ) -> IterationTrace:
     """Same contract as naive_eval_linear, for monomial systems."""
-    return _iterate(
-        psys.semiring, psys.n, lambda x: polynomial_step(psys, x), cap, inflationary
-    )
+    reads, row = _polynomial_rows(psys)
+    return _iterate(psys.semiring, psys.n, reads, row, cap, inflationary)
 
 
 def power_sums(A: Matrix) -> Iterator[Matrix]:

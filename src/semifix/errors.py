@@ -41,6 +41,14 @@ class IndexOutOfRange(ParseError, InvalidParameter):
     """
 
 
+class MalformedLiteral(ParseError, MalformedElement):
+    """A fact literal outside the carrier, reported at the fact's line.
+
+    It is also a MalformedElement, the error the semiring's parser raises for
+    the literal itself.
+    """
+
+
 class GroundingError(SemifixError):
     """The program and database cannot be grounded to a system."""
 

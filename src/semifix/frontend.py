@@ -27,9 +27,9 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import GroundingError, ParseError
+from .errors import GroundingError, MalformedElement, MalformedLiteral, ParseError
 from .matrix import Matrix
 from .semirings import Semiring
 
@@ -433,14 +433,24 @@ class EDBInstance:
         return tuple(sorted(consts))
 
 
-def build_edb(
-    semiring: Semiring,
-    entries: Iterable[Tuple[str, Tuple[str, ...], Optional[str]]],
-) -> EDBInstance:
-    """Build an EDB instance; duplicate ground atoms are combined additively."""
+# (predicate, args, literal or None) with an optional (line, col) of the fact
+FactEntry = Tuple[Any, ...]
+
+
+def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
+    """Build an EDB instance; duplicate ground atoms are combined additively.
+
+    A malformed literal raises MalformedLiteral at the entry's position when
+    the entry carries one, else the semiring's MalformedElement.
+    """
     facts: Dict[GroundAtom, Any] = {}
-    for pred, args, literal in entries:
-        value = semiring.one if literal is None else semiring.parse(literal)
+    for pred, args, literal, *pos in entries:
+        try:
+            value = semiring.one if literal is None else semiring.parse(literal)
+        except MalformedElement as exc:
+            if not pos or pos[0] is None:
+                raise
+            raise MalformedLiteral(str(exc), *pos[0]) from None
         key = (pred, tuple(args))
         if key in facts:
             warnings.warn(
@@ -453,13 +463,21 @@ def build_edb(
     return EDBInstance(semiring, facts)
 
 
+def program_fact_entries(program: Program) -> List[FactEntry]:
+    """``build_edb`` entries for the program's facts, with their positions."""
+    return [(f.pred, f.args, f.literal, f.pos) for f in program.facts]
+
+
 def edb_from_program(semiring: Semiring, program: Program) -> EDBInstance:
-    return build_edb(semiring, ((f.pred, f.args, f.literal) for f in program.facts))
+    return build_edb(semiring, program_fact_entries(program))
 
 
-def tsv_fact_entries(text: str) -> List[Tuple[str, Tuple[str, ...], str]]:
-    """``build_edb`` entries from TSV rows ``predicate <tab> arg1..argk <tab> literal``."""
-    entries = []
+def tsv_fact_entries(text: str) -> List[FactEntry]:
+    """``build_edb`` entries from TSV rows ``predicate <tab> arg1..argk <tab> literal``.
+
+    Each entry carries its row's line, so a malformed literal names it.
+    """
+    entries: List[FactEntry] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -471,7 +489,7 @@ def tsv_fact_entries(text: str) -> List[Tuple[str, Tuple[str, ...], str]]:
                 lineno,
                 1,
             )
-        entries.append((cols[0], tuple(cols[1:-1]), cols[-1]))
+        entries.append((cols[0], tuple(cols[1:-1]), cols[-1], (lineno, 1)))
     return entries
 
 
@@ -606,27 +624,25 @@ def ground(
             for v in prod.variables():
                 if v not in var_list:
                     var_list.append(v)
+            # EDB atoms are looked up first, so a binding that misses a fact
+            # never instantiates its head or derived atoms
+            edb_atoms = [_instantiator(a, var_list) for a in prod.atoms if a.pred not in idb]
+            idb_atoms = [_instantiator(a, var_list) for a in prod.atoms if a.pred in idb]
+            head = _instantiator(rule.head, var_list)
             for combo in itertools.product(adom, repeat=len(var_list)):
-                binding = dict(zip(var_list, combo))
-                head_atom = _instantiate(rule.head, binding)
                 coeff = one
-                cols: List[int] = []
-                dead = False
-                for atom in prod.atoms:
-                    g = _instantiate(atom, binding)
-                    if atom.pred in idb:
-                        cols.append(index[g])
-                    else:
-                        v = db.facts.get(g)
-                        if v is None:
-                            dead = True
-                            break
-                        coeff = s.mul(coeff, v)
-                if dead or coeff == zero:
+                for atom in edb_atoms:
+                    v = db.facts.get(atom(combo))
+                    if v is None:
+                        coeff = zero
+                        break
+                    coeff = s.mul(coeff, v)
+                if coeff == zero:
                     continue
+                cols = [index[atom(combo)] for atom in idb_atoms]
                 if len(cols) > 1:
                     cols.sort()
-                key = (index[head_atom], tuple(cols))
+                key = (index[head(combo)], tuple(cols))
                 entries[key] = s.add(entries.get(key, zero), coeff)
 
     entries = {k: v for k, v in entries.items() if v != zero}
@@ -655,11 +671,16 @@ def ground(
     return GroundedPolynomialSystem(s, atoms, index, monomials, n_raw, prune)
 
 
-def _instantiate(atom: Atom, binding: Mapping[str, str]) -> GroundAtom:
-    return (
-        atom.pred,
-        tuple(binding[t.name] if isinstance(t, Var) else t.name for t in atom.args),
-    )
+def _instantiator(atom: Atom, var_list: Sequence[str]) -> Callable[[tuple], GroundAtom]:
+    """The ground instance of ``atom`` as a function of values for ``var_list``."""
+    pred = atom.pred
+    consts = tuple(t.name for t in atom.args if isinstance(t, Const))
+    # positions in the values followed by the constants
+    slots = [
+        var_list.index(t.name) if isinstance(t, Var) else len(var_list) + consts.index(t.name)
+        for t in atom.args
+    ]
+    return lambda combo: (pred, tuple(map((combo + consts).__getitem__, slots)))
 
 
 def _productive(entries: Iterable[Tuple[int, Tuple[int, ...]]]) -> List[int]:

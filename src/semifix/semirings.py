@@ -578,25 +578,21 @@ def longest_chain(s: Semiring) -> int:
         raise UnsupportedOperation(f"{s.id} has no enumerable carrier")
     elems = list(carrier)
     n = len(elems)
-    leq = [[any(s.add(elems[i], z) == elems[j] for z in elems) for j in range(n)] for i in range(n)]
+    pos = {e: k for k, e in enumerate(elems)}
+    # up[i]: indices of the elements that elems[i] precedes, {x (+) z : z in C}
+    up = [{pos[v] for v in (s.add(x, z) for z in elems) if v in pos} for x in elems]
     for i in range(n):
         for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
+            if j in up[i] and i in up[j]:
                 raise NotNaturallyOrdered(
                     f"{s.show(elems[i])} and {s.show(elems[j])} precede each other"
                 )
-    longest = [None] * n
-
-    def walk(i):
-        if longest[i] is None:
-            longest[i] = 0  # strict order is acyclic, safe placeholder
-            longest[i] = max(
-                (1 + walk(j) for j in range(n) if i != j and leq[i][j]),
-                default=0,
-            )
-        return longest[i]
-
-    return max(walk(i) for i in range(n)) if n else 0
+    # a strict successor's up-set is a proper subset of its predecessor's, so
+    # settling elements by ascending up-set size settles successors first
+    longest = [0] * n
+    for i in sorted(range(n), key=lambda k: len(up[k])):
+        longest[i] = max((1 + longest[j] for j in up[i] if j != i), default=0)
+    return max(longest, default=0)
 
 
 # ---------------------------------------------------------------------------

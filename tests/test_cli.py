@@ -90,6 +90,27 @@ def test_run_parse_error_exits_1(tmp_path):
     assert "line" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "program, facts, line",
+    [
+        ("@semiring trop\nT(X,Y) :- E(X,Y).\nE(a,b) = 3.\nE(b,c) = x.\n", None, 4),
+        ("@semiring trop\nT(X,Y) :- E(X,Y).\n", "E\ta\tb\t3\n# note\nE\tb\tc\tx\n", 3),
+    ],
+    ids=["program", "tsv"],
+)
+def test_run_malformed_fact_literal_exits_1_with_line(tmp_path, program, facts, line):
+    path = tmp_path / "p.dl"
+    path.write_text(program)
+    args = [str(path)]
+    if facts is not None:
+        (tmp_path / "f.tsv").write_text(facts)
+        args.append(str(tmp_path / "f.tsv"))
+    res = run_cli("run", *args)
+    assert res.returncode == 1
+    assert f"error: line {line}, col 1: not a rational literal: 'x'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_run_cap_hit_exits_2(tmp_path):
     path = tmp_path / "cyc.mat"
     gen = run_cli("gen", "cycle", "--n", "3", "--L", "4", "--out", str(path))
@@ -320,8 +341,8 @@ def test_oracle_beyond_the_recursion_limit(tmp_path):
     assert all(r.endswith(",equal") for r in rows)
 
 
-# flags each subcommand used to accept and ignore; argparse now rejects them
-# (`semiring --budget` is left out: argparse reads it as `--budget-axioms`)
+# flags each subcommand used to accept and ignore, and prefixes of flags it
+# reads; argparse rejects both
 REMOVED_FLAGS = [
     (("run", "p.dl"), ("--seed", "1")),
     (("run", "p.dl"), ("--budget", "10")),
@@ -349,6 +370,8 @@ REMOVED_FLAGS = [
     (("gen", "random", "--n", "3"), ("--budget", "10")),
     (("gen", "random", "--n", "3"), ("--inflationary",)),
     (("gen", "random", "--n", "3"), ("--format", "json")),
+    (("semiring", "bool"), ("--budget", "10")),
+    (("run", "p.dl"), ("--sem", "bool")),
 ]
 
 

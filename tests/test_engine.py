@@ -21,7 +21,8 @@ from semifix import (
     walk_sum_upto,
 )
 from semifix.engine import linear_step
-from semifix.frontend import GroundedLinearSystem
+from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
+from semifix.matrix import vec_add
 from semifix.generators import LINEAR_PATH_PROGRAM, gen_cycle_lowerbound, random_edge_instance
 
 from conftest import ALL_IDS, seeded_elements
@@ -174,6 +175,150 @@ def test_linear_and_general_traces_identical():
         tg = naive_eval_general(poly)
         assert tl.states == tg.states
         assert tl.stability_index == tg.stability_index
+
+
+# ---------------------------------------------------------------------------
+# Change-driven iteration against a full recompute
+# ---------------------------------------------------------------------------
+
+def full_recompute(s, n, step, cap, inflationary):
+    """Reference naive iteration: every row recomputed at every step."""
+    x = (s.zero,) * n
+    states = [x]
+    for q in range(cap):
+        nxt = step(x)
+        if inflationary:
+            nxt = vec_add(s, x, nxt)
+        states.append(nxt)
+        if nxt == x:
+            return states, q, False
+        x = nxt
+    return states, None, True
+
+
+def reference_linear(sys_, cap, inflationary):
+    step = lambda x: vec_add(sys_.semiring, sys_.A.matvec(x), sys_.b)
+    return full_recompute(sys_.semiring, sys_.n, step, cap, inflationary)
+
+
+def reference_general(psys, cap, inflationary):
+    s = psys.semiring
+
+    def step(x):
+        out = []
+        for row in psys.monomials:
+            acc = s.zero
+            for coeff, cols in row:
+                term = coeff
+                for c in cols:
+                    term = s.mul(term, x[c])
+                acc = s.add(acc, term)
+            out.append(acc)
+        return tuple(out)
+
+    return full_recompute(s, psys.n, step, cap, inflationary)
+
+
+def assert_trace_matches(trace, reference):
+    states, index, capped = reference
+    assert len(trace.states) == len(states)
+    for got, want in zip(trace.states, states):
+        assert got == want
+    assert trace.stability_index == index
+    assert trace.capped == capped
+    assert trace.wall_steps == len(states) - 1
+
+
+def nonzero_element(s, rng):
+    v = s.random_element(rng)
+    return s.one if v == s.zero else v
+
+
+def random_linear_system(s, n, seed):
+    """Sparse rows, some empty, self-loops allowed, some b entries zero."""
+    rng = random.Random(seed)
+    entries = []
+    for i in range(n):
+        if rng.random() < 0.25:
+            continue  # a row with no entries
+        for j in range(n):
+            if rng.random() < 2 / max(n, 1) or (i == j and rng.random() < 0.3):
+                entries.append((i, j, nonzero_element(s, rng)))
+    b = [nonzero_element(s, rng) if rng.random() < 0.4 else s.zero for _ in range(n)]
+    atoms = [(f"x{i}", ()) for i in range(n)]
+    return GroundedLinearSystem.from_matrix(s, Matrix(s, n, entries), b, atoms)
+
+
+def random_polynomial_system(s, n, seed):
+    """Monomials of degree 0-3, repeated columns and empty rows included."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(n):
+        row = []
+        for _ in range(rng.choice((0, 1, 2, 3))):
+            degree = rng.choice((0, 1, 1, 2, 3))
+            cols = tuple(sorted(rng.randrange(n) for _ in range(degree)))
+            row.append((nonzero_element(s, rng), cols))
+        rows.append(tuple(row))
+    atoms = tuple((f"x{i}", ()) for i in range(n))
+    index = {a: i for i, a in enumerate(atoms)}
+    return GroundedPolynomialSystem(s, atoms, index, tuple(rows), n, False)
+
+
+CHANGE_DRIVEN_IDS = ALL_IDS + ("capped:5", "capped:6")
+
+
+@pytest.mark.parametrize("inflationary", [False, True])
+@pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
+def test_change_driven_linear_matches_full_recompute(sid, inflationary):
+    s = semiring_from_id(sid)
+    for seed in range(12):
+        n = seed % 7  # n = 0 included
+        sys_ = random_linear_system(s, n, seed)
+        for cap in (60, 2):  # a cap of 2 is hit on most systems
+            trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
+            assert_trace_matches(trace, reference_linear(sys_, cap, inflationary))
+
+
+@pytest.mark.parametrize("inflationary", [False, True])
+@pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
+def test_change_driven_general_matches_full_recompute(sid, inflationary):
+    s = semiring_from_id(sid)
+    for seed in range(12):
+        n = seed % 6
+        psys = random_polynomial_system(s, n, seed)
+        for cap in (40, 2):
+            trace = naive_eval_general(psys, cap=cap, inflationary=inflationary)
+            assert_trace_matches(trace, reference_general(psys, cap, inflationary))
+
+
+@pytest.mark.parametrize("inflationary", [False, True])
+@pytest.mark.parametrize("sid", ["bool", "trop", "capped:3", "trop_p:1"])
+def test_change_driven_repeated_atom_matches_full_recompute(sid, inflationary):
+    # U(a) reads T(a,a) twice in one monomial
+    s = semiring_from_id(sid)
+    program = parse_program(
+        "U(a) :- S(a) + T(a,a)*T(a,a).\nT(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y)."
+    )
+    rng = random.Random(3)
+    facts = [("S", ("a",), None)] + [
+        ("E", (u, v), s.show(nonzero_element(s, rng))) for u, v in ("aa", "ab", "ba", "bc")
+    ]
+    psys = ground(program, build_edb(s, facts))
+    assert any(cols[0] == cols[1] for row in psys.monomials for _, cols in row if len(cols) == 2)
+    trace = naive_eval_general(psys, cap=50, inflationary=inflationary)
+    assert_trace_matches(trace, reference_general(psys, 50, inflationary))
+
+
+@pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (5, 3), (8, 6)])
+def test_change_driven_cycle_index(n, L):
+    sys_ = gen_cycle_lowerbound(n, L)
+    trace = naive_eval_linear(sys_)  # default cap
+    assert trace.powersum_index == n * L + n - 1
+    assert_trace_matches(trace, reference_linear(sys_, n * L + n + 5, False))
+    hit = naive_eval_linear(sys_, cap=n * L)
+    assert_trace_matches(hit, reference_linear(sys_, n * L, False))
+    assert hit.capped
 
 
 # ---------------------------------------------------------------------------

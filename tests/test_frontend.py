@@ -7,6 +7,7 @@ from semifix import (
     GroundedLinearSystem,
     GroundedPolynomialSystem,
     GroundingError,
+    MalformedElement,
     ParseError,
     active_domain,
     build_edb,
@@ -19,6 +20,7 @@ from semifix import (
     print_program,
     semiring_from_id,
 )
+from semifix.errors import MalformedLiteral
 from semifix.frontend import Atom, Const, Product, Var
 
 from conftest import ALL_IDS
@@ -155,6 +157,19 @@ def test_duplicate_facts_combine_with_warning():
     with pytest.warns(UserWarning, match="combined"):
         db = build_edb(s, [("E", ("a", "b"), "3"), ("E", ("a", "b"), "2")])
     assert db.facts[("E", ("a", "b"))] == s.parse("2")
+
+
+def test_malformed_literal_names_its_position_when_the_entry_has_one():
+    s = semiring_from_id("trop")
+    with pytest.raises(MalformedElement) as bare:
+        build_edb(s, [("E", ("a", "b"), "x")])
+    assert not isinstance(bare.value, ParseError)
+    with pytest.raises(MalformedLiteral) as placed:
+        build_edb(s, [("E", ("a", "b"), "3", (1, 1)), ("E", ("b", "c"), "x", (7, 2))])
+    assert isinstance(placed.value, MalformedElement)
+    assert (placed.value.line, placed.value.col) == (7, 2)
+    with pytest.raises(MalformedLiteral, match="line 2, col 1"):
+        parse_facts_tsv(s, "E\ta\tb\t1\nE\tb\tc\t-1\n")
 
 
 def test_facts_tsv():

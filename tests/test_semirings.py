@@ -223,6 +223,36 @@ def test_longest_chain_rejects_non_antisymmetric():
         longest_chain(Cyclic())
 
 
+def chain_by_definition(s):
+    """Longest strict chain of the natural order, from natural_order_leq."""
+    elems = list(s.elements())
+    n = len(elems)
+    succ = [
+        [j for j in range(n) if j != i and natural_order_leq(s, elems[i], elems[j])]
+        for i in range(n)
+    ]
+    longest = [0] * n
+    for _ in range(n):  # relax n times; a strict chain has at most n - 1 steps
+        longest = [max((1 + longest[j] for j in succ[i]), default=0) for i in range(n)]
+    return max(longest, default=0)
+
+
+@pytest.mark.parametrize(
+    "sid", FINITE_IDS + ("capped:1", "capped:6", "trop_p_fin:1:3", "trop_p_fin:2:2")
+)
+def test_longest_chain_matches_definition(sid):
+    s = semiring_from_id(sid)
+    assert longest_chain(s) == chain_by_definition(s)
+
+
+def test_longest_chain_matches_definition_off_the_semiring_laws(broken_semiring):
+    assert longest_chain(broken_semiring) == chain_by_definition(broken_semiring) == 2
+
+
+def test_longest_chain_deep_carrier_is_not_recursive():
+    assert longest_chain(semiring_from_id("capped:1200")) == 1201
+
+
 # ---------------------------------------------------------------------------
 # Axiom checking and codecs
 # ---------------------------------------------------------------------------
