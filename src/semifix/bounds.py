@@ -214,7 +214,6 @@ def analyze(
     instance_id: str = "",
     claimed_p: Optional[int] = None,
     claimed_L: Optional[int] = None,
-    with_matrix_index: bool = True,
 ) -> BoundReport:
     """Measure the stability indices of a linear system and check every bound.
 
@@ -246,15 +245,11 @@ def analyze(
     report.trace_index = trace.stability_index
     report.measured_index = trace.powersum_index
     report.capped = trace.capped
-    if with_matrix_index and sys.n > 0:
-        report.matrix_index = engine.matrix_stability_index(sys.A, cap=cap)
-    elif sys.n == 0:
-        report.matrix_index = 0
+    report.matrix_index = engine.matrix_stability_index(sys.A, cap=cap)
     # a capped run still certifies a violation when the provable lower bound
     # on the unconverged index already exceeds the formula value
-    checks = [("vector", report.measured_index, cap - 1)]
-    if with_matrix_index:
-        checks.append(("matrix", report.matrix_index, cap + 1))
+    checks = (("vector", report.measured_index, cap - 1),
+              ("matrix", report.matrix_index, cap + 1))
     for name, value in sorted(bounds.items()):
         for label, measured, floor in checks:
             if measured is None:

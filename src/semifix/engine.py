@@ -1,5 +1,9 @@
 """Naive fixpoint evaluation, matrix power sums and stability measurement.
 
+One change-driven loop, ``_iterate``, serves every fixpoint: linear and
+monomial systems, and matrix power sums, whose column j of S(m) is state m+1
+of the run of x <- Ax (+) e_j.
+
 Two step-counting conventions coexist and differ by exactly one:
 
 * the trace convention counts applications of the update map and reports the
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -70,12 +73,7 @@ def linear_step(sys: GroundedLinearSystem, x: Sequence) -> tuple:
     return vec_add(sys.semiring, sys.A.matvec(x), sys.b)
 
 
-def polynomial_step(psys: GroundedPolynomialSystem, x: Sequence) -> tuple:
-    _reads, row = _polynomial_rows(psys)
-    return tuple(row(i, x) for i in range(psys.n))
-
-
-def _linear_rows(sys: GroundedLinearSystem):
+def _linear_rows(A: Matrix, b: Sequence):
     """The columns each row of x <- Ax (+) b reads, and the row function.
 
     A row is the ``matvec`` fold followed by (+) b[i], in ``linear_step``'s
@@ -83,10 +81,9 @@ def _linear_rows(sys: GroundedLinearSystem):
     evaluation and never at import, so wrappers set on the instance (the
     benchmark's op counters) see every call.
     """
-    s = sys.semiring
+    s = A.semiring
     add, mul, zero = s.add, s.mul, s.zero
-    rows = [tuple(sys.A.row(i).items()) for i in range(sys.n)]
-    b = sys.b
+    rows = [tuple(A.row(i).items()) for i in range(A.n)]
 
     def row(i, x):
         acc = zero
@@ -188,7 +185,7 @@ def naive_eval_linear(
     Stops at ``cap`` applications without convergence and flags the trace as
     capped instead of raising. ``inflationary`` switches to x <- x (+) f(x).
     """
-    reads, row = _linear_rows(sys)
+    reads, row = _linear_rows(sys.A, sys.b)
     return _iterate(sys.semiring, sys.n, reads, row, cap, inflationary)
 
 
@@ -203,20 +200,16 @@ def naive_eval_general(
     return _iterate(psys.semiring, psys.n, reads, row, cap, inflationary)
 
 
-def power_sums(A: Matrix) -> Iterator[Matrix]:
-    """S(0), S(1), S(2), ... by the recurrence S(0) = I, S(m+1) = I (+) A S(m).
-
-    Each step costs one matmul, taken only when the next sum is requested.
-    """
-    ident = Matrix.identity(A.semiring, A.n)
-    value = ident
-    while True:
-        yield value
-        value = ident.add(A.matmul(value))
+def _column_runs(A: Matrix, cap: int) -> Iterator[IterationTrace]:
+    """Runs of x <- Ax (+) e_j for j = 0..n-1: state m+1 of run j is column j of S(m)."""
+    s, n = A.semiring, A.n
+    for j in range(n):
+        reads, row = _linear_rows(A, [s.one if i == j else s.zero for i in range(n)])
+        yield _iterate(s, n, reads, row, cap, False)
 
 
 def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
-    """S(k) by the recurrence of ``power_sums``.
+    """S(k) by the recurrence S(0) = I, S(m+1) = I (+) A S(m), column by column.
 
     This equals the literal sum I (+) A (+) ... (+) A^k whenever multiplication
     distributes over addition; the capped structure does not distribute, so
@@ -224,20 +217,28 @@ def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
     """
     if k < 0:
         raise InvalidParameter("k must be >= 0")
-    return MatrixPowerSum(k, next(itertools.islice(power_sums(A), k, None)))
+    # the last state of a run is state k + 1, or the fixpoint reached before it
+    runs = _column_runs(A, k + 1)
+    entries = [(i, j, v) for j, run in enumerate(runs) for i, v in enumerate(run.states[-1])]
+    return MatrixPowerSum(k, Matrix(A.semiring, A.n, entries))
 
 
 def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int]:
-    """Smallest k with S(k) == S(k+1), or None if not reached within cap."""
+    """Smallest k with S(k) == S(k+1), or None if not reached within cap.
+
+    A repeated column stays fixed, so k is the largest power-sum index of the
+    column runs; S(cap+1) is trace state cap+2, which sets the run cap.
+    """
     if cap is not None and cap < 1:
         raise InvalidParameter("cap must be >= 1")
     if cap is None:
         cap = _default_cap(A.semiring, A.n)
-    pairs = itertools.islice(itertools.pairwise(power_sums(A)), cap + 1)
-    for k, (prev, nxt) in enumerate(pairs):
-        if nxt == prev:
-            return k
-    return None
+    k = 0
+    for run in _column_runs(A, cap + 2):
+        if run.capped:
+            return None
+        k = max(k, run.powersum_index)
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ class Matrix:
         return tuple(out)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """Matrix product, kept only as the reference the tests check columns against."""
         if self.n != other.n:
             raise InvalidParameter("dimension mismatch")
         s = self.semiring
@@ -83,6 +84,7 @@ class Matrix:
         return result
 
     def add(self, other: "Matrix") -> "Matrix":
+        """Entrywise sum, kept only as the reference the tests check columns against."""
         if self.n != other.n:
             raise InvalidParameter("dimension mismatch")
         s = self.semiring

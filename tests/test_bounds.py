@@ -185,13 +185,6 @@ def test_pn3_degenerate_at_n1():
     assert report.violations == []
 
 
-def test_analyze_can_skip_matrix_index():
-    report = analyze(gen_cycle_lowerbound(3, 3), with_matrix_index=False)
-    assert report.matrix_index is None
-    assert report.measured_index is not None
-    assert report.violations == []
-
-
 def test_small_cap_does_not_fabricate_violations():
     sys_ = gen_cycle_lowerbound(4, 6)
     report = analyze(sys_, cap=3)

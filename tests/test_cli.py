@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from semifix import Matrix, save_system, semiring_from_id
 from semifix.cli import build_parser, main
+from semifix.generators import gen_random_system
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -218,6 +221,49 @@ def test_oracle_budget_exits_2(tmp_path):
     res = run_cli("oracle", str(mat), "--i", "0", "--j", "0", "--h", "12", "--budget", "100")
     assert res.returncode == 2
     assert "budget" in res.stderr
+
+
+@pytest.mark.parametrize("h", ["0", "3"])
+@pytest.mark.parametrize("i, j", [(3, 0), (0, 3), (-1, 0), (0, -1)])
+def test_oracle_endpoints_outside_the_graph_exit_1(tmp_path, capsys, h, i, j):
+    mat = tmp_path / "cyc.mat"
+    mat.write_text("semiring bool\nn 3\nA 0 1 true\nA 1 2 true\nA 2 0 true\n")
+    assert main(["oracle", str(mat), "--i", str(i), "--j", str(j), "--h", h]) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: endpoints ({i},{j}) outside a 3-vertex graph\n"
+    assert out == ""
+
+
+def _oracle_csv_rows(text):
+    # trop_p bags print as [a,b] without CSV quoting
+    return [re.findall(r"\[[^\]]*\]|[^,]+", line) for line in text.splitlines()[1:]]
+
+
+@pytest.mark.parametrize("sid", ["capped:4", "trop_p:2"])
+def test_oracle_columns_match_matmul_reference(tmp_path, capsys, sid):
+    s, n, max_h = semiring_from_id(sid), 4, 5
+    ident = Matrix.identity(s, n)
+    codes = set()
+    for seed in range(6):
+        system = gen_random_system(n, 0.5, s, seed=seed)
+        A = system.A
+        mat = tmp_path / f"{seed}.mat"
+        mat.write_text(save_system(system))
+        powers, sums = [ident], [ident]
+        for _ in range(max_h):
+            powers.append(A.matmul(powers[-1]))
+            sums.append(ident.add(A.matmul(sums[-1])))
+        for i in range(n):
+            for j in range(n):
+                argv = ["oracle", str(mat), "--i", str(i), "--j", str(j), "--h", str(max_h)]
+                code = main([*argv, "--format", "csv"])
+                rows = _oracle_csv_rows(capsys.readouterr().out)
+                assert [r[2] for r in rows] == [s.show(P.get(i, j)) for P in powers]
+                assert [r[4] for r in rows] == [s.show(S.get(i, j)) for S in sums]
+                assert code == (3 if any(r[5] == "UNEQUAL" for r in rows) else 0)
+                codes.add(code)
+    # capped addition does not distribute, so some walk sums differ
+    assert codes == ({0, 3} if sid == "capped:4" else {0})
 
 
 def test_semiring_report():

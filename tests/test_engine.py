@@ -23,7 +23,12 @@ from semifix import (
 from semifix.engine import linear_step
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
 from semifix.matrix import vec_add
-from semifix.generators import LINEAR_PATH_PROGRAM, gen_cycle_lowerbound, random_edge_instance
+from semifix.generators import (
+    LINEAR_PATH_PROGRAM,
+    gen_cycle_lowerbound,
+    gen_random_system,
+    random_edge_instance,
+)
 
 from conftest import ALL_IDS, seeded_elements
 
@@ -331,14 +336,42 @@ def test_power_sum_zero_is_identity():
     assert matrix_power_sum(A, 0).value == Matrix.identity(s, 3)
 
 
-def test_power_sum_recurrence():
-    s = semiring_from_id("trop")
-    A = Matrix(s, 3, [(0, 1, Fraction(2)), (1, 2, Fraction(1)), (2, 0, Fraction(5))])
-    ident = Matrix.identity(s, 3)
-    for k in range(4):
-        assert matrix_power_sum(A, k + 1).value == ident.add(
-            A.matmul(matrix_power_sum(A, k).value)
-        )
+def reference_power_sums(A, limit=200):
+    """S(0), ..., S(k+1) by S(m+1) = I (+) A S(m) on whole matrices, for the
+    first k with S(k) == S(k+1)."""
+    ident = Matrix.identity(A.semiring, A.n)
+    sums = [ident, ident.add(A.matmul(ident))]
+    while sums[-1] != sums[-2]:
+        assert len(sums) < limit
+        sums.append(ident.add(A.matmul(sums[-1])))
+    return sums
+
+
+# ALL_IDS already holds capped:2..4
+@pytest.mark.parametrize("sid", ALL_IDS + ("capped:5", "capped:6"))
+def test_power_sum_recurrence(sid):
+    s = semiring_from_id(sid)
+    for n in range(9):
+        for seed in range(2):
+            A = gen_random_system(n, 0.4, s, seed=10 * n + seed).A
+            sums = reference_power_sums(A)
+            k = len(sums) - 2
+            for m, S in enumerate(sums + [sums[-1]]):
+                assert matrix_power_sum(A, m).value == S, (n, seed, m)
+            assert matrix_stability_index(A) == k
+            for cap in range(1, k + 2):
+                assert matrix_stability_index(A, cap=cap) == (k if k <= cap else None)
+
+
+@pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (4, 3)])
+def test_matrix_index_cycle_at_the_cap(n, L):
+    A = gen_cycle_lowerbound(n, L).A
+    sums = reference_power_sums(A)
+    k = len(sums) - 2
+    assert k == n * L + n - 1
+    assert matrix_stability_index(A, cap=k) == k
+    assert matrix_stability_index(A, cap=k - 1) is None
+    assert matrix_power_sum(A, k - 1).value == sums[k - 1]
 
 
 def test_power_sum_boolean_three_path():
