@@ -48,7 +48,6 @@ from .frontend import (
     active_domain,
     build_edb,
     classify_linearity,
-    edb_from_program,
     format_ground_atom,
     ground,
     parse_facts_tsv,

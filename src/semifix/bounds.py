@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
@@ -116,26 +116,9 @@ class BoundReport:
     violations: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "semiring": self.semiring_id,
-            "n": self.n,
-            "n_raw": self.n_raw,
-            "p": self.p,
-            "p_source": self.p_source,
-            "L": self.L,
-            "L_source": self.L_source,
-            "chain": self.chain,
-            "naturally_ordered": self.naturally_ordered,
-            "trace_index": self.trace_index,
-            "measured_index": self.measured_index,
-            "matrix_index": self.matrix_index,
-            "capped": self.capped,
-            "cap": self.cap,
-            "bounds": dict(sorted(self.bounds.items())),
-            "degenerate_bounds": dict(sorted(self.degenerate_bounds.items())),
-            "violations": list(self.violations),
-        }
+        d = asdict(self)
+        d["semiring"] = d.pop("semiring_id")
+        return d
 
 
 BOUND_COLUMNS = (

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import functools
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -16,7 +18,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import bounds, engine, generators, walks
-from .errors import EnumerationBudgetExceeded, InvalidParameter, NotNaturallyOrdered, SemifixError
+from .errors import EnumerationBudgetExceeded, InvalidParameter, SemifixError
 from .frontend import (
     GroundedLinearSystem,
     build_edb,
@@ -26,11 +28,10 @@ from .frontend import (
     program_fact_entries,
     tsv_fact_entries,
 )
-from .matrix import vec_add
 from .semirings import (
     check_axioms,
     effective_stability,
-    longest_chain,
+    ordered_chain,
     semiring_from_id,
     semiring_stability,
 )
@@ -175,26 +176,30 @@ def cmd_oracle(args) -> int:
     i, j, max_h = args.i, args.j, args.h
     if max_h < 0:
         raise InvalidParameter(f"--h must be >= 0, got {max_h}")
-    # column j of A^h = A A^(h-1) and of S(h) = I (+) A S(h-1); the walk sums
-    # check both endpoints before a cell is read
-    e_j = tuple(s.one if k == j else s.zero for k in range(A.n))
-    power = psum = e_j
+    walks.check_endpoints(A, i, j)
+    exact_sums = walks.walk_sums(A, (i,), max_h, budget=args.budget)
+    # state h+1 of the column run is column j of S(h); a run that stops early
+    # has repeated its last state, which stays fixed
+    psums = engine.column_run(A, j, max_h + 1).states
+    power = tuple(s.one if k == j else s.zero for k in range(A.n))  # column j of A^0
+    upto = s.zero
     rows = []
     all_equal = True
     for h in range(max_h + 1):
         if h:
             power = A.matvec(power)
-            psum = vec_add(s, e_j, A.matvec(psum))
-        exact = walks.walk_sum_exact(A, i, j, h, budget=args.budget)
-        upto = walks.walk_sum_upto(A, i, j, h, budget=args.budget)
-        ok = exact == power[i] and upto == psum[i]
+        exact = exact_sums[h].get((i, j), s.zero)
+        upto = s.add(upto, exact)
+        psum = psums[min(h + 1, len(psums) - 1)][i]
+        ok = exact == power[i] and upto == psum
         all_equal = all_equal and ok
-        cells = (exact, power[i], upto, psum[i])
+        cells = (exact, power[i], upto, psum)
         rows.append((h, *map(s.show, cells), "equal" if ok else "UNEQUAL"))
     header = ("h", "walks=h", "A^h", "walks<=h", "S(h)", "verdict")
     if args.format == "csv":
-        lines = [",".join(header)] + [",".join(str(c) for c in r) for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([header] + rows)
+        _emit(args, out.getvalue())
     else:
         widths = [max(len(str(r[k])) for r in ([header] + rows)) for k in range(6)]
         lines = [
@@ -225,11 +230,11 @@ def cmd_semiring(args) -> int:
             lines.append("stability: not reached within cap")
         else:
             lines.append(f"stability: {stab.index}-stable (witness {s.show(stab.witness)})")
-        try:
-            chain = longest_chain(s)
-            lines.append(f"naturally ordered, longest chain {chain}")
-        except NotNaturallyOrdered:
+        chain = ordered_chain(s)
+        if chain is None:
             lines.append("not naturally ordered")
+        else:
+            lines.append(f"naturally ordered, longest chain {chain}")
     else:
         p, src = effective_stability(s)
         if p is not None:

@@ -1,8 +1,9 @@
 """Naive fixpoint evaluation, matrix power sums and stability measurement.
 
 One change-driven loop, ``_iterate``, serves every fixpoint: linear and
-monomial systems, and matrix power sums, whose column j of S(m) is state m+1
-of the run of x <- Ax (+) e_j.
+monomial systems, and matrix power sums. ``column_run(A, j, cap)`` is the one
+run of x <- Ax (+) e_j, whose state m+1 is column j of S(m); the matrix power
+sum, the matrix index and ``semifix oracle`` all read their columns from it.
 
 Two step-counting conventions coexist and differ by exactly one:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, InvalidParameter, ParseError
 from .frontend import (
@@ -200,12 +201,11 @@ def naive_eval_general(
     return _iterate(psys.semiring, psys.n, reads, row, cap, inflationary)
 
 
-def _column_runs(A: Matrix, cap: int) -> Iterator[IterationTrace]:
-    """Runs of x <- Ax (+) e_j for j = 0..n-1: state m+1 of run j is column j of S(m)."""
+def column_run(A: Matrix, j: int, cap: int) -> IterationTrace:
+    """The run of x <- Ax (+) e_j: its state m+1 is column j of S(m)."""
     s, n = A.semiring, A.n
-    for j in range(n):
-        reads, row = _linear_rows(A, [s.one if i == j else s.zero for i in range(n)])
-        yield _iterate(s, n, reads, row, cap, False)
+    reads, row = _linear_rows(A, [s.one if i == j else s.zero for i in range(n)])
+    return _iterate(s, n, reads, row, cap, False)
 
 
 def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
@@ -218,8 +218,9 @@ def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
     if k < 0:
         raise InvalidParameter("k must be >= 0")
     # the last state of a run is state k + 1, or the fixpoint reached before it
-    runs = _column_runs(A, k + 1)
-    entries = [(i, j, v) for j, run in enumerate(runs) for i, v in enumerate(run.states[-1])]
+    entries = [
+        (i, j, v) for j in range(A.n) for i, v in enumerate(column_run(A, j, k + 1).states[-1])
+    ]
     return MatrixPowerSum(k, Matrix(A.semiring, A.n, entries))
 
 
@@ -234,7 +235,8 @@ def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int
     if cap is None:
         cap = _default_cap(A.semiring, A.n)
     k = 0
-    for run in _column_runs(A, cap + 2):
+    for j in range(A.n):
+        run = column_run(A, j, cap + 2)
         if run.capped:
             return None
         k = max(k, run.powersum_index)

@@ -468,10 +468,6 @@ def program_fact_entries(program: Program) -> List[FactEntry]:
     return [(f.pred, f.args, f.literal, f.pos) for f in program.facts]
 
 
-def edb_from_program(semiring: Semiring, program: Program) -> EDBInstance:
-    return build_edb(semiring, program_fact_entries(program))
-
-
 def tsv_fact_entries(text: str) -> List[FactEntry]:
     """``build_edb`` entries from TSV rows ``predicate <tab> arg1..argk <tab> literal``.
 

@@ -458,10 +458,6 @@ def semiring_from_id(spec: str) -> Semiring:
     raise InvalidParameter(f"unknown semiring id {spec!r}")
 
 
-def builtin_semiring_ids() -> Tuple[str, ...]:
-    return ("bool", "trop", "trop_p:<p>", "trop_p_fin:<p>:<c>", "capped:<L>", "trivial")
-
-
 # ---------------------------------------------------------------------------
 # Stability
 # ---------------------------------------------------------------------------

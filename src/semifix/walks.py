@@ -1,11 +1,14 @@
 """Brute-force walk sums, cycle decomposition and Eulerian checks.
 
-These are the verification tools: matrix powers and power sums are recomputed
-here by explicitly enumerating walks in the label digraph of A (the directed
-graph whose edge u -> v carries the entry A[u, v]), and long walks are
-factored into a simple path plus simple cycles with multiplicities. Because
-multiplication commutes, the label product of a walk equals the product of its
-factors, which is what makes the decomposition useful.
+These are the verification tools. ``walk_sums`` enumerates the walks of the
+label digraph of A (the directed graph whose edge u -> v carries the entry
+A[u, v]) once and folds their label products by hop count: the exact sums are
+the entries of the matrix powers, and their running sum over hop counts gives
+the power sums. ``walk_sum_exact``, ``walk_sum_upto`` and ``walk_sum_matrices``
+are views of that one fold. Long walks are factored into a simple path plus
+simple cycles with multiplicities. Because multiplication commutes, the label
+product of a walk equals the product of its factors, which is what makes the
+decomposition useful.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -83,7 +87,7 @@ def walk_label_product(A: Matrix, walk: Walk):
 # Walk sums
 # ---------------------------------------------------------------------------
 
-def _check_endpoints(A: Matrix, i: int, j: int):
+def check_endpoints(A: Matrix, i: int, j: int):
     if not (0 <= i < A.n and 0 <= j < A.n):
         raise InvalidParameter(f"endpoints ({i},{j}) outside a {A.n}-vertex graph")
 
@@ -93,14 +97,13 @@ def _branching(A: Matrix) -> int:
     return max((len(A.row(i)) for i in range(A.n)), default=0)
 
 
-def _guard_budget(A: Matrix, h: int, budget: int, sources: Optional[int] = None):
-    # sources: start-vertex count of a bulk enumeration, None for a single query
+def _guard_budget(A: Matrix, h: int, budget: int, sources: int):
+    # sources: how many start vertices the enumeration walks from
     if h < 0:
         raise InvalidParameter("hop count must be >= 0")
     deg = _branching(A)
-    count = 1 if sources is None else sources
-    if count and count * max(deg, 1) ** h > budget:
-        walks = f"{deg}^{h}" if sources is None else f"{sources} x {deg}^{h}"
+    if sources and sources * max(deg, 1) ** h > budget:
+        walks = f"{deg}^{h}" if sources == 1 else f"{sources} x {deg}^{h}"
         raise EnumerationBudgetExceeded(f"up to {walks} walks exceed the budget of {budget}")
 
 
@@ -127,50 +130,44 @@ def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
                 stack.extend((hops + 1, w, s.mul(prod, row[w])) for w in sorted(row, reverse=True))
 
 
+def walk_sums(
+    A: Matrix, sources: Sequence[int], h: int, budget: int = DEFAULT_WALK_BUDGET
+) -> List[Dict[Tuple[int, int], Any]]:
+    """Exact walk sums by hop count: tables[g][(i, v)] sums the g-hop walks from i to v.
+
+    One enumeration from the given sources up to h hops, each cell folded in
+    walk preorder; a cell no walk reaches is absent and stands for zero.
+    """
+    _guard_budget(A, h, budget, len(sources))
+    s = A.semiring
+    tables: List[Dict[Tuple[int, int], Any]] = [dict() for _ in range(h + 1)]
+    for i, hops, v, prod in _walks(A, sources, h, budget):
+        table = tables[hops]
+        table[i, v] = s.add(table.get((i, v), s.zero), prod)
+    return tables
+
+
 def walk_sum_exact(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK_BUDGET):
     """Sum over all exactly-h-hop walks from i to j of their label products.
 
     Equals the (i, j) entry of A^h; walks through zero-labeled edges are
     skipped since zero annihilates the product.
     """
-    _check_endpoints(A, i, j)
-    _guard_budget(A, h, budget)
-    s = A.semiring
-    total = s.zero
-    for _, hops, v, prod in _walks(A, (i,), h, budget):
-        if hops == h and v == j:
-            total = s.add(total, prod)
-    return total
+    check_endpoints(A, i, j)
+    return walk_sums(A, (i,), h, budget)[h].get((i, j), A.semiring.zero)
 
 
 def walk_sum_upto(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK_BUDGET):
     """Sum over all walks from i to j with at most h hops; equals S(h)[i, j]."""
-    _check_endpoints(A, i, j)
-    _guard_budget(A, h, budget)
+    check_endpoints(A, i, j)
     s = A.semiring
-    total = s.zero
-    for _, _, v, prod in _walks(A, (i,), h, budget):
-        if v == j:
-            total = s.add(total, prod)
-    return total
+    return reduce(s.add, (t.get((i, j), s.zero) for t in walk_sums(A, (i,), h, budget)), s.zero)
 
 
 def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) -> List[Matrix]:
-    """All exact walk sums at once: result[h][i, j] == walk_sum_exact(A, i, j, h).
-
-    One depth-first enumeration per start vertex, shared across endpoints and
-    depths; this is the bulk interface for cross-checking matrix powers.
-    """
-    _guard_budget(A, max_h, budget, sources=A.n)
-    s = A.semiring
-    sums: List[Dict[Tuple[int, int], Any]] = [dict() for _ in range(max_h + 1)]
-    for i, hops, v, prod in _walks(A, range(A.n), max_h, budget):
-        table = sums[hops]
-        table[i, v] = s.add(table.get((i, v), s.zero), prod)
-    return [
-        Matrix(s, A.n, ((i, j, v) for (i, j), v in table.items()))
-        for table in sums
-    ]
+    """All exact walk sums at once: result[h][i, j] == walk_sum_exact(A, i, j, h)."""
+    tables = walk_sums(A, range(A.n), max_h, budget)
+    return [Matrix(A.semiring, A.n, ((i, j, v) for (i, j), v in t.items())) for t in tables]
 
 
 # ---------------------------------------------------------------------------

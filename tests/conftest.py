@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -52,3 +53,28 @@ def broken_semiring():
 def seeded_elements(s, count, seed=0):
     rng = random.Random(seed)
     return [s.random_element(rng) for _ in range(count)]
+
+
+def brute_walk_sums(A, i, h):
+    """Reference walk sums from vertex i, listing vertex sequences with itertools.product.
+
+    Returns (exact, upto): exact[g][j] folds the g-hop sequences from i to j,
+    upto[g][j] every sequence of at most g hops, both by hop count and then
+    lexicographically. Hops over zero labels are listed too; their product is
+    zero, which adds nothing.
+    """
+    s, n = A.semiring, A.n
+    exact, upto = [], []
+    running = [s.zero] * n
+    for g in range(h + 1):
+        sums = [s.zero] * n
+        for tail in itertools.product(range(n), repeat=g):
+            verts = (i,) + tail
+            prod = s.one
+            for u, v in zip(verts, verts[1:]):
+                prod = s.mul(prod, A.get(u, v))
+            sums[verts[-1]] = s.add(sums[verts[-1]], prod)
+            running[verts[-1]] = s.add(running[verts[-1]], prod)
+        exact.append(sums)
+        upto.append(list(running))
+    return exact, upto

@@ -1,15 +1,17 @@
+import csv
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from semifix import Matrix, save_system, semiring_from_id
+from semifix import Matrix, save_system, semiring_from_id, walks
 from semifix.cli import build_parser, main
 from semifix.generators import gen_random_system
+
+from conftest import ALL_IDS, brute_walk_sums
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -221,6 +223,7 @@ def test_oracle_budget_exits_2(tmp_path):
     res = run_cli("oracle", str(mat), "--i", "0", "--j", "0", "--h", "12", "--budget", "100")
     assert res.returncode == 2
     assert "budget" in res.stderr
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("h", ["0", "3"])
@@ -235,8 +238,9 @@ def test_oracle_endpoints_outside_the_graph_exit_1(tmp_path, capsys, h, i, j):
 
 
 def _oracle_csv_rows(text):
-    # trop_p bags print as [a,b] without CSV quoting
-    return [re.findall(r"\[[^\]]*\]|[^,]+", line) for line in text.splitlines()[1:]]
+    rows = list(csv.reader(text.splitlines()))[1:]
+    assert all(len(r) == 6 for r in rows)
+    return rows
 
 
 @pytest.mark.parametrize("sid", ["capped:4", "trop_p:2"])
@@ -264,6 +268,47 @@ def test_oracle_columns_match_matmul_reference(tmp_path, capsys, sid):
                 codes.add(code)
     # capped addition does not distribute, so some walk sums differ
     assert codes == ({0, 3} if sid == "capped:4" else {0})
+
+
+ORACLE_WALK_IDS = ALL_IDS + ("capped:5", "capped:6")
+
+
+@pytest.mark.parametrize("sid", ORACLE_WALK_IDS)
+def test_oracle_walk_columns_match_brute_force(tmp_path, capsys, sid):
+    s, max_h = semiring_from_id(sid), 4
+    unequal = 0
+    for n in range(1, 6):
+        system = gen_random_system(n, 0.6, s, seed=n)
+        mat = tmp_path / f"{n}.mat"
+        mat.write_text(save_system(system))
+        for i in range(n):
+            exact, upto = brute_walk_sums(system.A, i, max_h)
+            for j in range(n):
+                argv = ["oracle", str(mat), "--i", str(i), "--j", str(j), "--h", str(max_h)]
+                main([*argv, "--format", "csv"])
+                rows = _oracle_csv_rows(capsys.readouterr().out)
+                assert [r[1] for r in rows] == [s.show(e[j]) for e in exact]
+                assert [r[3] for r in rows] == [s.show(u[j]) for u in upto]
+                unequal += sum(r[5] == "UNEQUAL" for r in rows)
+    # capped addition does not distribute, so products fall below walk sums
+    assert (unequal > 0) == sid.startswith("capped")
+
+
+@pytest.mark.parametrize("max_h", [0, 3, 6])
+def test_oracle_enumerates_walks_once(tmp_path, capsys, monkeypatch, max_h):
+    mat = tmp_path / "r.mat"
+    mat.write_text(save_system(gen_random_system(4, 0.6, semiring_from_id("trop"), seed=2)))
+    calls = []
+    enumerate_walks = walks._walks
+
+    def counting(*a, **kw):
+        calls.append(a[2])
+        return enumerate_walks(*a, **kw)
+
+    monkeypatch.setattr(walks, "_walks", counting)
+    assert main(["oracle", str(mat), "--i", "0", "--j", "3", "--h", str(max_h)]) == 0
+    assert calls == [max_h]
+    assert len(capsys.readouterr().out.splitlines()) == max_h + 2
 
 
 def test_semiring_report():

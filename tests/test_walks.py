@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +21,9 @@ from semifix import (
     walk_sum_upto,
 )
 from semifix.generators import gen_random_system
-from semifix.walks import Walk
+from semifix.walks import Walk, walk_sums
+
+from conftest import ALL_IDS, brute_walk_sums
 
 
 def bool_matrix(n, edges):
@@ -142,6 +145,26 @@ def test_capped_walk_sums_diverge_from_matrix_powers():
     matrix_side = A.matmul(A.matmul(A)).get(0, 0)
     assert walks_side == 2
     assert matrix_side == 1
+
+
+WALK_SUM_IDS = ALL_IDS + ("capped:5", "capped:6")
+
+
+@pytest.mark.parametrize("sid", WALK_SUM_IDS)
+def test_walk_sums_match_brute_force(sid):
+    s = semiring_from_id(sid)
+    for seed, (n, h) in enumerate(itertools.product(range(1, 6), (0, 2, 4))):
+        A = gen_random_system(n, 0.6, s, seed=seed).A
+        refs = [brute_walk_sums(A, i, h)[0] for i in range(n)]
+        sources = [(i,) for i in range(n)] + [tuple(range(n))]
+        for src in sources:
+            tables = walk_sums(A, src, h)
+            assert len(tables) == h + 1
+            for g, table in enumerate(tables):
+                assert {i for i, _ in table} <= set(src)
+                for i in src:
+                    for j in range(n):
+                        assert table.get((i, j), s.zero) == refs[i][g][j]
 
 
 # ---------------------------------------------------------------------------
