@@ -15,7 +15,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import bounds, engine, generators, walks
 from .errors import EnumerationBudgetExceeded, InvalidParameter, SemifixError
@@ -272,17 +272,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="semifix",
-        description="evaluate, measure and verify semiring fixpoint systems",
-        allow_abbrev=False,
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-    # a flag prefix such as --sem is a usage error, not a guess
-    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
-
-    p = add_parser("run", help="evaluate a program to its fixpoint")
+def _run_args(p: argparse.ArgumentParser):
     p.add_argument("program")
     p.add_argument("facts", nargs="?", help="optional TSV facts file")
     p.add_argument(
@@ -294,13 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--semiring", "--cap", "--no-prune")
     p.set_defaults(handler=cmd_run)
 
-    p = add_parser("ground", help="emit the matrix form of a linear program")
+
+def _ground_args(p: argparse.ArgumentParser):
     p.add_argument("program")
     p.add_argument("facts", nargs="?")
     _add_flags(p, "--semiring", "--no-prune")
     p.set_defaults(handler=cmd_ground)
 
-    p = add_parser("analyze", help="measure stability indices against bounds")
+
+def _analyze_args(p: argparse.ArgumentParser):
     p.add_argument("matrix_files", nargs="*", help="matrix files to analyze")
     p.add_argument("--program", help="program file instead of a matrix file")
     p.add_argument("--facts", help="TSV facts for --program")
@@ -321,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--semiring", "--cap", "--no-prune")
     p.set_defaults(handler=cmd_analyze)
 
-    p = add_parser("oracle", help="cross-check matrix powers against walk sums")
+
+def _oracle_args(p: argparse.ArgumentParser):
     p.add_argument("matrix")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
@@ -336,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p)
     p.set_defaults(handler=cmd_oracle)
 
-    p = add_parser("semiring", help="axiom, stability and order report")
+
+def _semiring_args(p: argparse.ArgumentParser):
     p.add_argument("id")
     p.add_argument(
         "--budget-axioms",
@@ -348,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--seed")
     p.set_defaults(handler=cmd_semiring)
 
-    p = add_parser("gen", help="write a generated instance as a matrix file")
+
+def _gen_args(p: argparse.ArgumentParser):
     p.add_argument("family", choices=("cycle", "random", "randsys", "blocked"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, help="cap for the cycle family")
@@ -358,11 +353,43 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--semiring", "--seed", "--no-prune")
     p.set_defaults(handler=cmd_gen)
 
+
+# subcommand: (help, function that adds its arguments)
+_COMMANDS = {
+    "run": ("evaluate a program to its fixpoint", _run_args),
+    "ground": ("emit the matrix form of a linear program", _ground_args),
+    "analyze": ("measure stability indices against bounds", _analyze_args),
+    "oracle": ("cross-check matrix powers against walk sums", _oracle_args),
+    "semiring": ("axiom, stability and order report", _semiring_args),
+    "gen": ("write a generated instance as a matrix file", _gen_args),
+}
+
+
+def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The command-line parser.
+
+    Every subcommand is registered with its help; given ``argv``, only the
+    subcommand it names gets its arguments, which is the only one argparse
+    reads (the first positional token picks it, and no name starts with -).
+    """
+    top = argparse.ArgumentParser(
+        prog="semifix",
+        description="evaluate, measure and verify semiring fixpoint systems",
+        allow_abbrev=False,
+    )
+    sub = top.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((a for a in argv if a in _COMMANDS), None)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        # a flag prefix such as --sem is a usage error, not a guess
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if argv is None or name == named:
+            add_arguments(p)
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.command == "gen" and args.family == "cycle" and args.L is None:
         parser.error("gen cycle needs --L")

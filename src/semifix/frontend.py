@@ -16,10 +16,11 @@ Variables that occur in a body but not in the head are summed over the active
 domain. Facts may also come from a separate TSV file with columns
 ``predicate, arg1..argk, literal``.
 
-Grounding instantiates every rule over the active domain and produces the
-linear system f(x) = Ax (+) b, one coordinate per ground atom of a derived
-predicate (or a monomial system when some product uses two or more derived
-atoms).
+Grounding binds each body product's variables by joining its EDB atoms with
+the facts (a variable no EDB atom binds ranges over the active domain) and
+produces the linear system f(x) = Ax (+) b, one coordinate per ground atom of
+a derived predicate (or a monomial system when some product uses two or more
+derived atoms).
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .errors import GroundingError, MalformedElement, MalformedLiteral, ParseError
 from .matrix import Matrix
@@ -569,7 +572,10 @@ def ground(
     Linear programs yield a GroundedLinearSystem unless ``force_polynomial``
     asks for the monomial form. Ground atoms are enumerated over the active
     domain extended with constants named in rules, then (optionally) pruned to
-    the atoms that can ever contribute a nonzero value.
+    the atoms that can ever contribute a nonzero value. A body product's
+    bindings are those of the active-domain loop whose EDB atoms all find a
+    fact, each once: a join of the EDB atoms in body order, times every
+    active-domain value of the variables no EDB atom binds.
     """
     s = db.semiring
     linear = classify_linearity(program).linear and not force_polynomial
@@ -584,15 +590,18 @@ def ground(
             raise GroundingError(
                 f"fact given for derived predicate {pred}; its values come from iteration"
             )
-    arities: Dict[str, int] = {}
-    for (pred, args) in db.facts:
-        if arities.setdefault(pred, len(args)) != len(args):
+    # facts grouped by predicate, in insertion order
+    by_pred: Dict[str, List[Tuple[Tuple[str, ...], Any]]] = {}
+    for (pred, args), v in db.facts.items():
+        group = by_pred.setdefault(pred, [])
+        if group and len(group[0][0]) != len(args):
             raise GroundingError(f"predicate {pred} used with inconsistent arity in facts")
+        group.append((args, v))
     body_preds = {a.pred: a for r in program.rules for p in r.body for a in p.atoms}
     for pred, atom in sorted(body_preds.items()):
-        if pred not in idb and not any(k[0] == pred for k in db.facts):
+        if pred not in idb and pred not in by_pred:
             raise GroundingError(f"unknown predicate {pred} in rule body (no facts, no rules)")
-        if pred in arities and arities[pred] != len(atom.args):
+        if pred in by_pred and len(by_pred[pred][0][0]) != len(atom.args):
             raise GroundingError(f"predicate {pred} used with inconsistent arity")
 
     adom = db.active_domain
@@ -615,31 +624,27 @@ def ground(
 
     for rule in program.rules:
         for prod in rule.body:
-            head_vars = rule.head.variables()
-            var_list = list(head_vars)
-            for v in prod.variables():
-                if v not in var_list:
-                    var_list.append(v)
-            # EDB atoms are looked up first, so a binding that misses a fact
-            # never instantiates its head or derived atoms
-            edb_atoms = [_instantiator(a, var_list) for a in prod.atoms if a.pred not in idb]
+            # the EDB atoms bind their variables by joining facts; the
+            # variables no EDB atom binds range over the active domain
+            slot: Dict[str, int] = {}
+            steps = [
+                _join_step(a, by_pred[a.pred], slot) for a in prod.atoms if a.pred not in idb
+            ]
+            names = dict.fromkeys(rule.head.variables() + prod.variables())
+            free = [v for v in names if v not in slot]
+            var_list = [*slot, *free]
             idb_atoms = [_instantiator(a, var_list) for a in prod.atoms if a.pred in idb]
             head = _instantiator(rule.head, var_list)
-            for combo in itertools.product(adom, repeat=len(var_list)):
-                coeff = one
-                for atom in edb_atoms:
-                    v = db.facts.get(atom(combo))
-                    if v is None:
-                        coeff = zero
-                        break
-                    coeff = s.mul(coeff, v)
+            for bound, coeff in _join(steps, one, s.mul):
                 if coeff == zero:
                     continue
-                cols = [index[atom(combo)] for atom in idb_atoms]
-                if len(cols) > 1:
-                    cols.sort()
-                key = (index[head(combo)], tuple(cols))
-                entries[key] = s.add(entries.get(key, zero), coeff)
+                for rest in itertools.product(adom, repeat=len(free)):
+                    combo = bound + rest
+                    cols = [index[atom(combo)] for atom in idb_atoms]
+                    if len(cols) > 1:
+                        cols.sort()
+                    key = (index[head(combo)], tuple(cols))
+                    entries[key] = s.add(entries.get(key, zero), coeff)
 
     entries = {k: v for k, v in entries.items() if v != zero}
     keep = _productive(entries) if prune else range(n_raw)
@@ -665,6 +670,69 @@ def ground(
         return GroundedLinearSystem(s, atoms, index, A, tuple(b), n_raw, prune)
     monomials = tuple(tuple(sorted(row, key=lambda m: m[1])) for row in rows)
     return GroundedPolynomialSystem(s, atoms, index, monomials, n_raw, prune)
+
+
+def _join_step(atom: Atom, facts: Sequence[Tuple[Tuple[str, ...], Any]], slot: Dict[str, int]):
+    """Index the facts that match ``atom`` by the variables bound before it.
+
+    ``slot`` maps each bound variable to its position in a binding; the
+    atom's new variables are appended to it. Returns the binding positions of
+    the key and ``{key: [(values of the new variables, fact value), ...]}``,
+    which keeps only the facts that agree with the atom's constants and
+    repeat a repeated new variable.
+    """
+    fixed, key_pos, key_slots, same, first = [], [], [], [], {}
+    for p, t in enumerate(atom.args):
+        if isinstance(t, Const):
+            fixed.append((p, t.name))
+        elif t.name in slot:
+            key_pos.append(p)
+            key_slots.append(slot[t.name])
+        elif t.name in first:
+            same.append((p, first[t.name]))
+        else:
+            first[t.name] = p
+    for name in first:
+        slot[name] = len(slot)
+    new_pos = tuple(first.values())
+    index: Dict[tuple, List[Tuple[tuple, Any]]] = {}
+    for args, v in facts:
+        if all(args[p] == c for p, c in fixed) and all(args[p] == args[q] for p, q in same):
+            key = tuple(args[p] for p in key_pos)
+            index.setdefault(key, []).append((tuple(args[p] for p in new_pos), v))
+    return tuple(key_slots), index
+
+
+def _join(steps, one, mul) -> Iterator[Tuple[tuple, Any]]:
+    """Each binding that finds a fact for every step, with its coefficient.
+
+    Depth first in body order, one pending iterator per step, so no list of
+    partial bindings is built; the coefficient is ``mul(one, v1)``, then
+    ``mul(., v2)`` and so on.
+    """
+    depth = len(steps)
+    if not depth:
+        yield (), one
+        return
+
+    def matches(k: int, bound: tuple):
+        key_slots, index = steps[k]
+        return iter(index.get(tuple(map(bound.__getitem__, key_slots)), ()))
+
+    # level k: the binding and coefficient before step k, and its pending matches
+    prefix, coeff, pending = [()] * depth, [one] * depth, [matches(0, ())] * depth
+    k = 0
+    while k >= 0:
+        for new, v in pending[k]:
+            bound, c = prefix[k] + new, mul(coeff[k], v)
+            if k == depth - 1:
+                yield bound, c
+                continue
+            k += 1
+            prefix[k], coeff[k], pending[k] = bound, c, matches(k, bound)
+            break
+        else:
+            k -= 1
 
 
 def _instantiator(atom: Atom, var_list: Sequence[str]) -> Callable[[tuple], GroundAtom]:

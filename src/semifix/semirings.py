@@ -1,7 +1,10 @@
 """Commutative semirings with exact arithmetic, literal codecs and stability analysis.
 
 Every element is an exact Python value (bool, int, Fraction, tuple), so element
-equality is decidable and fixpoint detection never needs a tolerance. Semiring
+equality is decidable and fixpoint detection never needs a tolerance. The
+min-plus carriers (trop, trop_p) hold an integral value as an int and any other
+as a Fraction; ``int == Fraction(int)`` and their hashes agree, so the two forms
+of one value are interchangeable in fixpoints, indices and shown output. Semiring
 instances are immutable after construction and safe to share between threads;
 all operations here are pure functions.
 
@@ -80,7 +83,7 @@ CAPPED_O = _CappedO()
 
 def _ext_key(v):
     # sort key that places inf after every finite value
-    return (1, Fraction(0)) if v is INF else (0, v)
+    return (1, 0) if v is INF else (0, v)
 
 
 def _ext_add(u, v):
@@ -99,7 +102,12 @@ def _parse_extended_rational(text: str):
         raise MalformedElement(f"not a rational literal: {text!r}") from None
     if v < 0:
         raise MalformedElement(f"negative value {text!r} is outside the carrier")
-    return v
+    return _integral(v)
+
+
+def _integral(v: Fraction):
+    """``v`` as an int when it is integral, else unchanged."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def _show_extended_rational(v) -> str:
@@ -220,11 +228,16 @@ class BoolSemiring(Semiring):
 
 
 class TropSemiring(Semiring):
-    """Min-plus over the non-negative rationals extended with inf."""
+    """Min-plus over the non-negative rationals extended with inf.
+
+    An integral value is an ``int`` (``one``, weights, integral literals and
+    draws) and any other a ``Fraction``; sums of non-integral values may still
+    give an integral ``Fraction``, which equals and hashes like the ``int``.
+    """
 
     id = "trop"
     zero = INF
-    one = Fraction(0)
+    one = 0
     # 1 (+) u = min(0, u) = 0 for every u in the carrier, so each element is
     # 0-stable even though the carrier cannot be enumerated.
     known_stability = 0
@@ -248,10 +261,10 @@ class TropSemiring(Semiring):
     def random_element(self, rng):
         if rng.random() < 0.1:
             return INF
-        return Fraction(rng.randint(0, 12), rng.choice((1, 1, 2, 3)))
+        return _integral(Fraction(rng.randint(0, 12), rng.choice((1, 1, 2, 3))))
 
     def weight(self, k):
-        return Fraction(k)
+        return k
 
 
 class TropBagSemiring(Semiring):
@@ -263,7 +276,7 @@ class TropBagSemiring(Semiring):
         self.p = p
         self.id = f"trop_p:{p}"
         self.zero = (INF,) * (p + 1)
-        self.one = min_p_truncate(p, (Fraction(0),))
+        self.one = min_p_truncate(p, (0,))
         self.known_stability = p
 
     def add(self, a, b):
@@ -297,10 +310,10 @@ class TropBagSemiring(Semiring):
 
     def random_element(self, rng):
         k = rng.randint(0, self.p + 1)
-        return min_p_truncate(self.p, (Fraction(rng.randint(0, 9)) for _ in range(k)))
+        return min_p_truncate(self.p, (rng.randint(0, 9) for _ in range(k)))
 
     def weight(self, k):
-        return min_p_truncate(self.p, (Fraction(k),))
+        return min_p_truncate(self.p, (k,))
 
 
 class FiniteTropBagSemiring(TropBagSemiring):
@@ -316,7 +329,6 @@ class FiniteTropBagSemiring(TropBagSemiring):
             raise InvalidParameter("entry cap must be >= 0")
         self.cap = cap
         self.id = f"trop_p_fin:{p}:{cap}"
-        self.one = min_p_truncate(p, (0,))
         self.known_stability = None  # computed exhaustively
         pool = tuple(range(cap + 1)) + (INF,)
         self._carrier = tuple(itertools.combinations_with_replacement(pool, p + 1))
@@ -337,7 +349,7 @@ class FiniteTropBagSemiring(TropBagSemiring):
             raise MalformedElement(
                 f"entry {text!r} is outside the finite chain 0..{self.cap}"
             )
-        return int(v)
+        return v
 
     def elements(self):
         return self._carrier

@@ -489,3 +489,35 @@ def test_out_of_range_cli_values_exit_1(tmp_path, args, message):
     assert res.returncode == 1
     assert message in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("sid, weight", [("capped:9", "1"), ("trop_p:2", "[1]"), ("bool", "true")])
+def test_run_repeated_head_variable(tmp_path, capsys, sid, weight):
+    path = tmp_path / "rep.dl"
+    facts = "".join(f"E({u},{v}) = {weight}.\n" for u, v in ("ab", "ba", "cc"))
+    path.write_text("T(X,X) :- E(X,Y).\n" + facts)
+    assert main(["run", str(path), "--semiring", sid]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"T({x},{x}) = {weight}" for x in "abc"]
+
+
+HELP_ARGVS = [["-h"]] + [[name, "-h"] for name in ("run", "ground", "analyze", "oracle", "semiring", "gen")]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_matches_the_fully_built_parser(capsys, argv):
+    outputs = []
+    for parser in (build_parser(), build_parser(argv)):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "usage: semifix" in outputs[0]
+
+
+def test_parser_adds_arguments_only_to_the_named_subcommand(capsys):
+    parser = build_parser(["run", "p.dl"])
+    assert parser.parse_args(["run", "p.dl"]).handler.__name__ == "cmd_run"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["ground", "p.dl"])
+    assert "unrecognized arguments: p.dl" in capsys.readouterr().err

@@ -546,3 +546,27 @@ def test_matrix_add_matches_constructor_merge(sid):
         merged = a.add(b)
         assert merged == reference
         assert list(merged.entries()) == list(reference.entries())
+
+
+
+def _as_fraction(v):
+    """``v`` as a Fraction when it is a finite trop value."""
+    return v if v is INF else Fraction(v)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trop_traces_do_not_depend_on_int_values(seed):
+    s = semiring_from_id("trop")
+    grounded = ground(parse_program(LINEAR_PATH_PROGRAM), random_edge_instance(7, 0.4, s, seed))
+    assert all(type(v) is int for _, _, v in grounded.A.entries())
+    for sys_ in [grounded] + [gen_random_system(n, 0.4, s, seed) for n in (1, 3, 6, 9)]:
+        forced = GroundedLinearSystem.from_matrix(
+            s,
+            Matrix(s, sys_.n, ((i, j, _as_fraction(v)) for i, j, v in sys_.A.entries())),
+            [_as_fraction(v) for v in sys_.b],
+            sys_.atoms,
+        )
+        trace, ref = naive_eval_linear(sys_), naive_eval_linear(forced)
+        assert trace.states == ref.states
+        assert trace.stability_index == ref.stability_index
+        assert matrix_stability_index(sys_.A) == matrix_stability_index(forced.A)

@@ -21,7 +21,7 @@ from semifix import (
     semiring_from_id,
 )
 from semifix.errors import MalformedLiteral
-from semifix.frontend import Atom, Const, Product, Var
+from semifix.frontend import Atom, Const, Product, Program, Rule, Var
 
 from conftest import ALL_IDS
 
@@ -328,6 +328,21 @@ def test_ground_scales_to_medium_instances():
     assert full == s.parse(str(n))
 
 
+REPEATED_HEAD = "T(X,X) :- E(X,Y).\n"
+REPEATED_HEAD_CASES = [("capped:9", "1"), ("trop_p:2", "[1]"), ("bool", "true")]
+
+
+@pytest.mark.parametrize("sid, weight", REPEATED_HEAD_CASES)
+def test_repeated_head_variable_counts_each_binding_once(sid, weight):
+    # each T(x,x) has one binding, Y = the one successor of x
+    s = semiring_from_id(sid)
+    db = build_edb(s, [("E", args, weight) for args in (("a", "b"), ("b", "a"), ("c", "c"))])
+    sys_ = ground(parse_program(REPEATED_HEAD), db)
+    assert sys_.atoms == (("T", ("a", "a")), ("T", ("b", "b")), ("T", ("c", "c")))
+    assert sys_.b == (s.parse(weight),) * 3
+    assert list(sys_.A.entries()) == []
+
+
 # ---------------------------------------------------------------------------
 # Grounding soundness against a rule-level oracle
 # ---------------------------------------------------------------------------
@@ -500,3 +515,184 @@ def test_pruning_keeps_exactly_the_nonzero_atoms(ti, sid):
             assert _fixpoint(kept) == tuple(full_fix[full.index[a]] for a in kept.atoms)
     if PRUNE_PROGRAMS[ti] == REPEATED and sid != "trivial":
         assert ("U", ("a",)) in nonzero
+
+
+# ---------------------------------------------------------------------------
+# Join-driven grounding against the active-domain loop
+# ---------------------------------------------------------------------------
+
+def reference_ground(program, db, prune=True, force_polynomial=False):
+    """(atoms, n_raw, A entries, b, monomials) from the nested active-domain loop.
+
+    Every variable of a product, deduplicated, ranges over the active domain;
+    a binding whose EDB atoms all find a fact adds the product of their values,
+    in body order, to its (head, sorted derived atoms) term. Pruning keeps the
+    least set of atoms closed under "some term's derived atoms are all kept".
+    """
+    s = db.semiring
+    idb = set(program.idb_predicates())
+    adom = db.active_domain
+    gdom = sorted(set(adom) | set(program.rule_constants()))
+    arity = {r.head.pred: len(r.head.args) for r in program.rules}
+    universe = [
+        (pred, combo)
+        for pred in sorted(arity)
+        for combo in itertools.product(gdom, repeat=arity[pred])
+    ]
+    index = {a: i for i, a in enumerate(universe)}
+    terms = {}
+    for rule in program.rules:
+        for prod in rule.body:
+            var_list = list(dict.fromkeys(rule.head.variables() + prod.variables()))
+            for combo in itertools.product(adom, repeat=len(var_list)):
+                env = dict(zip(var_list, combo))
+
+                def inst(atom):
+                    args = tuple(env[t.name] if isinstance(t, Var) else t.name for t in atom.args)
+                    return atom.pred, args
+
+                coeff = s.one
+                for atom in prod.atoms:
+                    if atom.pred not in idb:
+                        v = db.facts.get(inst(atom))
+                        if v is None:
+                            coeff = s.zero
+                            break
+                        coeff = s.mul(coeff, v)
+                if coeff == s.zero:
+                    continue
+                cols = tuple(sorted(index[inst(a)] for a in prod.atoms if a.pred in idb))
+                key = (index[inst(rule.head)], cols)
+                terms[key] = s.add(terms.get(key, s.zero), coeff)
+    terms = {k: v for k, v in terms.items() if v != s.zero}
+    kept = set(range(len(universe)))
+    if prune:
+        kept = set()
+        while True:
+            more = {i for (i, cols) in terms if all(c in kept for c in cols)} - kept
+            if not more:
+                break
+            kept |= more
+    keep = sorted(kept)
+    remap = {old: new for new, old in enumerate(keep)}
+    linear = classify_linearity(program).linear and not force_polynomial
+    a_entries, b, rows = [], [s.zero] * len(keep), [[] for _ in keep]
+    for (i, cols), v in terms.items():
+        if not all(c in remap for c in cols):
+            continue
+        new_cols = tuple(remap[c] for c in cols)
+        if not linear:
+            rows[remap[i]].append((v, new_cols))
+        elif new_cols:
+            a_entries.append((remap[i], new_cols[0], v))
+        else:
+            b[remap[i]] = v
+    monomials = tuple(tuple(sorted(r, key=lambda m: m[1])) for r in rows) if not linear else None
+    atoms = tuple(universe[i] for i in keep)
+    return atoms, len(universe), sorted(a_entries), tuple(b), monomials
+
+
+ARITY = {"E": 2, "F": 1, "G": 2, "T": 2, "U": 1}  # T and U are derived
+RULE_VARS = ("X", "Y", "Z", "W")
+
+
+def _random_atom(rng, pred):
+    # constants a (in every active domain) and k (in none)
+    terms = [Const(rng.choice("ak")) if rng.random() < 0.15 else Var(rng.choice(RULE_VARS))
+             for _ in range(ARITY[pred])]
+    return Atom(pred, tuple(terms))
+
+
+def _random_program(rng, linear):
+    """Rules heading T and U with products of 0-3 EDB atoms and 0-2 derived ones.
+
+    A head variable that no atom of a product names is added as F(V), or as
+    U(V) while the product may take another derived atom, so some variables
+    occur only in derived atoms.
+    """
+    heads = [_random_atom(rng, "T"), _random_atom(rng, "U")]
+    if rng.random() < 0.3:
+        heads[0] = Atom("T", (Var("X"), Var("X")))
+    rules = []
+    for head in heads:
+        body = []
+        for _ in range(rng.randint(1, 2)):
+            atoms = [_random_atom(rng, rng.choice("EFG")) for _ in range(rng.randint(0, 3))]
+            n_idb = rng.randint(0, 1 if linear else 2)
+            atoms += [_random_atom(rng, rng.choice("TU")) for _ in range(n_idb)]
+            for v in dict.fromkeys(head.variables()):
+                if v not in {name for a in atoms for name in a.variables()}:
+                    room = not linear or all(a.pred not in "TU" for a in atoms)
+                    pred = "U" if room and rng.random() < 0.5 else "F"
+                    atoms.append(Atom(pred, (Var(v),)))
+            if not atoms:
+                atoms.append(_random_atom(rng, "F"))
+            body.append(Product(tuple(atoms)))
+        rules.append(Rule(head, tuple(body)))
+    return print_program(Program(tuple(rules), ()))
+
+
+def _random_facts(rng, s):
+    """Facts over a..d for E, F and G, some of them zero-valued."""
+    entries = []
+    for pred in "EFG":
+        for k, args in enumerate(itertools.product("abcd", repeat=ARITY[pred])):
+            if k == 0 or rng.random() < 0.35:
+                v = s.zero if rng.random() < 0.1 else s.random_element(rng)
+                entries.append((pred, args, s.show(v)))
+    return build_edb(s, entries)
+
+
+def _features(program):
+    """Which shapes the differential test is meant to cover occur in ``program``."""
+    idb = set(program.idb_predicates())
+    seen = set()
+    for rule in program.rules:
+        if len(set(rule.head.variables())) < len(rule.head.variables()):
+            seen.add("repeated head variable")
+        for prod in rule.body:
+            edb = [a for a in prod.atoms if a.pred not in idb]
+            seen.add(f"{len(edb)} EDB atoms")
+            if any(len(set(a.variables())) < len(a.variables()) for a in edb):
+                seen.add("repeated variable in an EDB atom")
+            if any(a.constants() for a in prod.atoms):
+                seen.add("constant")
+            edb_vars = {v for a in edb for v in a.variables()}
+            if set(prod.variables()) - edb_vars:
+                seen.add("variable only in derived atoms")
+            if sum(a.pred in idb for a in prod.atoms) > 1:
+                seen.add("nonlinear")
+    return seen
+
+
+DIFF_IDS = ALL_IDS + ("capped:5", "capped:6")
+
+
+@pytest.mark.parametrize("sid", DIFF_IDS)
+def test_ground_matches_active_domain_reference(sid):
+    s = semiring_from_id(sid)
+    rng = random.Random(f"ground/{sid}")
+    seen = set()
+    for trial in range(24):
+        program = parse_program(_random_program(rng, linear=trial % 3 != 0))
+        db = _random_facts(rng, s)
+        seen |= _features(program)
+        for prune in (False, True):
+            for force_polynomial in (False, True):
+                got = ground(program, db, prune=prune, force_polynomial=force_polynomial)
+                atoms, n_raw, a_entries, b, monomials = reference_ground(
+                    program, db, prune, force_polynomial
+                )
+                assert got.atoms == atoms
+                assert got.n_raw == n_raw
+                if monomials is None:
+                    assert isinstance(got, GroundedLinearSystem)
+                    assert list(got.A.entries()) == a_entries
+                    assert got.b == b
+                else:
+                    assert got.monomials == monomials
+    assert seen >= {
+        "0 EDB atoms", "1 EDB atoms", "2 EDB atoms", "3 EDB atoms", "constant",
+        "repeated variable in an EDB atom", "variable only in derived atoms",
+        "repeated head variable", "nonlinear",
+    }

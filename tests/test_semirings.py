@@ -351,3 +351,55 @@ def test_algebra_laws_on_random_elements(sid):
         assert s.mul(s.mul(a, b), c) == s.mul(a, s.mul(b, c))
         if not skip_distributivity:
             assert s.mul(a, s.add(b, c)) == s.add(s.mul(a, b), s.mul(a, c))
+
+
+# ---------------------------------------------------------------------------
+# Integral min-plus values are int
+# ---------------------------------------------------------------------------
+
+def test_integral_min_plus_values_are_int():
+    t = semiring_from_id("trop")
+    for v in (t.parse("6/2"), t.parse("3"), t.parse("2.0"), t.weight(3), t.one):
+        assert type(v) is int
+    assert type(t.parse("3/4")) is Fraction
+    b = semiring_from_id("trop_p:1")
+    for bag in (b.parse("[6/2,1]"), b.weight(3), b.one):
+        assert all(type(e) is int for e in bag if e is not INF)
+    assert b.parse("[3/4]") == (Fraction(3, 4), INF)
+    assert type(b.parse("[3/4]")[0]) is Fraction
+    rng = random.Random(0)
+    for _ in range(200):
+        v = t.random_element(rng)
+        assert v is INF or type(v) is (int if v == int(v) else Fraction)
+
+
+# a rational n/d as (int or Fraction, Fraction), or inf in both forms
+rational_forms = st.one_of(
+    st.just((INF, INF)),
+    st.builds(Fraction, st.integers(0, 12), st.sampled_from((1, 2, 3, 4))).map(
+        lambda v: (v.numerator if v.denominator == 1 else v, v)
+    ),
+)
+
+
+def _element_forms(sid):
+    if sid == "trop":
+        return rational_forms
+    return st.lists(rational_forms, max_size=2).map(
+        lambda pairs: tuple(min_p_truncate(1, [p[k] for p in pairs]) for k in (0, 1))
+    )
+
+
+@pytest.mark.parametrize("sid", ["trop", "trop_p:1"])
+@given(data=st.data())
+def test_int_values_act_like_fractions(sid, data):
+    s = semiring_from_id(sid)
+    (x, xf), (y, yf) = data.draw(_element_forms(sid)), data.draw(_element_forms(sid))
+    assert hash(x) == hash(xf)
+    assert s.show(x) == s.show(xf)
+    assert (x == y) == (xf == yf)
+    for op in (s.add, s.mul):
+        got, want = op(x, y), op(xf, yf)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert s.show(got) == s.show(want)
