@@ -7,6 +7,9 @@ Walks through the two experiment families the library is built around:
 2. seeded random systems over the finite carriers, where the measured index
    is usually far below every formula.
 
+Between them it prints one cycle run from its change log: the atoms each step
+changed, and the atom that converged last.
+
 Run with ``python demos/convergence_study.py``. Everything is seeded, so the
 output is identical on every run.
 """
@@ -51,14 +54,21 @@ def random_sweep(semiring_id, runs=200):
 
 
 def one_trace():
-    print("one trace in full: the 3-vertex cycle over capped:4")
+    print("one trace from its change log: the 3-vertex cycle over capped:4")
     system = gen_cycle_lowerbound(3, 4)
     s = system.semiring
+    labels = system.atom_labels()
     trace = naive_eval_linear(system)
-    for step, state in enumerate(trace.states):
-        row = " ".join(f"{s.show(v):>2}" for v in state)
-        print(f"  step {step:>2}: {row}")
+    last_step = {}  # atom -> the last step that changed it
+    for step, changes in enumerate(trace.changes, start=1):
+        moved = " ".join(f"{labels[i]}={s.show(v)}" for i, v in sorted(changes))
+        print(f"  step {step:>2}: {moved or 'no change'}")
+        last_step.update((i, step) for i, _ in changes)
     print(f"  stability index {trace.stability_index} (states convention)")
+    if last_step:
+        final = max(last_step.values())
+        atoms = ", ".join(labels[i] for i in sorted(last_step) if last_step[i] == final)
+        print(f"  last to converge: {atoms} at step {final}")
     print()
 
 

@@ -95,10 +95,9 @@ def cmd_run(args) -> int:
     if args.format == "csv":
         _emit(args, engine.trace_csv(system, trace))
     elif args.format == "json":
-        fix = trace.fixpoint or trace.states[-1]
         payload = {
             "atoms": {
-                label: s.show(v) for label, v in zip(system.atom_labels(), fix)
+                label: s.show(v) for label, v in zip(system.atom_labels(), trace.last)
             },
             "stability_index": trace.stability_index,
             "powersum_index": trace.powersum_index,
@@ -108,8 +107,7 @@ def cmd_run(args) -> int:
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         lines = []
-        fix = trace.fixpoint or trace.states[-1]
-        for label, v in zip(system.atom_labels(), fix):
+        for label, v in zip(system.atom_labels(), trace.last):
             lines.append(f"{label} = {s.show(v)}")
         if trace.capped:
             lines.append(f"no fixpoint within cap ({trace.wall_steps} steps)")
@@ -178,11 +176,12 @@ def cmd_oracle(args) -> int:
         raise InvalidParameter(f"--h must be >= 0, got {max_h}")
     walks.check_endpoints(A, i, j)
     exact_sums = walks.walk_sums(A, (i,), max_h, budget=args.budget)
-    # state h+1 of the column run is column j of S(h); a run that stops early
+    # state h+1 of the column run is column j of S(h), so entry i of S(h) is
+    # the value the log last gave row i up to step h; a run that stops early
     # has repeated its last state, which stays fixed
-    psums = engine.column_run(A, j, max_h + 1).states
+    steps = engine.column_run(A, j, max_h + 1).changes
     power = tuple(s.one if k == j else s.zero for k in range(A.n))  # column j of A^0
-    upto = s.zero
+    upto = psum = s.zero
     rows = []
     all_equal = True
     for h in range(max_h + 1):
@@ -190,7 +189,9 @@ def cmd_oracle(args) -> int:
             power = A.matvec(power)
         exact = exact_sums[h].get((i, j), s.zero)
         upto = s.add(upto, exact)
-        psum = psums[min(h + 1, len(psums) - 1)][i]
+        for k, v in steps[h] if h < len(steps) else ():
+            if k == i:
+                psum = v
         ok = exact == power[i] and upto == psum
         all_equal = all_equal and ok
         cells = (exact, power[i], upto, psum)

@@ -1,9 +1,13 @@
 """Naive fixpoint evaluation, matrix power sums and stability measurement.
 
 One change-driven loop, ``_iterate``, serves every fixpoint: linear and
-monomial systems, and matrix power sums. ``column_run(A, j, cap)`` is the one
-run of x <- Ax (+) e_j, whose state m+1 is column j of S(m); the matrix power
-sum, the matrix index and ``semifix oracle`` all read their columns from it.
+monomial systems, and matrix power sums. It updates one working vector in
+place and records the run as a change log (the rows each step changed, with
+their new values), so a run holds O(n + changes) values, not every state;
+``IterationTrace.states`` rebuilds the states from the log on demand.
+``column_run(A, j, cap)`` is the one run of x <- Ax (+) e_j, whose state m+1
+is column j of S(m); the matrix power sum, the matrix index and
+``semifix oracle`` all read their columns from it.
 
 Two step-counting conventions coexist and differ by exactly one:
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, InvalidParameter, ParseError
@@ -38,15 +43,35 @@ DEFAULT_EVAL_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """States x(0), x(1), ... of a naive evaluation, with convergence data."""
+    """A naive evaluation as a change log, with convergence data.
 
-    states: Tuple[Tuple[Any, ...], ...]
-    stability_index: Optional[int]  # smallest q with states[q] == states[q+1]
+    ``start`` is x(0), the zero vector; ``changes[q]`` holds the (row, value)
+    pairs where x(q+1) differs from x(q); ``last`` is the final state. A
+    converged run ends with an empty step, since x(q+1) == x(q). The log holds
+    O(n + changes) values; ``states`` costs O(steps * n) and is built only when
+    read.
+    """
+
+    start: Tuple[Any, ...]
+    changes: Tuple[Tuple[Tuple[int, Any], ...], ...]
+    last: Tuple[Any, ...]
+    stability_index: Optional[int]  # smallest q with x(q) == x(q+1)
     capped: bool
+
+    @cached_property
+    def states(self) -> Tuple[Tuple[Any, ...], ...]:
+        """x(0), x(1), ..., rebuilt from the log on first use and cached."""
+        x = list(self.start)
+        states = [self.start]
+        for step in self.changes:
+            for i, v in step:
+                x[i] = v
+            states.append(tuple(x))
+        return tuple(states)
 
     @property
     def wall_steps(self) -> int:
-        return len(self.states) - 1
+        return len(self.changes)
 
     @property
     def powersum_index(self) -> Optional[int]:
@@ -57,9 +82,7 @@ class IterationTrace:
 
     @property
     def fixpoint(self) -> Optional[Tuple[Any, ...]]:
-        if self.stability_index is None:
-            return None
-        return self.states[self.stability_index]
+        return None if self.capped else self.last
 
 
 @dataclass(frozen=True)
@@ -140,7 +163,9 @@ def _iterate(semiring, n, reads, row, cap, inflationary) -> IterationTrace:
     also reads its own column). A row whose columns all equal their previous
     values would recompute the value it already holds, because ``==`` is a
     congruence for add and mul; neither idempotence nor distributivity is
-    needed, so every state and index equals that of a full recompute.
+    needed, so every state and index equals that of a full recompute. The
+    step's changes are written into the one working vector only after every
+    dirty row has read the previous state.
     """
     if cap is not None and cap < 1:
         raise InvalidParameter("cap must be >= 1")
@@ -153,26 +178,25 @@ def _iterate(semiring, n, reads, row, cap, inflationary) -> IterationTrace:
             readers[c].append(i)
         if inflationary:
             readers[i].append(i)
-    x = zero_vector(semiring, n)
-    states = [x]
+    start = zero_vector(semiring, n)
+    x = list(start)
+    log = []
     dirty: Iterable[int] = range(n)
     for q in range(cap):
-        nxt = list(x)
-        changed = []
+        step = []
         for i in dirty:
             v = row(i, x)
             if inflationary:
                 v = add(x[i], v)
             if v != x[i]:
-                nxt[i] = v
-                changed.append(i)
-        nxt = tuple(nxt)
-        states.append(nxt)
-        if not changed:
-            return IterationTrace(tuple(states), q, False)
-        x = nxt
-        dirty = {r for c in changed for r in readers[c]}
-    return IterationTrace(tuple(states), None, True)
+                step.append((i, v))
+        log.append(tuple(step))
+        if not step:
+            return IterationTrace(start, tuple(log), tuple(x), q, False)
+        for i, v in step:
+            x[i] = v
+        dirty = {r for i, _ in step for r in readers[i]}
+    return IterationTrace(start, tuple(log), tuple(x), None, True)
 
 
 def naive_eval_linear(
@@ -218,9 +242,7 @@ def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
     if k < 0:
         raise InvalidParameter("k must be >= 0")
     # the last state of a run is state k + 1, or the fixpoint reached before it
-    entries = [
-        (i, j, v) for j in range(A.n) for i, v in enumerate(column_run(A, j, k + 1).states[-1])
-    ]
+    entries = [(i, j, v) for j in range(A.n) for i, v in enumerate(column_run(A, j, k + 1).last)]
     return MatrixPowerSum(k, Matrix(A.semiring, A.n, entries))
 
 
@@ -250,7 +272,7 @@ def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int
 #   # optional comment lines (generators embed their parameters here)
 #   # atom <index> <label>        optional atom labels
 #   semiring <id>
-#   n <count>
+#   n <count>                     0 <= count <= MAX_ATOMS
 #   A <i> <j> <literal>           nonzero matrix entries, 0-based
 #   b <i> <literal>               nonzero vector entries
 
@@ -268,6 +290,11 @@ def save_system(sys: GroundedLinearSystem, header: Sequence[str] = ()) -> str:
             lines.append(f"b {i} {s.show(v)}")
     return "\n".join(lines) + "\n"
 
+
+# the largest n a matrix file may declare: loading allocates a label, a matrix
+# row and vector entries for every atom, so a larger header is a parse error
+# instead of a failed (or machine-filling) allocation
+MAX_ATOMS = 1_000_000
 
 # fields after the key on each kind of line; the last field keeps its spaces
 _LINE_FIELDS = {"semiring": 1, "n": 1, "A": 3, "b": 2}
@@ -310,6 +337,8 @@ def load_system(text: str) -> GroundedLinearSystem:
             n = _parse_int(fields[0], "n", lineno)
             if n < 0:
                 raise ParseError(f"n must be >= 0, got {n}", lineno, 1)
+            if n > MAX_ATOMS:
+                raise ParseError(f"n {n} exceeds the limit of {MAX_ATOMS} atoms", lineno, 1)
         elif semiring is None or n is None:
             raise ParseError(f"{key} entry before semiring/n header", lineno, 1)
         else:
@@ -342,13 +371,15 @@ def trace_csv(
     sys: Union[GroundedLinearSystem, GroundedPolynomialSystem],
     trace: IterationTrace,
 ) -> str:
-    """Full trace as CSV rows of step, atom, value."""
-    s = sys.semiring
+    """Full trace as CSV rows of step, atom, value, replayed from the change log."""
+    show = sys.semiring.show
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(["step", "atom", "value"])
     labels = sys.atom_labels()
-    for step, state in enumerate(trace.states):
-        for label, v in zip(labels, state):
-            w.writerow([step, label, s.show(v)])
+    shown = [show(v) for v in trace.start]
+    for step, changes in enumerate(((),) + trace.changes):
+        for i, v in changes:
+            shown[i] = show(v)
+        w.writerows([step, label, text] for label, text in zip(labels, shown))
     return out.getvalue()

@@ -116,6 +116,17 @@ def test_run_malformed_fact_literal_exits_1_with_line(tmp_path, program, facts, 
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("n", ["99999999999", str(10**30)])
+def test_analyze_huge_n_header_exits_1_with_line(tmp_path, n):
+    # rejected before anything of size n is allocated
+    path = tmp_path / "huge.mat"
+    path.write_text(f"semiring trop\nn {n}\n")
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: line 2, col 1: n ")
+    assert "Traceback" not in res.stderr
+
+
 def test_run_cap_hit_exits_2(tmp_path):
     path = tmp_path / "cyc.mat"
     gen = run_cli("gen", "cycle", "--n", "3", "--L", "4", "--out", str(path))

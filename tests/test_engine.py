@@ -1,4 +1,7 @@
+import csv
+import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,9 +23,10 @@ from semifix import (
     trace_csv,
     walk_sum_upto,
 )
-from semifix.engine import linear_step
+from semifix.engine import MAX_ATOMS, linear_step
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
 from semifix.matrix import vec_add
+from semifix.semirings import effective_stability, ordered_chain
 from semifix.generators import (
     LINEAR_PATH_PROGRAM,
     gen_cycle_lowerbound,
@@ -326,6 +330,63 @@ def test_change_driven_cycle_index(n, L):
     assert hit.capped
 
 
+def reference_csv(system, states):
+    """trace_csv's format, written from a list of whole states."""
+    s = system.semiring
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["step", "atom", "value"])
+    for step, state in enumerate(states):
+        for label, v in zip(system.atom_labels(), state):
+            w.writerow([step, label, s.show(v)])
+    return out.getvalue().encode()
+
+
+@pytest.mark.parametrize("inflationary", [False, True])
+@pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
+def test_change_log_and_trace_csv_match_full_recompute(sid, inflationary):
+    s = semiring_from_id(sid)
+    capped_seen = set()
+    for seed in range(12):
+        n = seed % 7  # n = 0 included
+        runs = (
+            (random_linear_system(s, n, seed), naive_eval_linear, reference_linear),
+            (random_polynomial_system(s, n, seed), naive_eval_general, reference_general),
+        )
+        for system, evaluate, reference in runs:
+            for cap in (60, 2):  # a cap of 2 is hit on most systems
+                trace = evaluate(system, cap=cap, inflationary=inflationary)
+                states, _, capped = reference(system, cap, inflationary)
+                capped_seen.add(capped)
+                assert trace_csv(system, trace).encode() == reference_csv(system, states)
+                assert "states" not in vars(trace)  # trace_csv replays the log
+                assert trace.start == states[0]
+                assert trace.last == states[-1]
+                assert len(trace.changes) == len(states) - 1
+                for step, prev, cur in zip(trace.changes, states, states[1:]):
+                    assert dict(step) == {i: v for i, v in enumerate(cur) if v != prev[i]}
+                    assert len(step) == len(dict(step))
+    # the one-element carrier converges at step 0, so it never hits a cap
+    assert capped_seen == ({False} if sid == "trivial" else {False, True})
+
+
+@pytest.mark.parametrize("n, L", [(60, 40), (100, 40)])
+def test_naive_eval_memory_grows_with_atoms_plus_steps(n, L):
+    sys_ = gen_cycle_lowerbound(n, L)
+    effective_stability(sys_.semiring)  # fill the carrier-profile caches the
+    ordered_chain(sys_.semiring)  # default cap reads, outside the measurement
+    tracemalloc.start()
+    try:
+        trace = naive_eval_linear(sys_)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.wall_steps == n * L + n + 1
+    assert "states" not in vars(trace)
+    # keeping every state would cost about 8 * n bytes per step
+    assert peak < 256 * (n + trace.wall_steps)
+
+
 # ---------------------------------------------------------------------------
 # Power sums and matrix stability
 # ---------------------------------------------------------------------------
@@ -497,6 +558,14 @@ def test_load_system_rejects_bad_input():
         load_system("semiring bool\nn 2\nb 5 true\n")  # index out of range
     with pytest.raises(InvalidParameter):
         load_system("semiring bool\nn 2\nA 0 7 true\n")
+
+
+def test_load_system_rejects_n_over_the_limit():
+    from semifix import ParseError
+
+    with pytest.raises(ParseError) as err:
+        load_system(f"semiring bool\nn {MAX_ATOMS + 1}\n")
+    assert err.value.line == 2
 
 
 def test_trace_csv_shape():
