@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
+from .engine import MAX_ATOMS
 from .errors import InvalidParameter
 from .frontend import (
     EDBInstance,
@@ -19,6 +20,13 @@ from .semirings import Semiring, semiring_from_id
 # one body product per derived atom keeps the program linear; over bool this
 # is transitive closure, over trop all-pairs shortest paths
 LINEAR_PATH_PROGRAM = "T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n"
+
+
+def _check_size(n: int):
+    # every family holds O(n) or more values, so an n no matrix file may carry
+    # would only grow memory until it runs out
+    if n > MAX_ATOMS:
+        raise InvalidParameter(f"n {n} exceeds the limit of {MAX_ATOMS} atoms")
 
 
 @dataclass(frozen=True)
@@ -60,6 +68,7 @@ def gen_blocked_graph(n: int, semiring: Optional[Semiring] = None, label=None) -
     """
     if n < 3 or n % 3:
         raise InvalidParameter("n must be a positive multiple of 3")
+    _check_size(n)
     s = semiring or semiring_from_id("bool")
     third = n // 3
     if label is None:
@@ -93,6 +102,7 @@ def gen_cycle_lowerbound(n: int, L: int) -> GroundedLinearSystem:
     """
     if n < 2:
         raise InvalidParameter("cycle needs n >= 2")
+    _check_size(n)
     s = semiring_from_id(f"capped:{L}")
     entries = []
     for k in range(n):
@@ -115,11 +125,16 @@ def random_edge_instance(
     weight_range: Tuple[int, int] = (1, 9),
 ) -> EDBInstance:
     """A seeded random edge relation E over vertices v0..v{n-1}."""
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
+    _check_size(n)
     if not 0 < density <= 1:
         raise InvalidParameter("density must be in (0, 1]")
     lo, hi = weight_range
     if lo > hi:
         raise InvalidParameter("empty weight range")
+    if lo < 0:
+        raise InvalidParameter("weights must be >= 0")
     rng = random.Random(seed)
     facts = {}
     for u in range(n):
@@ -180,6 +195,7 @@ def gen_random_system(
     """
     if n < 0:
         raise InvalidParameter("n must be >= 0")
+    _check_size(n)
     if not 0 < density <= 1:
         raise InvalidParameter("density must be in (0, 1]")
     rng = random.Random(seed)

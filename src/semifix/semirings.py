@@ -130,17 +130,18 @@ def _check_bag(p: int, x):
 
 
 def trop_p_add(p: int, x: tuple, y: tuple) -> tuple:
-    """Bag union truncated to the p+1 smallest entries."""
-    _check_bag(p, x)
-    _check_bag(p, y)
-    return min_p_truncate(p, x + y)
+    """Bag union truncated to the p+1 smallest entries: ``trop_p:<p>`` add."""
+    return semiring_from_id(f"trop_p:{p}").add(x, y)
 
 
-def trop_p_mul(p: int, x: tuple, y: tuple, entry_add=_ext_add) -> tuple:
-    """Pairwise entry sums (by ``entry_add``) truncated to the p+1 smallest entries."""
-    _check_bag(p, x)
-    _check_bag(p, y)
-    return min_p_truncate(p, (entry_add(u, v) for u in x for v in y))
+def trop_p_mul(p: int, x: tuple, y: tuple) -> tuple:
+    """Pairwise entry sums truncated to the p+1 smallest entries: ``trop_p:<p>`` mul.
+
+    Both operands must be bags as ``TropBagSemiring`` keeps them: ascending
+    tuples of exactly p+1 entries padded with inf. ``min_p_truncate`` of all
+    pairwise sums is the reference.
+    """
+    return semiring_from_id(f"trop_p:{p}").mul(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,23 @@ class TropSemiring(Semiring):
 
 
 class TropBagSemiring(Semiring):
-    """Bags of the p+1 smallest values; union for add, pairwise sums for mul."""
+    """Bags of the p+1 smallest values; union for add, pairwise sums for mul.
+
+    Every element is an ascending tuple of exactly p+1 entries padded with inf.
+    ``parse``, ``weight``, ``one``, ``zero``, ``random_element``, ``elements``
+    and the two operations produce only such bags, and the operations rely on
+    it: they check just the type and length of their operands.
+
+    ``add`` merges the two bags and stops after p+1 entries; once one side
+    reaches inf, the rest is the other side's next entries. ``mul`` forms only
+    the sums x[i] + y[j] with (i+1)(j+1) <= p+1. For any other pair, the
+    (i+1)(j+1) - 1 >= p+1 other pairs (i', j') with i' <= i and j' <= j have
+    sums at or below its own, because both bags are sorted and entry addition
+    (saturating at ``cap`` or not) is monotone; so it is never needed among
+    the p+1 smallest sums.
+    """
+
+    cap: Optional[int] = None  # entry sums saturate here; None: they do not
 
     def __init__(self, p: int):
         if p < 0:
@@ -278,12 +295,55 @@ class TropBagSemiring(Semiring):
         self.zero = (INF,) * (p + 1)
         self.one = min_p_truncate(p, (0,))
         self.known_stability = p
+        # j < _limits[i] exactly when (i+1)(j+1) <= p+1
+        self._limits = tuple((p + 1) // (i + 1) for i in range(p + 1))
 
-    def add(self, a, b):
-        return trop_p_add(self.p, a, b)
+    def add(self, x, y):
+        n = self.p + 1
+        if not (type(x) is tuple and type(y) is tuple and len(x) == n == len(y)):
+            _check_bag(self.p, x)
+            _check_bag(self.p, y)
+        if y[0] is INF:
+            return x
+        if x[0] is INF:
+            return y
+        out = []
+        i = j = 0
+        while i + j < n:
+            u = x[i]
+            if u is INF:
+                return (*out, *y[j:n - i])
+            v = y[j]
+            if v is INF:
+                return (*out, *x[i:n - j])
+            if v < u:
+                out.append(v)
+                j += 1
+            else:
+                out.append(u)
+                i += 1
+        return tuple(out)
 
-    def mul(self, a, b):
-        return trop_p_mul(self.p, a, b)
+    def mul(self, x, y):
+        n = self.p + 1
+        if not (type(x) is tuple and type(y) is tuple and len(x) == n == len(y)):
+            _check_bag(self.p, x)
+            _check_bag(self.p, y)
+        limits = self._limits
+        sums = []
+        for i, u in enumerate(x):
+            if u is INF:
+                break
+            for v in y[:limits[i]]:
+                if v is INF:
+                    break
+                sums.append(u + v)
+        sums.sort()
+        kept = sums[:n]
+        cap = self.cap
+        if cap is not None:
+            kept = [e if e < cap else cap for e in kept]
+        return (*kept, *self.zero[len(kept):])
 
     def _parse_entry(self, text):
         return _parse_extended_rational(text)
@@ -332,14 +392,6 @@ class FiniteTropBagSemiring(TropBagSemiring):
         self.known_stability = None  # computed exhaustively
         pool = tuple(range(cap + 1)) + (INF,)
         self._carrier = tuple(itertools.combinations_with_replacement(pool, p + 1))
-
-    def _entry_add(self, u, v):
-        if u is INF or v is INF:
-            return INF
-        return min(u + v, self.cap)
-
-    def mul(self, a, b):
-        return trop_p_mul(self.p, a, b, self._entry_add)
 
     def _parse_entry(self, text):
         v = _parse_extended_rational(text)

@@ -354,6 +354,27 @@ def test_gen_cycle_requires_L():
     assert res.returncode == 2  # argparse usage error
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # rejected before anything of size n is allocated
+        (("cycle", "--n", "99999999999", "--L", "2"), "n 99999999999 exceeds the limit"),
+        (("random", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
+        (("randsys", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
+        (("blocked", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
+        (("random", "--n", "-1"), "n must be >= 0"),
+        (("random", "--n", "3", "--wmin", "-3", "--wmax", "-1"), "weights must be >= 0"),
+    ],
+)
+def test_gen_out_of_range_exits_1(tmp_path, args, message):
+    out = tmp_path / "g.mat"
+    res = run_cli("gen", *args, "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_run_nonlinear_program(tmp_path):
     path = tmp_path / "nl.dl"
     path.write_text("@semiring bool\nT(X,Y) :- E(X,Y) + T(X,Z)*T(Z,Y).\nE(a,b).\nE(b,c).\n")
