@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .engine import (
     IterationTrace,
-    MatrixPowerSum,
     load_system,
     matrix_power_sum,
     matrix_stability_index,
@@ -45,7 +44,6 @@ from .frontend import (
     GroundedLinearSystem,
     GroundedPolynomialSystem,
     Program,
-    active_domain,
     build_edb,
     classify_linearity,
     format_ground_atom,
@@ -78,8 +76,6 @@ from .semirings import (
     scalar_repeat,
     semiring_from_id,
     semiring_stability,
-    trop_p_add,
-    trop_p_mul,
 )
 from .walks import (
     CycleDecomposition,

@@ -138,6 +138,10 @@ def cmd_ground(args) -> int:
 def cmd_analyze(args) -> int:
     if args.workers < 1:
         raise InvalidParameter(f"--workers must be >= 1, got {args.workers}")
+    if args.claimed_p is not None and args.claimed_p < 0:
+        raise InvalidParameter(f"--claimed-p must be >= 0, got {args.claimed_p}")
+    if args.claimed_L is not None and args.claimed_L < 1:
+        raise InvalidParameter(f"--claimed-L must be >= 1, got {args.claimed_L}")
     paths: List[str] = args.matrix_files
     reports = []
     opts = dict(cap=args.cap, claimed_p=args.claimed_p, claimed_L=args.claimed_L)

@@ -27,15 +27,16 @@ import csv
 import io
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InvalidParameter, ParseError
 from .frontend import (
     GroundAtom,
     GroundedLinearSystem,
     GroundedPolynomialSystem,
+    GroundedSystem,
 )
-from .matrix import Matrix, vec_add, zero_vector
+from .matrix import Matrix
 from .semirings import Semiring, effective_stability, ordered_chain, semiring_from_id
 
 DEFAULT_EVAL_CAP = 1_000_000
@@ -85,25 +86,14 @@ class IterationTrace:
         return None if self.capped else self.last
 
 
-@dataclass(frozen=True)
-class MatrixPowerSum:
-    """S(k) = I (+) A (+) A^2 (+) ... (+) A^k."""
-
-    k: int
-    value: Matrix
-
-
-def linear_step(sys: GroundedLinearSystem, x: Sequence) -> tuple:
-    return vec_add(sys.semiring, sys.A.matvec(x), sys.b)
-
-
 def _linear_rows(A: Matrix, b: Sequence):
     """The columns each row of x <- Ax (+) b reads, and the row function.
 
-    A row is the ``matvec`` fold followed by (+) b[i], in ``linear_step``'s
-    operand order. The semiring's add and mul are looked up here, once per
-    evaluation and never at import, so wrappers set on the instance (the
-    benchmark's op counters) see every call.
+    A row folds ``add(acc, mul(A[i][j], x[j]))`` from zero over the row's
+    entries, as ``Matrix.matvec`` does, and ends with ``add(acc, b[i])``.
+    The semiring's add and mul are looked up here, once per evaluation and
+    never at import, so wrappers set on the instance (the benchmark's op
+    counters) see every call.
     """
     s = A.semiring
     add, mul, zero = s.add, s.mul, s.zero
@@ -178,7 +168,7 @@ def _iterate(semiring, n, reads, row, cap, inflationary) -> IterationTrace:
             readers[c].append(i)
         if inflationary:
             readers[i].append(i)
-    start = zero_vector(semiring, n)
+    start = (semiring.zero,) * n
     x = list(start)
     log = []
     dirty: Iterable[int] = range(n)
@@ -232,7 +222,7 @@ def column_run(A: Matrix, j: int, cap: int) -> IterationTrace:
     return _iterate(s, n, reads, row, cap, False)
 
 
-def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
+def matrix_power_sum(A: Matrix, k: int) -> Matrix:
     """S(k) by the recurrence S(0) = I, S(m+1) = I (+) A S(m), column by column.
 
     This equals the literal sum I (+) A (+) ... (+) A^k whenever multiplication
@@ -243,7 +233,7 @@ def matrix_power_sum(A: Matrix, k: int) -> MatrixPowerSum:
         raise InvalidParameter("k must be >= 0")
     # the last state of a run is state k + 1, or the fixpoint reached before it
     entries = [(i, j, v) for j in range(A.n) for i, v in enumerate(column_run(A, j, k + 1).last)]
-    return MatrixPowerSum(k, Matrix(A.semiring, A.n, entries))
+    return Matrix(A.semiring, A.n, entries)
 
 
 def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int]:
@@ -367,10 +357,7 @@ def _parse_label(label: str) -> GroundAtom:
     return (label, ())
 
 
-def trace_csv(
-    sys: Union[GroundedLinearSystem, GroundedPolynomialSystem],
-    trace: IterationTrace,
-) -> str:
+def trace_csv(sys: GroundedSystem, trace: IterationTrace) -> str:
     """Full trace as CSV rows of step, atom, value, replayed from the change log."""
     show = sys.semiring.show
     out = io.StringIO()

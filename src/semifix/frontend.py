@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -497,35 +498,21 @@ def parse_facts_tsv(semiring: Semiring, text: str) -> EDBInstance:
     return build_edb(semiring, tsv_fact_entries(text))
 
 
-def active_domain(db: EDBInstance) -> Tuple[str, ...]:
-    """Exactly the constants occurring in the stored facts, sorted."""
-    return db.active_domain
-
-
 # ---------------------------------------------------------------------------
 # Grounded systems
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GroundedLinearSystem:
-    """The linear form f(x) = Ax (+) b with its atom-index bijection."""
+class GroundedSystem:
+    """Ground atoms over a semiring; atom k is coordinate k of the system."""
 
     semiring: Semiring
     atoms: Tuple[GroundAtom, ...]
-    index: Mapping[GroundAtom, int]
-    A: Matrix
-    b: Tuple[Any, ...]
-    n_raw: int
-    pruned: bool
 
-    @classmethod
-    def from_matrix(
-        cls, semiring: Semiring, A: Matrix, b: Sequence[Any], atoms: Sequence[GroundAtom]
-    ) -> "GroundedLinearSystem":
-        """An unpruned system whose atom k is row and column k of A."""
-        atoms = tuple(atoms)
-        index = {a: k for k, a in enumerate(atoms)}
-        return cls(semiring, atoms, index, A, tuple(b), len(atoms), False)
+    @cached_property
+    def index(self) -> Dict[GroundAtom, int]:
+        """The coordinate of each atom."""
+        return {a: k for k, a in enumerate(self.atoms)}
 
     @property
     def n(self) -> int:
@@ -533,28 +520,33 @@ class GroundedLinearSystem:
 
     def atom_labels(self) -> Tuple[str, ...]:
         return tuple(format_ground_atom(a) for a in self.atoms)
+
+
+@dataclass(frozen=True)
+class GroundedLinearSystem(GroundedSystem):
+    """The linear form f(x) = Ax (+) b."""
+
+    A: Matrix
+    b: Tuple[Any, ...]
+    n_raw: int
+
+    @classmethod
+    def from_matrix(
+        cls, semiring: Semiring, A: Matrix, b: Sequence[Any], atoms: Sequence[GroundAtom]
+    ) -> "GroundedLinearSystem":
+        """A system that keeps every atom; atom k is row and column k of A."""
+        return cls(semiring, tuple(atoms), A, tuple(b), len(atoms))
 
 
 Monomial = Tuple[Any, Tuple[int, ...]]  # coefficient, sorted derived-atom indices
 
 
 @dataclass(frozen=True)
-class GroundedPolynomialSystem:
+class GroundedPolynomialSystem(GroundedSystem):
     """Per-atom sums of coefficient-times-variables monomials."""
 
-    semiring: Semiring
-    atoms: Tuple[GroundAtom, ...]
-    index: Mapping[GroundAtom, int]
     monomials: Tuple[Tuple[Monomial, ...], ...]
     n_raw: int
-    pruned: bool
-
-    @property
-    def n(self) -> int:
-        return len(self.atoms)
-
-    def atom_labels(self) -> Tuple[str, ...]:
-        return tuple(format_ground_atom(a) for a in self.atoms)
 
     def max_degree(self) -> int:
         return max((len(v) for row in self.monomials for _, v in row), default=0)
@@ -571,8 +563,8 @@ def ground(
 
     Linear programs yield a GroundedLinearSystem unless ``force_polynomial``
     asks for the monomial form. Ground atoms are enumerated over the active
-    domain extended with constants named in rules, then (optionally) pruned to
-    the atoms that can ever contribute a nonzero value. A body product's
+    domain extended with constants named in rules, then (optionally) cut down
+    to the atoms that can ever contribute a nonzero value. A body product's
     bindings are those of the active-domain loop whose EDB atoms all find a
     fact, each once: a join of the EDB atoms in body order, times every
     active-domain value of the variables no EDB atom binds.
@@ -581,8 +573,8 @@ def ground(
     linear = classify_linearity(program).linear and not force_polynomial
     if not db.facts:
         if linear:
-            return GroundedLinearSystem(s, (), {}, Matrix(s, 0), (), 0, True)
-        return GroundedPolynomialSystem(s, (), {}, (), 0, True)
+            return GroundedLinearSystem(s, (), Matrix(s, 0), (), 0)
+        return GroundedPolynomialSystem(s, (), (), 0)
 
     idb = set(program.idb_predicates())
     for (pred, _args) in db.facts:
@@ -664,12 +656,10 @@ def ground(
             a_entries.append((remap[i], kept_cols[0], v))
         else:
             b[remap[i]] = v
-    index = {a: i for i, a in enumerate(atoms)}
     if linear:
-        A = Matrix(s, len(keep), a_entries)
-        return GroundedLinearSystem(s, atoms, index, A, tuple(b), n_raw, prune)
+        return GroundedLinearSystem(s, atoms, Matrix(s, len(keep), a_entries), tuple(b), n_raw)
     monomials = tuple(tuple(sorted(row, key=lambda m: m[1])) for row in rows)
-    return GroundedPolynomialSystem(s, atoms, index, monomials, n_raw, prune)
+    return GroundedPolynomialSystem(s, atoms, monomials, n_raw)
 
 
 def _join_step(atom: Atom, facts: Sequence[Tuple[Tuple[str, ...], Any]], slot: Dict[str, int]):

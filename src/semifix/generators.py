@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 from typing import Any, Optional, Tuple
 
 from .engine import MAX_ATOMS
@@ -29,6 +30,13 @@ def _check_size(n: int):
         raise InvalidParameter(f"n {n} exceeds the limit of {MAX_ATOMS} atoms")
 
 
+def _check_square(n: int):
+    # the random families draw one number per ordered vertex pair whatever the
+    # density, and hold up to n*n matrix entries or ground atoms
+    if n * n > MAX_ATOMS:
+        raise InvalidParameter(f"n {n} exceeds the limit of {isqrt(MAX_ATOMS)} for n*n pairs")
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Generator family plus parameters; equal specs produce identical bytes."""
@@ -52,7 +60,6 @@ class BlockedGraph:
     and D connects back to every vertex of B."""
 
     matrix: Matrix
-    blocks: Tuple[range, range, range]
     walk_source: int  # first chain vertex
     walk_target: int  # second chain vertex
     spec: InstanceSpec
@@ -83,13 +90,7 @@ def gen_blocked_graph(n: int, semiring: Optional[Semiring] = None, label=None) -
         for b in range(third):
             edges.append((d, b, label(d, b)))
     spec = InstanceSpec("blocked", s.id, (("n", n),))
-    return BlockedGraph(
-        Matrix(s, n, edges),
-        (range(third), range(third, 2 * third), range(2 * third, n)),
-        third,
-        third + 1,
-        spec,
-    )
+    return BlockedGraph(Matrix(s, n, edges), third, third + 1, spec)
 
 
 def gen_cycle_lowerbound(n: int, L: int) -> GroundedLinearSystem:
@@ -127,7 +128,7 @@ def random_edge_instance(
     """A seeded random edge relation E over vertices v0..v{n-1}."""
     if n < 0:
         raise InvalidParameter("n must be >= 0")
-    _check_size(n)
+    _check_square(n)
     if not 0 < density <= 1:
         raise InvalidParameter("density must be in (0, 1]")
     lo, hi = weight_range
@@ -195,7 +196,7 @@ def gen_random_system(
     """
     if n < 0:
         raise InvalidParameter("n must be >= 0")
-    _check_size(n)
+    _check_square(n)
     if not 0 < density <= 1:
         raise InvalidParameter("density must be in (0, 1]")
     rng = random.Random(seed)

@@ -116,10 +116,3 @@ class Matrix:
         nnz = sum(len(r) for r in self._rows)
         return f"<{self.n}x{self.n} matrix over {self.semiring.id}, {nnz} nonzero>"
 
-
-def vec_add(semiring: Semiring, u: Sequence, v: Sequence) -> tuple:
-    return tuple(semiring.add(a, b) for a, b in zip(u, v))
-
-
-def zero_vector(semiring: Semiring, n: int) -> tuple:
-    return (semiring.zero,) * n

@@ -129,21 +129,6 @@ def _check_bag(p: int, x):
         raise MalformedElement(f"expected a bag of exactly {p + 1} entries, got {x!r}")
 
 
-def trop_p_add(p: int, x: tuple, y: tuple) -> tuple:
-    """Bag union truncated to the p+1 smallest entries: ``trop_p:<p>`` add."""
-    return semiring_from_id(f"trop_p:{p}").add(x, y)
-
-
-def trop_p_mul(p: int, x: tuple, y: tuple) -> tuple:
-    """Pairwise entry sums truncated to the p+1 smallest entries: ``trop_p:<p>`` mul.
-
-    Both operands must be bags as ``TropBagSemiring`` keeps them: ascending
-    tuples of exactly p+1 entries padded with inf. ``min_p_truncate`` of all
-    pairwise sums is the reference.
-    """
-    return semiring_from_id(f"trop_p:{p}").mul(x, y)
-
-
 # ---------------------------------------------------------------------------
 # Semiring instances
 # ---------------------------------------------------------------------------
@@ -184,12 +169,6 @@ class Semiring:
     def weight(self, k: int):
         """A canonical element representing an integer edge weight k >= 0."""
         raise NotImplementedError
-
-    def sum(self, items):
-        acc = self.zero
-        for it in items:
-            acc = self.add(acc, it)
-        return acc
 
     def __repr__(self):
         return f"<semiring {self.id}>"
@@ -537,10 +516,6 @@ class StabilityResult:
 
     index: Optional[int]
     sequence: Tuple[Any, ...]
-
-    @property
-    def stable(self) -> bool:
-        return self.index is not None
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def check_endpoints(A: Matrix, i: int, j: int):
 
 
 def _branching(A: Matrix) -> int:
-    # zero-pruned enumeration branches at most max-out-degree ways per hop
+    # enumeration skips zero labels, so it branches at most max-out-degree ways per hop
     return max((len(A.row(i)) for i in range(A.n)), default=0)
 
 

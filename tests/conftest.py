@@ -45,6 +45,16 @@ class BrokenMulSemiring(Semiring):
         return rng.choice((0, 1, 2))
 
 
+def vec_add(semiring, u, v):
+    """Entrywise sum of two vectors."""
+    return tuple(semiring.add(a, b) for a, b in zip(u, v))
+
+
+def linear_step(sys_, x):
+    """One full application of x <- Ax (+) b, the reference for naive iteration."""
+    return vec_add(sys_.semiring, sys_.A.matvec(x), sys_.b)
+
+
 @pytest.fixture
 def broken_semiring():
     return BrokenMulSemiring()

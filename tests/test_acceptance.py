@@ -178,7 +178,7 @@ def _walk_oracle_cells(sid):
         # spot-exercise the single-query operations on top of the bulk tables
         yield (
             seed, 3, "walk_sum_upto vs power sum", 0, 0,
-            matrix_power_sum(A, 3).value.get(0, 0), walk_sum_upto(A, 0, 0, 3),
+            matrix_power_sum(A, 3).get(0, 0), walk_sum_upto(A, 0, 0, 3),
         )
 
 
@@ -352,7 +352,7 @@ def test_cycle_family_goldens_and_monotonicity():
         assert k >= L
         # walk products agree with power sums in the single-walk regime
         for h in range(n + 1):
-            S = matrix_power_sum(sys_.A, h).value
+            S = matrix_power_sum(sys_.A, h)
             for i in range(n):
                 for j in range(n):
                     assert walk_sum_upto(sys_.A, i, j, h) == S.get(i, j)
@@ -427,7 +427,7 @@ def _one_by_one_inconsistencies(sid):
             bad.append((s.show(u), "index"))
             continue
         for k in range(len(r.sequence)):
-            if matrix_power_sum(A, k).value.get(0, 0) != r.sequence[k]:
+            if matrix_power_sum(A, k).get(0, 0) != r.sequence[k]:
                 bad.append((s.show(u), f"S({k})"))
                 break
     return bad
@@ -470,7 +470,7 @@ def test_element_stability_one_by_one_capped():
             if (r.index, r.sequence) != (p, tuple(element_sums[: p + 2])):
                 bad.append((L, s.show(u), "element_stability", r))
             A = _Matrix(s, 1, [(0, 0, u)])
-            sums = [matrix_power_sum(A, k).value.get(0, 0) for k in ks]
+            sums = [matrix_power_sum(A, k).get(0, 0) for k in ks]
             k_matrix = matrix_stability_index(A, cap=64)
             if sums != recurrence or k_matrix != _first_repeat(recurrence):
                 bad.append((L, s.show(u), "1x1 power sums", sums, k_matrix))

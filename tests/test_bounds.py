@@ -169,15 +169,7 @@ def test_pn3_degenerate_at_n1():
     # formula value of 0, so at n = 1 the formula is reported, not enforced
     s = semiring_from_id("trop_p_fin:1:1")
     atom = ("x", ())
-    sys_ = GroundedLinearSystem(
-        s,
-        (atom,),
-        {atom: 0},
-        Matrix(s, 1, [(0, 0, (0, 0))]),
-        (s.one,),
-        1,
-        False,
-    )
+    sys_ = GroundedLinearSystem(s, (atom,), Matrix(s, 1, [(0, 0, (0, 0))]), (s.one,), 1)
     report = analyze(sys_)
     assert report.matrix_index == 1 > bound_linear_pn3(1, report.p)
     assert report.degenerate_bounds["bound_linear_pn3"] == 0

@@ -38,6 +38,7 @@ def run_cli(*args, cwd=None):
         text=True,
         env=env,
         cwd=cwd,
+        timeout=120,  # a command that never ends fails instead of hanging the suite
     )
 
 
@@ -362,6 +363,9 @@ def test_gen_cycle_requires_L():
         (("random", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
         (("randsys", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
         (("blocked", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
+        # the two families that draw once per vertex pair bound n*n
+        (("random", "--n", "999999", "--density", "0.000001"), "n 999999 exceeds the limit of 1000"),
+        (("randsys", "--n", "999999", "--density", "0.000001"), "n 999999 exceeds the limit of 1000"),
         (("random", "--n", "-1"), "n must be >= 0"),
         (("random", "--n", "3", "--wmin", "-3", "--wmax", "-1"), "weights must be >= 0"),
     ],
@@ -553,3 +557,119 @@ def test_parser_adds_arguments_only_to_the_named_subcommand(capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(["ground", "p.dl"])
     assert "unrecognized arguments: p.dl" in capsys.readouterr().err
+
+
+# the 1x1 bag system x <- [0] x (+) [0]: its matrix index is 2, so a claimed
+# p of 0 is too small and its bounds are truly violated
+BAG_LOOP = "semiring trop_p:2\nn 1\nA 0 0 [0]\nb 0 [0]\n"
+
+
+@pytest.mark.parametrize(
+    "cycle, flags, message",
+    [
+        (False, ("--claimed-L", "0"), "--claimed-L must be >= 1, got 0"),
+        (True, ("--claimed-p", "-1", "--claimed-L", "0"), "--claimed-p must be >= 0, got -1"),
+        (False, ("--claimed-p", "-1"), "--claimed-p must be >= 0, got -1"),
+    ],
+)
+def test_invalid_claims_exit_1_naming_the_flag(tmp_path, capsys, cycle, flags, message):
+    mat = tmp_path / "m.txt"
+    if cycle:
+        assert main(["gen", "cycle", "--n", "3", "--L", "2", "--out", str(mat)]) == 0
+    else:
+        mat.write_text(BAG_LOOP)
+    assert main(["analyze", str(mat), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [("--claimed-p", "-1"), ("--claimed-L", "0")])
+@pytest.mark.parametrize("sid", ALL_IDS)
+def test_invalid_claims_exit_1_on_every_carrier(tmp_path, capsys, sid, flags):
+    s = semiring_from_id(sid)
+    mat = tmp_path / "m.txt"
+    mat.write_text(f"semiring {sid}\nn 1\nA 0 0 {s.show(s.one)}\n")
+    assert main(["analyze", str(mat), *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} must be")
+
+
+@pytest.mark.parametrize(
+    "flags, violations",
+    [
+        (
+            (),
+            [
+                "vector index >= 2 exceeds bound_linear_exp = 1",
+                "matrix index 2 exceeds bound_linear_exp = 1",
+                "vector index >= 2 exceeds bound_zero_stable = 1",
+                "matrix index 2 exceeds bound_zero_stable = 1",
+            ],
+        ),
+        (
+            ("--cap", "1"),
+            [
+                "matrix index >= 2 exceeds bound_linear_exp = 1",
+                "matrix index >= 2 exceeds bound_zero_stable = 1",
+            ],
+        ),
+    ],
+    ids=["default-cap", "cap-1"],
+)
+def test_analyze_too_small_claimed_p_exits_3(tmp_path, capsys, flags, violations):
+    mat = tmp_path / "m.txt"
+    mat.write_text(BAG_LOOP)
+    assert main(["analyze", str(mat), "--claimed-p", "0", *flags]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert (report["p"], report["p_source"]) == (0, "claimed")
+    assert report["violations"] == violations
+
+
+MALFORMED_MATRIX_FILES = [
+    ("semiring bool\nn x\n", "line 2, col 1: n 'x' is not an integer"),
+    ("semiring bool\nn 1\nfoo 1\n", "line 3, col 1: unrecognized line 'foo 1'"),
+    ("semiring bool\nn 2\nA 0 1\n", "line 3, col 1: expected 3 field(s) after 'A'"),
+    ("semiring bool\n", "line 1, col 1: missing semiring or n header"),
+]
+
+MALFORMED_PROGRAMS = [
+    ("@semiring trop\nE(a,b) = 3", "line 2, col 11: unterminated fact literal"),
+    ("@semiring\nT(X) :- E(X).\n", "line 1, col 1: expected a semiring id after @semiring"),
+    ("T(X) : E(X).\n", "line 1, col 6: expected :- "),
+    ("E(a,b) E(b,c).\n", "line 1, col 8: expected ':-', '=' or '.', got 'E'"),
+    ("@ semiring bool\n", "line 1, col 2: expected a directive name after @"),
+    ("# comment\n", "line 1, col 1: unexpected character '#'"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [("analyze", t, m) for t, m in MALFORMED_MATRIX_FILES]
+    + [("run", t, m) for t, m in MALFORMED_PROGRAMS],
+)
+def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--semiring", "trop"] if command == "run" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "facts, message",
+    [
+        ("E\ta\tb\t1\nE\ta\t1\n", "predicate E used with inconsistent arity in facts"),
+        ("E\ta\t1\n", "predicate E used with inconsistent arity"),
+    ],
+)
+def test_tsv_fact_arity_errors_exit_1(tmp_path, capsys, facts, message):
+    # these grounding errors carry no line yet, so only the prefix is pinned
+    (tmp_path / "p.dl").write_text("@semiring trop\nT(X,Y) :- E(X,Y).\n")
+    (tmp_path / "f.tsv").write_text(facts)
+    assert main(["run", str(tmp_path / "p.dl"), str(tmp_path / "f.tsv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err

@@ -9,7 +9,6 @@ from semifix import (
     GroundingError,
     MalformedElement,
     ParseError,
-    active_domain,
     build_edb,
     classify_linearity,
     ground,
@@ -147,9 +146,9 @@ def test_classify_pure_edb_linear():
 def test_active_domain():
     s = semiring_from_id("bool")
     db = build_edb(s, [("E", ("a", "b"), None), ("E", ("b", "c"), None)])
-    assert active_domain(db) == ("a", "b", "c")
-    assert active_domain(build_edb(s, [])) == ()
-    assert active_domain(build_edb(s, [("E", ("a", "a"), None)])) == ("a",)
+    assert db.active_domain == ("a", "b", "c")
+    assert build_edb(s, []).active_domain == ()
+    assert build_edb(s, [("E", ("a", "a"), None)]).active_domain == ("a",)
 
 
 def test_duplicate_facts_combine_with_warning():
@@ -310,7 +309,7 @@ def test_ground_zero_valued_fact_contributes_nothing():
     # an explicit inf edge is the semiring zero: present in the active domain,
     # absent from the system structure
     db = build_edb(s, [("E", ("a", "b"), "inf"), ("E", ("b", "c"), "4")])
-    assert active_domain(db) == ("a", "b", "c")
+    assert db.active_domain == ("a", "b", "c")
     sys_ = ground(parse_program(TC), db)
     assert set(sys_.atoms) == {("T", ("b", "c"))}
 

@@ -143,6 +143,15 @@ def test_random_system_symbolic_draws_nonzero():
     assert all(v != s.zero for _, _, v in sys_.A.entries())
 
 
+def test_quadratic_families_bound_n_squared():
+    # both families draw once per vertex pair, so n*n is what the limit bounds
+    s = semiring_from_id("bool")
+    assert gen_random_system(1000, 1e-6, s, seed=0).n == 1000
+    for gen in (random_edge_instance, gen_random_system):
+        with pytest.raises(InvalidParameter, match="n 1001 exceeds the limit of 1000"):
+            gen(1001, 1e-6, s, 0)
+
+
 def test_instance_spec_headers():
     spec = cycle_lowerbound_spec(3, 4)
     (line,) = spec.header_lines()

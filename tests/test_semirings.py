@@ -18,8 +18,6 @@ from semifix import (
     scalar_repeat,
     semiring_from_id,
     semiring_stability,
-    trop_p_add,
-    trop_p_mul,
 )
 from semifix.errors import InvalidParameter
 
@@ -37,18 +35,11 @@ def test_trop2_worked_values():
     assert s.mul(x, y) == s.parse("[6,10,10]")
 
 
-def test_trop_p_ops_match_semiring_methods():
-    s = semiring_from_id("trop_p:2")
-    x, y = s.parse("[3,7,9]"), s.parse("[3,7,7]")
-    assert trop_p_add(2, x, y) == s.add(x, y)
-    assert trop_p_mul(2, x, y) == s.mul(x, y)
-
-
 def test_trop_p_length_mismatch():
     with pytest.raises(MalformedElement):
-        trop_p_add(2, (Fraction(1), INF), (Fraction(1), INF, INF))
+        semiring_from_id("trop_p:2").add((Fraction(1), INF), (Fraction(1), INF, INF))
     with pytest.raises(MalformedElement):
-        trop_p_mul(1, (Fraction(1),), (Fraction(1), INF))
+        semiring_from_id("trop_p:1").mul((Fraction(1),), (Fraction(1), INF))
 
 
 @pytest.mark.parametrize("sid", ["trop_p:0", "trop_p:2", "trop_p_fin:1:3"])
