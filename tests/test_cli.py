@@ -363,11 +363,11 @@ def test_gen_cycle_requires_L():
         (("random", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
         (("randsys", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
         (("blocked", "--n", "99999999999"), "n 99999999999 exceeds the limit"),
+        (("random", "--n", "-1"), "n must be >= 0"),
+        (("random", "--n", "3", "--wmin", "-3", "--wmax", "-1"), "weights must be >= 0"),
         # the two families that draw once per vertex pair bound n*n
         (("random", "--n", "999999", "--density", "0.000001"), "n 999999 exceeds the limit of 1000"),
         (("randsys", "--n", "999999", "--density", "0.000001"), "n 999999 exceeds the limit of 1000"),
-        (("random", "--n", "-1"), "n must be >= 0"),
-        (("random", "--n", "3", "--wmin", "-3", "--wmax", "-1"), "weights must be >= 0"),
     ],
 )
 def test_gen_out_of_range_exits_1(tmp_path, args, message):
