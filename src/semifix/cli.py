@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 input or usage errors, 2 cap or budget exhausted,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import functools
 import io
@@ -15,7 +14,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from . import bounds, engine, generators, walks
 from .errors import EnumerationBudgetExceeded, InvalidParameter, SemifixError
@@ -148,6 +147,7 @@ def cmd_analyze(args) -> int:
     if paths:
         task = functools.partial(_analyze_path, **opts)
         if args.workers > 1 and len(paths) > 1:
+            import concurrent.futures  # here, not at the top: it slows every start-up
             with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
                 reports = list(pool.map(task, paths))
         else:
@@ -370,12 +370,11 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The command-line parser.
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser: every subcommand with all its arguments.
 
-    Every subcommand is registered with its help; given ``argv``, only the
-    subcommand it names gets its arguments, which is the only one argparse
-    reads (the first positional token picks it, and no name starts with -).
+    ``main`` builds it only for the argvs the one-subcommand parser cannot
+    answer alone, so that top-level help and usage errors come from it.
     """
     top = argparse.ArgumentParser(
         prog="semifix",
@@ -383,21 +382,31 @@ def build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParse
         allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="command", required=True)
-    named = None if argv is None else next((a for a in argv if a in _COMMANDS), None)
     for name, (help_text, add_arguments) in _COMMANDS.items():
         # a flag prefix such as --sem is a usage error, not a guess
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if argv is None or name == named:
-            add_arguments(p)
+        add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command line and return its exit code.
+
+    When ``argv[0]`` names a subcommand, only that subcommand's parser is
+    built; its help and argument errors are the full parser's bytes. Any
+    other argv, leftover arguments and ``gen cycle`` without ``--L`` go to
+    ``build_parser()``, since their usage errors print the top-level usage.
+    """
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = rest = None
+    if argv and argv[0] in _COMMANDS:
+        p = argparse.ArgumentParser(prog=f"semifix {argv[0]}", allow_abbrev=False)
+        _COMMANDS[argv[0]][1](p)
+        p.set_defaults(command=argv[0])
+        args, rest = p.parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser().parse_args(argv)
     if args.command == "gen" and args.family == "cycle" and args.L is None:
-        parser.error("gen cycle needs --L")
+        build_parser().error("gen cycle needs --L")
     try:
         return args.handler(args)
     except EnumerationBudgetExceeded as exc:

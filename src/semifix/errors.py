@@ -49,8 +49,8 @@ class MalformedLiteral(ParseError, MalformedElement):
     """
 
 
-class GroundingError(SemifixError):
-    """The program and database cannot be grounded to a system."""
+class GroundingError(ParseError):
+    """The program and database cannot be grounded, at a line when one is at fault."""
 
 
 class EnumerationBudgetExceeded(SemifixError):

@@ -445,16 +445,21 @@ def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
     """Build an EDB instance; duplicate ground atoms are combined additively.
 
     A malformed literal raises MalformedLiteral at the entry's position when
-    the entry carries one, else the semiring's MalformedElement.
+    the entry carries one, else the semiring's MalformedElement. An entry
+    whose arity differs from its predicate's first raises GroundingError there.
     """
     facts: Dict[GroundAtom, Any] = {}
+    arity: Dict[str, int] = {}
     for pred, args, literal, *pos in entries:
+        at = pos[0] if pos and pos[0] is not None else (None, None)
         try:
             value = semiring.one if literal is None else semiring.parse(literal)
         except MalformedElement as exc:
-            if not pos or pos[0] is None:
+            if at[0] is None:
                 raise
-            raise MalformedLiteral(str(exc), *pos[0]) from None
+            raise MalformedLiteral(str(exc), *at) from None
+        if arity.setdefault(pred, len(args)) != len(args):
+            raise GroundingError(f"predicate {pred} used with inconsistent arity in facts", *at)
         key = (pred, tuple(args))
         if key in facts:
             warnings.warn(
@@ -585,16 +590,15 @@ def ground(
     # facts grouped by predicate, in insertion order
     by_pred: Dict[str, List[Tuple[Tuple[str, ...], Any]]] = {}
     for (pred, args), v in db.facts.items():
-        group = by_pred.setdefault(pred, [])
-        if group and len(group[0][0]) != len(args):
-            raise GroundingError(f"predicate {pred} used with inconsistent arity in facts")
-        group.append((args, v))
+        by_pred.setdefault(pred, []).append((args, v))
     body_preds = {a.pred: a for r in program.rules for p in r.body for a in p.atoms}
     for pred, atom in sorted(body_preds.items()):
         if pred not in idb and pred not in by_pred:
             raise GroundingError(f"unknown predicate {pred} in rule body (no facts, no rules)")
         if pred in by_pred and len(by_pred[pred][0][0]) != len(atom.args):
-            raise GroundingError(f"predicate {pred} used with inconsistent arity")
+            raise GroundingError(
+                f"predicate {pred} used with inconsistent arity", *(atom.pos or (None, None))
+            )
 
     adom = db.active_domain
     gdom = tuple(sorted(set(adom) | set(program.rule_constants())))

@@ -96,6 +96,8 @@ def _parse_extended_rational(text: str):
     t = text.strip()
     if t == "inf":
         return INF
+    if t.isascii() and t.isdigit():
+        return int(t)
     try:
         v = Fraction(t)
     except (ValueError, ZeroDivisionError):

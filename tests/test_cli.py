@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -540,23 +541,71 @@ def test_run_repeated_head_variable(tmp_path, capsys, sid, weight):
 HELP_ARGVS = [["-h"]] + [[name, "-h"] for name in ("run", "ground", "analyze", "oracle", "semiring", "gen")]
 
 
-@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
-def test_help_matches_the_fully_built_parser(capsys, argv):
-    outputs = []
-    for parser in (build_parser(), build_parser(argv)):
-        with pytest.raises(SystemExit):
-            parser.parse_args(argv)
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert "usage: semifix" in outputs[0]
+# argvs that end in help or a usage error; main builds the full parser for
+# all but the subcommands' own -h and argument errors
+PARSER_EXIT_ARGVS = HELP_ARGVS + [
+    [],
+    ["bogus"],
+    ["--x", "run", "p.dl"],
+    ["run", "p.dl", "f.tsv", "extra"],
+    ["run", "p.dl", "--sem", "bool"],
+    ["run", "p.dl", "--format", "xml"],
+    ["gen", "cycle", "--n", "3"],
+    ["gen", "nope", "--n", "3"],
+    ["analyze", "--workers", "z"],
+    ["oracle", "m", "--i", "x", "--j", "0", "--h", "1"],
+]
 
 
-def test_parser_adds_arguments_only_to_the_named_subcommand(capsys):
-    parser = build_parser(["run", "p.dl"])
-    assert parser.parse_args(["run", "p.dl"]).handler.__name__ == "cmd_run"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["ground", "p.dl"])
-    assert "unrecognized arguments: p.dl" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", PARSER_EXIT_ARGVS, ids=lambda a: " ".join(a) or "no-args")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    parser = build_parser()
+    with pytest.raises(SystemExit) as want:
+        parser.parse_args(argv)
+        parser.error("gen cycle needs --L")  # reached only by gen cycle without --L
+    expected = capsys.readouterr()
+    assert "usage: semifix" in expected.out + expected.err
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert capsys.readouterr() == expected
+    assert got.value.code == want.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "m.mat", "--i", "0", "--j", "0", "--h", "1"],
+        ["analyze", "m.mat"],
+        ["semiring", "bool"],
+        ["gen", "cycle", "--n", "3", "--L", "2"],
+    ],
+    ids=" ".join,
+)
+def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    Path("m.mat").write_text("semiring trop\nn 1\nA 0 0 1\n")
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert progs == [f"semifix {argv[0]}"]
+
+
+def test_importing_the_cli_leaves_out_concurrent_futures():
+    code = "import sys, semifix.cli; print('concurrent.futures' in sys.modules)"
+    res = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=120,
+    )
+    assert (res.returncode, res.stdout) == (0, "False\n")
 
 
 # the 1x1 bag system x <- [0] x (+) [0]: its matrix index is 2, so a claimed
@@ -665,11 +714,9 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, mess
     ],
 )
 def test_tsv_fact_arity_errors_exit_1(tmp_path, capsys, facts, message):
-    # these grounding errors carry no line yet, so only the prefix is pinned
     (tmp_path / "p.dl").write_text("@semiring trop\nT(X,Y) :- E(X,Y).\n")
     (tmp_path / "f.tsv").write_text(facts)
     assert main(["run", str(tmp_path / "p.dl"), str(tmp_path / "f.tsv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert message in err
-    assert "Traceback" not in err
+    # the first TSV row that disagrees, or the body atom E(X,Y) of p.dl
+    at = {"E\ta\tb\t1\nE\ta\t1\n": "line 2, col 1", "E\ta\t1\n": "line 2, col 11"}[facts]
+    assert capsys.readouterr().err == f"error: {at}: {message}\n"

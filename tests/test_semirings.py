@@ -1,4 +1,5 @@
 import random
+import unittest.mock
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,9 @@ from semifix import (
     semiring_from_id,
     semiring_stability,
 )
+from semifix import semirings
 from semifix.errors import InvalidParameter
+from semifix.semirings import _integral
 
 from conftest import ALL_IDS, FINITE_IDS, seeded_elements
 
@@ -447,6 +450,48 @@ def test_integral_min_plus_values_are_int():
     for _ in range(200):
         v = t.random_element(rng)
         assert v is INF or type(v) is (int if v == int(v) else Fraction)
+
+
+def _parse_via_fraction(text):
+    """The extended-rational parser without its decimal fast path."""
+    t = text.strip()
+    if t == "inf":
+        return INF
+    try:
+        v = Fraction(t)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedElement(f"not a rational literal: {text!r}") from None
+    if v < 0:
+        raise MalformedElement(f"negative value {text!r} is outside the carrier")
+    return _integral(v)
+
+
+def _parse_outcome(s, text):
+    try:
+        v = s.parse(text)
+    except MalformedElement as exc:
+        return "error", str(exc)
+    return v, [type(e) for e in (v if isinstance(v, tuple) else (v,))]
+
+
+# decimal-looking text, including digits outside ASCII and underscores, which
+# isdigit or Fraction accept where int-of-ASCII would not
+literal_text = st.one_of(
+    st.text(alphabet="0123456789 _./-+eE²١٣", max_size=6),
+    st.sampled_from(["²", "١", "1_0", "007", " 12 ", "0", "inf", "3/4", "2.0", "1e3"]),
+    st.text(max_size=4),
+)
+
+
+@pytest.mark.parametrize("sid", ["trop", "trop_p:2", "trop_p_fin:2:3"])
+@given(data=st.data())
+def test_decimal_fast_path_matches_the_fraction_path(sid, data):
+    s = semiring_from_id(sid)
+    entries = data.draw(st.lists(literal_text, min_size=1, max_size=3))
+    text = entries[0] if sid == "trop" else "[" + ",".join(entries) + "]"
+    fast = _parse_outcome(s, text)
+    with unittest.mock.patch.object(semirings, "_parse_extended_rational", _parse_via_fraction):
+        assert _parse_outcome(s, text) == fast
 
 
 # a rational n/d as (int or Fraction, Fraction), or inf in both forms
