@@ -370,11 +370,12 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The full command-line parser: every subcommand with all its arguments.
 
-    ``main`` builds it only for the argvs the one-subcommand parser cannot
-    answer alone, so that top-level help and usage errors come from it.
+    It is built once per process. Sharing it is safe: ``parse_args`` returns
+    a fresh ``Namespace`` each call and leaves the parser as it found it.
     """
     top = argparse.ArgumentParser(
         prog="semifix",
@@ -389,24 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run one command line and return its exit code.
-
-    When ``argv[0]`` names a subcommand, only that subcommand's parser is
-    built; its help and argument errors are the full parser's bytes. Any
-    other argv, leftover arguments and ``gen cycle`` without ``--L`` go to
-    ``build_parser()``, since their usage errors print the top-level usage.
-    """
-    argv = sys.argv[1:] if argv is None else argv
-    args = rest = None
-    if argv and argv[0] in _COMMANDS:
-        p = argparse.ArgumentParser(prog=f"semifix {argv[0]}", allow_abbrev=False)
-        _COMMANDS[argv[0]][1](p)
-        p.set_defaults(command=argv[0])
-        args, rest = p.parse_known_args(argv[1:])
-    if args is None or rest:
-        args = build_parser().parse_args(argv)
+    """Run one command line with the process's one cached parser; return its exit code."""
+    parser = build_parser()
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "gen" and args.family == "cycle" and args.L is None:
-        build_parser().error("gen cycle needs --L")
+        parser.error("gen cycle needs --L")
     try:
         return args.handler(args)
     except EnumerationBudgetExceeded as exc:

@@ -430,6 +430,8 @@ def classify_linearity(program: Program) -> LinearityReport:
 class EDBInstance:
     semiring: Semiring
     facts: Mapping[GroundAtom, Any]
+    # (line, col) of each fact's first entry; empty when built by hand
+    positions: Mapping[GroundAtom, Tuple] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def active_domain(self) -> Tuple[str, ...]:
@@ -449,6 +451,7 @@ def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
     whose arity differs from its predicate's first raises GroundingError there.
     """
     facts: Dict[GroundAtom, Any] = {}
+    positions: Dict[GroundAtom, Tuple] = {}
     arity: Dict[str, int] = {}
     for pred, args, literal, *pos in entries:
         at = pos[0] if pos and pos[0] is not None else (None, None)
@@ -468,8 +471,8 @@ def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
             )
             facts[key] = semiring.add(facts[key], value)
         else:
-            facts[key] = value
-    return EDBInstance(semiring, facts)
+            facts[key], positions[key] = value, at
+    return EDBInstance(semiring, facts, positions)
 
 
 def program_fact_entries(program: Program) -> List[FactEntry]:
@@ -582,23 +585,24 @@ def ground(
         return GroundedPolynomialSystem(s, (), (), 0)
 
     idb = set(program.idb_predicates())
-    for (pred, _args) in db.facts:
+    for (pred, args) in db.facts:
         if pred in idb:
             raise GroundingError(
-                f"fact given for derived predicate {pred}; its values come from iteration"
+                f"fact given for derived predicate {pred}; its values come from iteration",
+                *db.positions.get((pred, args), (None, None)),
             )
     # facts grouped by predicate, in insertion order
     by_pred: Dict[str, List[Tuple[Tuple[str, ...], Any]]] = {}
     for (pred, args), v in db.facts.items():
         by_pred.setdefault(pred, []).append((args, v))
-    body_preds = {a.pred: a for r in program.rules for p in r.body for a in p.atoms}
-    for pred, atom in sorted(body_preds.items()):
+    # the first body atom of each predicate, which its errors name
+    body_atoms = [(a.pred, a) for r in program.rules for p in r.body for a in p.atoms]
+    for pred, atom in sorted(dict(reversed(body_atoms)).items()):
+        at = atom.pos or (None, None)
         if pred not in idb and pred not in by_pred:
-            raise GroundingError(f"unknown predicate {pred} in rule body (no facts, no rules)")
+            raise GroundingError(f"unknown predicate {pred} in rule body (no facts, no rules)", *at)
         if pred in by_pred and len(by_pred[pred][0][0]) != len(atom.args):
-            raise GroundingError(
-                f"predicate {pred} used with inconsistent arity", *(atom.pos or (None, None))
-            )
+            raise GroundingError(f"predicate {pred} used with inconsistent arity", *at)
 
     adom = db.active_domain
     gdom = tuple(sorted(set(adom) | set(program.rule_constants())))

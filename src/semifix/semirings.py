@@ -21,6 +21,7 @@ Built-in instances, by configuration id:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,12 @@ from .errors import (
 
 DEFAULT_STABILITY_CAP = 512
 DEFAULT_AXIOM_BUDGET = 10_000
+MAX_CARRIER_SIZE = 4096  # most elements of a finite carrier, or entries of a bag
+
+
+def _check_size(what: str, size: int) -> None:
+    if size > MAX_CARRIER_SIZE:
+        raise InvalidParameter(f"{what} {size} exceeds the limit {MAX_CARRIER_SIZE}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +278,7 @@ class TropBagSemiring(Semiring):
     def __init__(self, p: int):
         if p < 0:
             raise InvalidParameter("bag order p must be >= 0")
+        _check_size("bag size", p + 1)
         self.p = p
         self.id = f"trop_p:{p}"
         self.zero = (INF,) * (p + 1)
@@ -368,6 +376,8 @@ class FiniteTropBagSemiring(TropBagSemiring):
         super().__init__(p)
         if cap < 0:
             raise InvalidParameter("entry cap must be >= 0")
+        _check_size("entry chain size", cap + 2)  # first, so that comb stays cheap
+        _check_size("carrier size", math.comb(cap + p + 2, p + 1))
         self.cap = cap
         self.id = f"trop_p_fin:{p}:{cap}"
         self.known_stability = None  # computed exhaustively
@@ -407,6 +417,7 @@ class CappedSemiring(Semiring):
     def __init__(self, L: int):
         if L < 1:
             raise InvalidParameter("cap L must be >= 1")
+        _check_size("carrier size", L + 2)
         self.L = L
         self.id = f"capped:{L}"
         self.zero = CAPPED_O

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from semifix import Matrix, save_system, semiring_from_id, walks
-from semifix.cli import build_parser, main
+from semifix.cli import _COMMANDS, build_parser, main
 from semifix.generators import gen_random_system
 
 from conftest import ALL_IDS, brute_walk_sums
@@ -342,6 +343,32 @@ def test_semiring_unknown_id():
     assert res.returncode == 1
 
 
+def _limit_memory():  # a carrier that outgrows its bound fails here, not on the machine
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize(
+    "sid, message",
+    [
+        ("capped:1000000000", "carrier size 1000000002 exceeds the limit 4096"),
+        ("trop_p_fin:20:20", "carrier size 538257874440 exceeds the limit 4096"),
+        ("trop_p:1000000000", "bag size 1000000001 exceeds the limit 4096"),
+    ],
+)
+def test_semiring_too_large_exits_1_at_once(sid, message):
+    res = subprocess.run(
+        [sys.executable, "-m", "semifix", "semiring", sid],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=_limit_memory,
+        timeout=60,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_gen_blocked(tmp_path):
     out = tmp_path / "blocked.mat"
     res = run_cli("gen", "blocked", "--n", "6", "--semiring", "bool", "--out", str(out))
@@ -541,9 +568,8 @@ def test_run_repeated_head_variable(tmp_path, capsys, sid, weight):
 HELP_ARGVS = [["-h"]] + [[name, "-h"] for name in ("run", "ground", "analyze", "oracle", "semiring", "gen")]
 
 
-# argvs that end in help or a usage error; main builds the full parser for
-# all but the subcommands' own -h and argument errors, and must print the
-# same bytes either way
+# argvs that end in help or a usage error; main's cached parser must print
+# the same bytes as a freshly built one
 PARSER_EXIT_ARGVS = HELP_ARGVS + [
     [],
     ["bogus"],
@@ -560,7 +586,7 @@ PARSER_EXIT_ARGVS = HELP_ARGVS + [
 
 @pytest.mark.parametrize("argv", PARSER_EXIT_ARGVS, ids=lambda a: " ".join(a) or "no-args")
 def test_help_matches_the_fully_built_parser(capsys, argv):
-    parser = build_parser()
+    parser = build_parser.__wrapped__()  # a fresh parser, outside the cache
     with pytest.raises(SystemExit) as want:
         parser.parse_args(argv)
         parser.error("gen cycle needs --L")  # reached only by gen cycle without --L
@@ -572,18 +598,17 @@ def test_help_matches_the_fully_built_parser(capsys, argv):
     assert got.value.code == want.value.code
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "p.dl"],
-        ["oracle", "m.mat", "--i", "0", "--j", "0", "--h", "1"],
-        ["analyze", "m.mat"],
-        ["semiring", "bool"],
-        ["gen", "cycle", "--n", "3", "--L", "2"],
-    ],
-    ids=" ".join,
-)
-def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch, argv):
+WELL_FORMED_ARGVS = [
+    ["run", "p.dl"],
+    ["oracle", "m.mat", "--i", "0", "--j", "0", "--h", "1"],
+    ["analyze", "m.mat"],
+    ["semiring", "bool"],
+    ["gen", "cycle", "--n", "3", "--L", "2"],
+]
+
+
+@pytest.mark.parametrize("first", WELL_FORMED_ARGVS, ids=" ".join)
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, first):
     monkeypatch.chdir(tmp_path)
     Path("m.mat").write_text("semiring trop\nn 1\nA 0 0 1\n")
     Path("p.dl").write_text(APSP)
@@ -595,8 +620,74 @@ def test_a_well_formed_command_builds_one_parser(tmp_path, monkeypatch, argv):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    assert main(argv) == 0
-    assert progs == [f"semifix {argv[0]}"]
+    build_parser.cache_clear()
+    assert main(first) == 0
+    # the top level and its six subcommands
+    assert progs == ["semifix"] + [f"semifix {name}" for name in _COMMANDS]
+    progs.clear()
+    for argv in WELL_FORMED_ARGVS:
+        assert main(argv) == 0
+    assert progs == []
+
+
+@pytest.mark.parametrize(
+    "before, argv",
+    [
+        (["run", "p.dl", "--cap", "1", "--format", "json"], ["run", "p.dl"]),
+        (["analyze", "a.mat", "b.mat", "--summary", "s.csv"], ["analyze", "a.mat"]),
+        (
+            ["oracle", "a.mat", "--i", "0", "--j", "0", "--h", "2"],
+            ["oracle", "--h", "1", "b.mat", "--i", "0", "--j", "0"],
+        ),
+    ],
+    ids=lambda a: " ".join(a),
+)
+def test_the_cached_parser_carries_nothing_between_calls(
+    tmp_path, monkeypatch, capsys, before, argv
+):
+    """The second command prints what it prints as the first of a fresh process."""
+    monkeypatch.chdir(tmp_path)
+    Path("p.dl").write_text(APSP)
+    Path("a.mat").write_text("semiring trop\nn 1\nA 0 0 1\n")
+    Path("b.mat").write_text(BAG_LOOP)
+    fresh = run_cli(*argv, cwd=tmp_path)
+    main(before)
+    Path("s.csv").unlink(missing_ok=True)
+    capsys.readouterr()
+    assert main(argv) == fresh.returncode
+    assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
+    assert not Path("s.csv").exists()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+COMMON_FLAGS = ["--out", "--reproducible", "--no-reproducible"]
+
+
+def _help_flags(capsys, command):
+    """The option strings that ``semifix <command> -h`` prints, in order."""
+    with pytest.raises(SystemExit):
+        main([command, "-h"])
+    options = capsys.readouterr().out.split("\noptions:\n", 1)[1]
+    items = re.findall(r"^  (-.*?)(?: {2,}|$)", options, re.M)
+    return [f for item in items for f in re.findall(r"(?<![\w-])--?[\w-]+", item)]
+
+
+def test_readme_flag_table_matches_the_parser(capsys):
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| subcommand | flags |") :].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        rows[command] = sorted(re.findall(r"`(--[\w-]+)", flags))
+    assert list(rows) == list(_COMMANDS)
+    assert "Every subcommand also takes `--out PATH` and `--reproducible/--no-reproducible`" in (
+        " ".join(text.split())
+    )
+    for command, documented in rows.items():
+        printed = _help_flags(capsys, command)
+        assert printed[:2] == ["-h", "--help"], command
+        assert [f for f in printed if f in COMMON_FLAGS] == COMMON_FLAGS, command
+        assert sorted(f for f in printed[2:] if f not in COMMON_FLAGS) == documented, command
 
 
 def test_importing_the_cli_leaves_out_concurrent_futures():
@@ -691,6 +782,14 @@ MALFORMED_PROGRAMS = [
     ("E(a,b) E(b,c).\n", "line 1, col 8: expected ':-', '=' or '.', got 'E'"),
     ("@ semiring bool\n", "line 1, col 2: expected a directive name after @"),
     ("# comment\n", "line 1, col 1: unexpected character '#'"),
+    (
+        "@semiring trop\nT(X,Y) :- E(X,Y) + T(X,Z)*F(Z,Y).\nE(a,b) = 1.\n",
+        "line 2, col 27: unknown predicate F in rule body (no facts, no rules)",
+    ),
+    (
+        "@semiring trop\nT(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\nE(a,b) = 3.\nT(a,b) = 2.\n",
+        "line 4, col 1: fact given for derived predicate T; its values come from iteration",
+    ),
 ]
 
 
@@ -714,12 +813,16 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, mess
     [
         ("E\ta\tb\t1\nE\ta\t1\n", "predicate E used with inconsistent arity in facts"),
         ("E\ta\t1\n", "predicate E used with inconsistent arity"),
+        (
+            "E\ta\tb\t1\nT\ta\tb\t1\n",
+            "fact given for derived predicate T; its values come from iteration",
+        ),
     ],
 )
 def test_tsv_fact_arity_errors_exit_1(tmp_path, capsys, facts, message):
-    (tmp_path / "p.dl").write_text("@semiring trop\nT(X,Y) :- E(X,Y).\n")
+    (tmp_path / "p.dl").write_text("@semiring trop\nT(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n")
     (tmp_path / "f.tsv").write_text(facts)
     assert main(["run", str(tmp_path / "p.dl"), str(tmp_path / "f.tsv")]) == 1
-    # the first TSV row that disagrees, or the body atom E(X,Y) of p.dl
-    at = {"E\ta\tb\t1\nE\ta\t1\n": "line 2, col 1", "E\ta\t1\n": "line 2, col 11"}[facts]
+    # the first TSV row at fault, or the first body atom E(X,Y) of p.dl
+    at = {"E\ta\t1\n": "line 2, col 11"}.get(facts, "line 2, col 1")
     assert capsys.readouterr().err == f"error: {at}: {message}\n"

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from semifix import (
+    EDBInstance,
     GroundedLinearSystem,
     GroundedPolynomialSystem,
     GroundingError,
@@ -227,6 +228,20 @@ def test_ground_rejects_idb_fact():
     db = build_edb(s, [("T", ("a", "b"), None), ("E", ("a", "b"), None)])
     with pytest.raises(GroundingError, match="derived"):
         ground(parse_program(TC), db)
+
+
+def test_edb_positions_name_each_fact_s_first_entry():
+    s = semiring_from_id("bool")
+    entries = [("E", ("a", "b"), None, (3, 1)), ("E", ("a", "b"), None, (5, 1)), ("T", ("a",), None)]
+    with pytest.warns(UserWarning, match="duplicate"):
+        db = build_edb(s, entries)
+    assert db.positions == {("E", ("a", "b")): (3, 1), ("T", ("a",)): (None, None)}
+    # positions do not take part in equality, so a hand-built instance has none
+    hand_built = EDBInstance(s, dict(db.facts))
+    assert hand_built == db and hand_built.positions == {}
+    with pytest.raises(GroundingError, match="derived") as exc:
+        ground(parse_program("T(X) :- E(X,Y)."), hand_built)
+    assert exc.value.line is None
 
 
 def test_ground_rejects_unknown_body_predicate():

@@ -524,3 +524,28 @@ def test_int_values_act_like_fractions(sid, data):
         assert got == want
         assert hash(got) == hash(want)
         assert s.show(got) == s.show(want)
+
+
+
+# the largest legal id of each family, its carrier size (None: not enumerable)
+# and the next id with the error it raises
+@pytest.mark.parametrize(
+    "largest, size, too_large, message",
+    [
+        ("capped:4094", 4096, "capped:4095", "carrier size 4097 exceeds the limit 4096"),
+        ("trop_p:4095", None, "trop_p:4096", "bag size 4097 exceeds the limit 4096"),
+        ("trop_p_fin:1:88", 4095, "trop_p_fin:1:89", "carrier size 4186 exceeds the limit 4096"),
+        (
+            "trop_p_fin:0:4094",
+            4096,
+            "trop_p_fin:0:4095",
+            "entry chain size 4097 exceeds the limit 4096",
+        ),
+    ],
+)
+def test_carrier_size_limit(largest, size, too_large, message):
+    s = semiring_from_id(largest)
+    assert (None if s.elements() is None else len(s.elements())) == size
+    with pytest.raises(InvalidParameter) as exc:
+        semiring_from_id(too_large)
+    assert str(exc.value) == message
