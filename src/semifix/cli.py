@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import bounds, engine, generators, walks
-from .errors import EnumerationBudgetExceeded, InvalidParameter, SemifixError
+from .errors import EnumerationBudgetExceeded, InvalidParameter, ParseError, SemifixError
 from .frontend import (
     GroundedLinearSystem,
     build_edb,
@@ -68,10 +68,14 @@ def _emit(args, text: str):
 
 
 def _resolve_semiring(args, program):
-    sid = args.semiring or program.semiring_id
-    if sid is None:
+    if args.semiring:
+        return semiring_from_id(args.semiring)
+    if program.semiring_id is None:
         raise SemifixError("no semiring: pass --semiring or add an @semiring directive")
-    return semiring_from_id(sid)
+    try:
+        return semiring_from_id(program.semiring_id)
+    except InvalidParameter as e:
+        raise ParseError(str(e), *(program.semiring_pos or ())) from None
 
 
 def _load_program_db(args):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InvalidParameter, ParseError
@@ -37,7 +37,13 @@ from .frontend import (
     GroundedSystem,
 )
 from .matrix import Matrix
-from .semirings import Semiring, effective_stability, ordered_chain, semiring_from_id
+from .semirings import (
+    MAX_CARRIER_SIZE,
+    Semiring,
+    effective_stability,
+    ordered_chain,
+    semiring_from_id,
+)
 
 DEFAULT_EVAL_CAP = 1_000_000
 
@@ -86,26 +92,75 @@ class IterationTrace:
         return None if self.capped else self.last
 
 
-def _linear_rows(A: Matrix, b: Sequence):
-    """The columns each row of x <- Ax (+) b reads, and the row function.
+@lru_cache(maxsize=None)
+def _tables(s: Semiring):
+    """The add and mul tables of a small finite carrier, or None.
 
-    A row folds ``add(acc, mul(A[i][j], x[j]))`` from zero over the row's
-    entries, as ``Matrix.matvec`` does, and ends with ``add(acc, b[i])``.
-    The semiring's add and mul are looked up here, once per evaluation and
-    never at import, so wrappers set on the instance (the benchmark's op
-    counters) see every call.
+    ``add[a][b]`` is ``s.add(a, b)`` for every pair of carrier elements, and
+    ``mul[a][b]`` likewise; a result equal to zero is stored as ``s.zero``
+    itself, so the rows' ``is zero`` test sees it. Only a carrier with
+    |C|^2 <= MAX_CARRIER_SIZE gets tables, built once from its own add and mul.
+    """
+    carrier = s.elements()
+    if carrier is None or len(carrier) ** 2 > MAX_CARRIER_SIZE:
+        return None
+    zero = s.zero
+
+    def table(op):
+        return {a: {b: zero if (v := op(a, b)) == zero else v for b in carrier} for a in carrier}
+
+    return table(s.add), table(s.mul)
+
+
+def _linear_rows(A: Matrix):
+    """The columns each row of x <- Ax (+) b reads, and ``rows_for(b)``.
+
+    ``rows_for(b)`` makes the row function of x <- Ax (+) b. A row folds
+    ``add(acc, mul(A[i][j], x[j]))`` from zero over the row's entries, as
+    ``Matrix.matvec`` does, and ends with ``add(acc, b[i])``; it skips every
+    x[j] and b[i] that is zero, which is exact because zero annihilates under
+    mul and is the identity of add. On a carrier with ``_tables`` a row reads
+    add and mul from them, and a row that meets a value outside the tables
+    is recomputed with the semiring's add and mul. Those are looked up when
+    the row function is made, never at import, so wrappers set on the
+    instance (the benchmark's op counters) see every call of that path.
     """
     s = A.semiring
-    add, mul, zero = s.add, s.mul, s.zero
+    zero = s.zero
     rows = [tuple(A.row(i).items()) for i in range(A.n)]
+    tables = _tables(s)
 
-    def row(i, x):
-        acc = zero
-        for j, v in rows[i]:
-            acc = add(acc, mul(v, x[j]))
-        return add(acc, b[i])
+    def rows_for(b: Sequence):
+        add, mul = s.add, s.mul
 
-    return [[j for j, _ in r] for r in rows], row
+        def row(i, x):
+            acc = zero
+            for j, v in rows[i]:
+                xj = x[j]
+                if xj is not zero:
+                    acc = add(acc, mul(v, xj))
+            bi = b[i]
+            return acc if bi is zero else add(acc, bi)
+
+        if tables is None:
+            return row
+        add_t, mul_t = tables
+
+        def table_row(i, x):
+            try:
+                acc = zero
+                for j, v in rows[i]:
+                    xj = x[j]
+                    if xj is not zero:
+                        acc = add_t[acc][mul_t[v][xj]]
+                bi = b[i]
+                return acc if bi is zero else add_t[acc][bi]
+            except KeyError:
+                return row(i, x)
+
+        return table_row
+
+    return [[j for j, _ in r] for r in rows], rows_for
 
 
 def _polynomial_rows(psys: GroundedPolynomialSystem):
@@ -200,8 +255,8 @@ def naive_eval_linear(
     Stops at ``cap`` applications without convergence and flags the trace as
     capped instead of raising. ``inflationary`` switches to x <- x (+) f(x).
     """
-    reads, row = _linear_rows(sys.A, sys.b)
-    return _iterate(sys.semiring, sys.n, reads, row, cap, inflationary)
+    reads, rows_for = _linear_rows(sys.A)
+    return _iterate(sys.semiring, sys.n, reads, rows_for(sys.b), cap, inflationary)
 
 
 def naive_eval_general(
@@ -215,10 +270,15 @@ def naive_eval_general(
     return _iterate(psys.semiring, psys.n, reads, row, cap, inflationary)
 
 
-def column_run(A: Matrix, j: int, cap: int) -> IterationTrace:
-    """The run of x <- Ax (+) e_j: its state m+1 is column j of S(m)."""
+def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:
+    """The run of x <- Ax (+) e_j: its state m+1 is column j of S(m).
+
+    ``kernel`` is ``_linear_rows(A)``, built here when not given; a caller
+    that runs several columns of one matrix builds it once.
+    """
     s, n = A.semiring, A.n
-    reads, row = _linear_rows(A, [s.one if i == j else s.zero for i in range(n)])
+    reads, rows_for = kernel or _linear_rows(A)
+    row = rows_for([s.one if i == j else s.zero for i in range(n)])
     return _iterate(s, n, reads, row, cap, False)
 
 
@@ -232,7 +292,10 @@ def matrix_power_sum(A: Matrix, k: int) -> Matrix:
     if k < 0:
         raise InvalidParameter("k must be >= 0")
     # the last state of a run is state k + 1, or the fixpoint reached before it
-    entries = [(i, j, v) for j in range(A.n) for i, v in enumerate(column_run(A, j, k + 1).last)]
+    kernel = _linear_rows(A)
+    entries = [
+        (i, j, v) for j in range(A.n) for i, v in enumerate(column_run(A, j, k + 1, kernel).last)
+    ]
     return Matrix(A.semiring, A.n, entries)
 
 
@@ -246,9 +309,9 @@ def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int
         raise InvalidParameter("cap must be >= 1")
     if cap is None:
         cap = _default_cap(A.semiring, A.n)
-    k = 0
+    k, kernel = 0, _linear_rows(A)
     for j in range(A.n):
-        run = column_run(A, j, cap + 2)
+        run = column_run(A, j, cap + 2, kernel)
         if run.capped:
             return None
         k = max(k, run.powersum_index)
@@ -322,7 +385,10 @@ def load_system(text: str) -> GroundedLinearSystem:
         if key == "semiring" and semiring is not None or key == "n" and n is not None:
             raise ParseError(f"second {key!r} header", lineno, 1)
         if key == "semiring":
-            semiring = semiring_from_id(fields[0])
+            try:
+                semiring = semiring_from_id(fields[0])
+            except InvalidParameter as e:
+                raise ParseError(str(e), lineno, 1) from None
         elif key == "n":
             n = _parse_int(fields[0], "n", lineno)
             if n < 0:

@@ -209,6 +209,8 @@ class Program:
     rules: Tuple[Rule, ...]
     facts: Tuple[FactStmt, ...]
     semiring_id: Optional[str] = None
+    # (line, col) of the @semiring directive, for errors raised when resolving it
+    semiring_pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
 
     def idb_predicates(self) -> Tuple[str, ...]:
         """Predicates that head at least one rule, in first-seen order."""
@@ -313,6 +315,7 @@ def parse_program(text: str) -> Program:
     rules: List[Rule] = []
     facts: List[FactStmt] = []
     semiring_id: Optional[str] = None
+    semiring_pos: Optional[Tuple[int, int]] = None
     while p.peek().kind != "EOF":
         t = p.peek()
         if t.kind == "DIRECTIVE":
@@ -324,7 +327,7 @@ def parse_program(text: str) -> Program:
             w = p.peek()
             if w.kind != "WORD":
                 raise ParseError("expected a semiring id after @semiring", t.line, t.col)
-            semiring_id = p.next().text
+            semiring_id, semiring_pos = p.next().text, (t.line, t.col)
             continue
         atom = p.parse_atom()
         nxt = p.next()
@@ -341,7 +344,7 @@ def parse_program(text: str) -> Program:
         else:
             got = nxt.text or "end of input"
             raise ParseError(f"expected ':-', '=' or '.', got {got!r}", nxt.line, nxt.col)
-    program = Program(tuple(rules), tuple(facts), semiring_id)
+    program = Program(tuple(rules), tuple(facts), semiring_id, semiring_pos)
     _check_program(program)
     return program
 

@@ -571,6 +571,8 @@ def semiring_stability(s: Semiring, cap: int = DEFAULT_STABILITY_CAP) -> Semirin
 @lru_cache(maxsize=None)
 def ordered_chain(s: Semiring) -> Optional[int]:
     """longest_chain when the carrier is finite and naturally ordered, else None."""
+    if isinstance(s, CappedSemiring):
+        return s.L + 1  # the chain O < 0 < 1 < ... < L, without building up-sets
     if s.elements() is None:
         return None
     try:

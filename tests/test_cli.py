@@ -369,6 +369,25 @@ def test_semiring_too_large_exits_1_at_once(sid, message):
     assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
+def test_semiring_flag_overrides_a_bad_directive(tmp_path, capsys):
+    prog = tmp_path / "p.dl"
+    prog.write_text("@semiring capped:99999\nT(X) :- E(X).\nE(a).\n")
+    assert main(["run", str(prog), "--semiring", "bool"]) == 0
+    assert capsys.readouterr().out.startswith("T(a) = true\n")
+
+
+def test_semiring_at_the_carrier_size_limit_is_quick():
+    res = subprocess.run(
+        [sys.executable, "-m", "semifix", "semiring", "capped:4094"],  # 4,096 elements
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=10,  # building the chain's up-sets took about 17 s
+    )
+    assert (res.returncode, res.stderr) == (1, "")  # 1: capped fails distributivity
+    assert "naturally ordered, longest chain 4095\n" in res.stdout
+
+
 def test_gen_blocked(tmp_path):
     out = tmp_path / "blocked.mat"
     res = run_cli("gen", "blocked", "--n", "6", "--semiring", "bool", "--out", str(out))
@@ -773,6 +792,8 @@ MALFORMED_MATRIX_FILES = [
     ("semiring bool\nn 1\nfoo 1\n", "line 3, col 1: unrecognized line 'foo 1'"),
     ("semiring bool\nn 2\nA 0 1\n", "line 3, col 1: expected 3 field(s) after 'A'"),
     ("semiring bool\n", "line 1, col 1: missing semiring or n header"),
+    ("# a\nsemiring wat\nn 1\n", "line 2, col 1: unknown semiring id 'wat'"),
+    ("semiring capped:99999\nn 1\n", "line 1, col 1: carrier size 100001 exceeds the limit 4096"),
 ]
 
 MALFORMED_PROGRAMS = [
@@ -790,6 +811,10 @@ MALFORMED_PROGRAMS = [
         "@semiring trop\nT(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\nE(a,b) = 3.\nT(a,b) = 2.\n",
         "line 4, col 1: fact given for derived predicate T; its values come from iteration",
     ),
+    (
+        "T(X) :- E(X).\n  @semiring capped:99999\nE(a).\n",
+        "line 2, col 3: carrier size 100001 exceeds the limit 4096",
+    ),
 ]
 
 
@@ -801,7 +826,9 @@ MALFORMED_PROGRAMS = [
 def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.txt"
     path.write_text(text)
-    argv = [command, str(path)] + (["--semiring", "trop"] if command == "run" else [])
+    # --semiring overrides a directive, so it is passed only to programs without one
+    flag = command == "run" and "@semiring" not in text
+    argv = [command, str(path)] + (["--semiring", "trop"] if flag else [])
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"

@@ -10,6 +10,7 @@ from semifix import (
     INF,
     Matrix,
     build_edb,
+    engine,
     element_stability,
     ground,
     load_system,
@@ -23,9 +24,9 @@ from semifix import (
     trace_csv,
     walk_sum_upto,
 )
-from semifix.engine import MAX_ATOMS
+from semifix.engine import MAX_ATOMS, column_run
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
-from semifix.semirings import effective_stability, ordered_chain
+from semifix.semirings import TropBagSemiring, effective_stability, ordered_chain
 from semifix.generators import (
     LINEAR_PATH_PROGRAM,
     gen_cycle_lowerbound,
@@ -633,3 +634,129 @@ def test_trop_traces_do_not_depend_on_int_values(seed):
         assert trace.states == ref.states
         assert trace.stability_index == ref.stability_index
         assert matrix_stability_index(sys_.A) == matrix_stability_index(forced.A)
+
+
+# ---------------------------------------------------------------------------
+# Add/mul tables of small finite carriers, and the zero skip
+# ---------------------------------------------------------------------------
+
+TABLED_IDS = tuple(
+    dict.fromkeys(
+        [sid for sid in ALL_IDS if semiring_from_id(sid).elements() is not None]
+        + [f"capped:{L}" for L in range(2, 7)]
+        + ["trop_p_fin:2:3"]
+    )
+)
+
+
+@pytest.mark.parametrize("sid", TABLED_IDS)
+def test_tables_equal_the_object_ops_on_every_pair(sid):
+    s = semiring_from_id(sid)
+    add_t, mul_t = engine._tables(s)
+    carrier = s.elements()
+    assert len(add_t) == len(mul_t) == len(carrier)
+    for a in carrier:
+        for b in carrier:
+            for table, op in ((add_t, s.add), (mul_t, s.mul)):
+                got, want = table[a][b], op(a, b)
+                assert got == want and type(got) is type(want), (a, b)
+                if want == s.zero:
+                    assert got is s.zero
+
+
+def _run_fields(trace):
+    return trace.start, trace.changes, trace.last, trace.stability_index, trace.capped
+
+
+def _kernel_results(A, b):
+    """Every kernel caller's result on one (A, b), in comparable form."""
+    sys_ = GroundedLinearSystem.from_matrix(
+        A.semiring, A, b, [(f"x{i}", ()) for i in range(A.n)]
+    )
+    cap = 4 * A.n + 6
+    return (
+        _run_fields(naive_eval_linear(sys_, cap=cap)),
+        _run_fields(naive_eval_linear(sys_, cap=cap, inflationary=True)),
+        [_run_fields(column_run(A, j, cap)) for j in range(A.n)],
+        [list(matrix_power_sum(A, k).entries()) for k in (0, 1, 3)],
+        matrix_stability_index(A),
+        matrix_stability_index(A, cap=2),
+    )
+
+
+def _tabled_and_object(monkeypatch, A, b):
+    """The kernel callers' results with tables, then on the object path."""
+    tabled = _kernel_results(A, b)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_tables", lambda s: None)
+        return tabled, _kernel_results(A, b)
+
+
+@pytest.mark.parametrize("sid", TABLED_IDS)
+def test_tabled_kernel_equals_the_object_path(monkeypatch, sid):
+    s = semiring_from_id(sid)
+    assert engine._tables(s) is not None
+    for seed in range(8):
+        sys_ = gen_random_system(seed % 7 + 1, 0.4, s, seed)
+        tabled, plain = _tabled_and_object(monkeypatch, sys_.A, sys_.b)
+        assert tabled == plain, seed
+
+
+@pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (5, 3), (4, 6)])
+def test_tabled_kernel_equals_the_object_path_on_slow_cycles(monkeypatch, n, L):
+    sys_ = gen_cycle_lowerbound(n, L)
+    tabled, plain = _tabled_and_object(monkeypatch, sys_.A, sys_.b)
+    assert tabled == plain
+    assert tabled[4] == n * L + n - 1  # the cycle's matrix index, not a capped run
+
+
+@pytest.mark.parametrize(
+    "sid, outside",
+    [("capped:4", 7), ("bool", 2), ("trop_p_fin:1:3", (5, INF))],
+)
+def test_values_outside_the_tables_take_the_object_path(monkeypatch, sid, outside):
+    s = semiring_from_id(sid)
+    A = Matrix(s, 3, [(0, 1, outside), (1, 2, s.one), (2, 0, s.one), (2, 2, s.one)])
+    assert A.get(0, 1) == outside  # the constructor stores it as given
+    for b in ([s.zero, s.zero, s.one], [outside, s.zero, s.one]):
+        tabled, plain = _tabled_and_object(monkeypatch, A, b)
+        assert tabled == plain
+
+
+def test_only_carriers_with_at_most_64_elements_get_tables():
+    assert len(engine._tables(semiring_from_id("capped:62"))[0]) == 64
+    for sid in ("capped:63", "trop", "trop_p:2", "trop_p_fin:3:3"):
+        assert engine._tables(semiring_from_id(sid)) is None
+    s = semiring_from_id("capped:63")
+    for seed in range(4):
+        sys_ = gen_random_system(6, 0.4, s, seed)
+        assert_trace_matches(naive_eval_linear(sys_, cap=80), reference_linear(sys_, 80, False))
+
+
+def test_rows_skip_zero_inputs_without_changing_the_trace():
+    s = TropBagSemiring(2)  # a private instance, so counting wraps no shared carrier
+    calls = {"mul": 0, "zero_operand": 0}
+    mul = s.mul
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        calls["zero_operand"] += b == s.zero
+        return mul(a, b)
+
+    sys_ = ground(parse_program(LINEAR_PATH_PROGRAM), random_edge_instance(8, 0.35, s, seed=3))
+    reference = reference_linear(sys_, 60, False)
+    s.mul = counted_mul
+    trace = naive_eval_linear(sys_, cap=60)
+    del s.mul
+    assert_trace_matches(trace, reference)
+    # replay the dirty rows: the parent row multiplied every entry it read
+    reads = [list(sys_.A.row(i)) for i in range(sys_.n)]
+    dirty, entries_read, nonzero_read = range(sys_.n), 0, 0
+    for x, step in zip(trace.states, trace.changes):
+        for i in dirty:
+            entries_read += len(reads[i])
+            nonzero_read += sum(x[j] != s.zero for j in reads[i])
+        changed = {i for i, _ in step}
+        dirty = [i for i in range(sys_.n) if changed.intersection(reads[i])]
+    assert calls == {"mul": nonzero_read, "zero_operand": 0}
+    assert nonzero_read < entries_read
