@@ -289,10 +289,10 @@ def test_longest_chain_examples():
     assert longest_chain(semiring_from_id("trivial")) == 0
 
 
-@pytest.mark.parametrize("L", range(1, 41))
-def test_capped_chain_shortcut_agrees_with_longest_chain(L):
-    s = semirings.CappedSemiring(L)
-    assert semirings.ordered_chain(s) == longest_chain(s) == L + 1
+def test_capped_chain_shortcut_agrees_with_longest_chain():
+    for L in range(1, 41):
+        s = semirings.CappedSemiring(L)
+        assert semirings.ordered_chain(s) == longest_chain(s) == L + 1, L
 
 
 def test_longest_chain_rejects_non_antisymmetric():
