@@ -31,6 +31,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InvalidParameter, ParseError
 from .frontend import (
+    MAX_ATOMS,
     GroundAtom,
     GroundedLinearSystem,
     GroundedPolynomialSystem,
@@ -112,8 +113,17 @@ def _tables(s: Semiring):
     return table(s.add), table(s.mul)
 
 
+def _readers(n: int, reads: Iterable[Iterable[int]]) -> List[List[int]]:
+    """The rows that read each column: ``reads`` transposed."""
+    readers: List[List[int]] = [[] for _ in range(n)]
+    for i, cols in enumerate(reads):
+        for c in cols:
+            readers[c].append(i)
+    return readers
+
+
 def _linear_rows(A: Matrix):
-    """The columns each row of x <- Ax (+) b reads, and ``rows_for(b)``.
+    """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
 
     ``rows_for(b)`` makes the row function of x <- Ax (+) b. A row folds
     ``add(acc, mul(A[i][j], x[j]))`` from zero over the row's entries, as
@@ -160,11 +170,11 @@ def _linear_rows(A: Matrix):
 
         return table_row
 
-    return [[j for j, _ in r] for r in rows], rows_for
+    return _readers(A.n, map(A.row, range(A.n))), rows_for
 
 
 def _polynomial_rows(psys: GroundedPolynomialSystem):
-    """The columns each monomial row reads, and the row function."""
+    """The rows that read each column of a monomial system, and the row function."""
     s = psys.semiring
     add, mul, zero = s.add, s.mul, s.zero
     monomials = psys.monomials
@@ -178,7 +188,7 @@ def _polynomial_rows(psys: GroundedPolynomialSystem):
             acc = add(acc, term)
         return acc
 
-    return [{c for _, cols in r for c in cols} for r in monomials], row
+    return _readers(psys.n, ({c for _, cols in r for c in cols} for r in monomials)), row
 
 
 def _default_cap(semiring: Semiring, n: int) -> int:
@@ -200,15 +210,16 @@ def _default_cap(semiring: Semiring, n: int) -> int:
     return max(candidates)
 
 
-def _iterate(semiring, n, reads, row, cap, inflationary) -> IterationTrace:
+def _iterate(semiring, n, readers, row, cap, inflationary) -> IterationTrace:
     """Naive iteration that recomputes only the rows whose inputs changed.
 
     Step 1 computes every row; after that row i is recomputed only when a
-    column it reads changed in the previous step (under ``inflationary`` it
-    also reads its own column). A row whose columns all equal their previous
-    values would recompute the value it already holds, because ``==`` is a
-    congruence for add and mul; neither idempotence nor distributivity is
-    needed, so every state and index equals that of a full recompute. The
+    column it reads changed in the previous step (``readers[c]`` lists the
+    rows that read column c; under ``inflationary`` a row also reads its own
+    column). A row whose columns all equal their previous values would
+    recompute the value it already holds, because ``==`` is a congruence for
+    add and mul; neither idempotence nor distributivity is needed, so every
+    state and index equals that of a full recompute. The
     step's changes are written into the one working vector only after every
     dirty row has read the previous state.
     """
@@ -217,12 +228,6 @@ def _iterate(semiring, n, reads, row, cap, inflationary) -> IterationTrace:
     if cap is None:
         cap = _default_cap(semiring, n)
     add = semiring.add
-    readers: List[List[int]] = [[] for _ in range(n)]
-    for i, cols in enumerate(reads):
-        for c in cols:
-            readers[c].append(i)
-        if inflationary:
-            readers[i].append(i)
     start = (semiring.zero,) * n
     x = list(start)
     log = []
@@ -241,6 +246,8 @@ def _iterate(semiring, n, reads, row, cap, inflationary) -> IterationTrace:
         for i, v in step:
             x[i] = v
         dirty = {r for i, _ in step for r in readers[i]}
+        if inflationary:
+            dirty.update(i for i, _ in step)
     return IterationTrace(start, tuple(log), tuple(x), None, True)
 
 
@@ -255,8 +262,8 @@ def naive_eval_linear(
     Stops at ``cap`` applications without convergence and flags the trace as
     capped instead of raising. ``inflationary`` switches to x <- x (+) f(x).
     """
-    reads, rows_for = _linear_rows(sys.A)
-    return _iterate(sys.semiring, sys.n, reads, rows_for(sys.b), cap, inflationary)
+    readers, rows_for = _linear_rows(sys.A)
+    return _iterate(sys.semiring, sys.n, readers, rows_for(sys.b), cap, inflationary)
 
 
 def naive_eval_general(
@@ -266,8 +273,8 @@ def naive_eval_general(
     inflationary: bool = False,
 ) -> IterationTrace:
     """Same contract as naive_eval_linear, for monomial systems."""
-    reads, row = _polynomial_rows(psys)
-    return _iterate(psys.semiring, psys.n, reads, row, cap, inflationary)
+    readers, row = _polynomial_rows(psys)
+    return _iterate(psys.semiring, psys.n, readers, row, cap, inflationary)
 
 
 def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:
@@ -277,9 +284,9 @@ def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:
     that runs several columns of one matrix builds it once.
     """
     s, n = A.semiring, A.n
-    reads, rows_for = kernel or _linear_rows(A)
+    readers, rows_for = kernel or _linear_rows(A)
     row = rows_for([s.one if i == j else s.zero for i in range(n)])
-    return _iterate(s, n, reads, row, cap, False)
+    return _iterate(s, n, readers, row, cap, False)
 
 
 def matrix_power_sum(A: Matrix, k: int) -> Matrix:
@@ -343,11 +350,6 @@ def save_system(sys: GroundedLinearSystem, header: Sequence[str] = ()) -> str:
             lines.append(f"b {i} {s.show(v)}")
     return "\n".join(lines) + "\n"
 
-
-# the largest n a matrix file may declare: loading allocates a label, a matrix
-# row and vector entries for every atom, so a larger header is a parse error
-# instead of a failed (or machine-filling) allocation
-MAX_ATOMS = 1_000_000
 
 # fields after the key on each kind of line; the last field keeps its spaces
 _LINE_FIELDS = {"semiring": 1, "n": 1, "A": 3, "b": 2}

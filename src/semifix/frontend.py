@@ -20,17 +20,21 @@ Grounding binds each body product's variables by joining its EDB atoms with
 the facts (a variable no EDB atom binds ranges over the active domain) and
 produces the linear system f(x) = Ax (+) b, one coordinate per ground atom of
 a derived predicate (or a monomial system when some product uses two or more
-derived atoms).
+derived atoms). Ground atoms are numbered arithmetically, digits of constant
+positions, so the set of all of them is never built; only the atoms a system
+keeps are turned back into names.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from .errors import GroundingError, MalformedElement, MalformedLiteral, ParseError
@@ -513,6 +517,12 @@ def parse_facts_tsv(semiring: Semiring, text: str) -> EDBInstance:
 # Grounded systems
 # ---------------------------------------------------------------------------
 
+# the most atoms a system may hold when every atom is kept: a matrix file's
+# n, or ground atoms without pruning. Each atom costs a label, a matrix row
+# and vector entries, so a larger one is an error instead of a failed (or
+# machine-filling) allocation
+MAX_ATOMS = 1_000_000
+
 @dataclass(frozen=True)
 class GroundedSystem:
     """Ground atoms over a semiring; atom k is coordinate k of the system."""
@@ -573,12 +583,17 @@ def ground(
     """Instantiate the rules over the active domain.
 
     Linear programs yield a GroundedLinearSystem unless ``force_polynomial``
-    asks for the monomial form. Ground atoms are enumerated over the active
-    domain extended with constants named in rules, then (optionally) cut down
-    to the atoms that can ever contribute a nonzero value. A body product's
-    bindings are those of the active-domain loop whose EDB atoms all find a
-    fact, each once: a join of the EDB atoms in body order, times every
-    active-domain value of the variables no EDB atom binds.
+    asks for the monomial form. Ground atoms range over the active domain
+    extended with constants named in rules (gdom), and are numbered, never
+    listed: ``p(c_1..c_r)`` is p's first number plus ``Σ pos(c_i) * |gdom| **
+    (r - i)`` for sorted positions pos and predicates in sorted order, its
+    place in the sorted list of all n_raw atoms. A body product's bindings
+    are those of the active-domain loop whose EDB atoms all find a fact, each
+    once: a join of the EDB atoms in body order, times every active-domain
+    value of the variables no EDB atom binds. Only kept atoms are decoded to
+    ``(pred, args)``: under ``prune`` those that can ever reach a nonzero
+    value, so memory is O(terms + kept atoms); otherwise all n_raw, and more
+    than MAX_ATOMS raise GroundingError before anything is allocated.
     """
     s = db.semiring
     linear = classify_linearity(program).linear and not force_polynomial
@@ -594,10 +609,13 @@ def ground(
                 f"fact given for derived predicate {pred}; its values come from iteration",
                 *db.positions.get((pred, args), (None, None)),
             )
-    # facts grouped by predicate, in insertion order
-    by_pred: Dict[str, List[Tuple[Tuple[str, ...], Any]]] = {}
+    adom = db.active_domain
+    gdom = tuple(sorted(set(adom) | set(program.rule_constants())))
+    code = {c: k for k, c in enumerate(gdom)}
+    # facts grouped by predicate, in insertion order, with coded arguments
+    by_pred: Dict[str, List[Tuple[Tuple[int, ...], Any]]] = {}
     for (pred, args), v in db.facts.items():
-        by_pred.setdefault(pred, []).append((args, v))
+        by_pred.setdefault(pred, []).append((tuple(map(code.__getitem__, args)), v))
     # the first body atom of each predicate, which its errors name
     body_atoms = [(a.pred, a) for r in program.rules for p in r.body for a in p.atoms]
     for pred, atom in sorted(dict(reversed(body_atoms)).items()):
@@ -607,23 +625,37 @@ def ground(
         if pred in by_pred and len(by_pred[pred][0][0]) != len(atom.args):
             raise GroundingError(f"predicate {pred} used with inconsistent arity", *at)
 
-    adom = db.active_domain
-    gdom = tuple(sorted(set(adom) | set(program.rule_constants())))
+    radix = len(gdom)
+    arity = {r.head.pred: len(r.head.args) for r in program.rules}
+    preds = sorted(arity)
+    starts = list(itertools.accumulate((radix ** arity[p] for p in preds), initial=0))
+    n_raw = starts.pop()
+    # the weight of each argument position in an atom's number
+    places = [tuple(radix ** e for e in reversed(range(arity[p]))) for p in preds]
+    if not prune and n_raw > MAX_ATOMS:
+        raise GroundingError(
+            f"{n_raw} ground atoms without pruning exceed the limit of {MAX_ATOMS} atoms"
+        )
+    block = {p: (c, w) for p, c, w in zip(preds, starts, places)}
 
-    idb_arity: Dict[str, int] = {}
-    for r in program.rules:
-        idb_arity[r.head.pred] = len(r.head.args)
-    universe: List[GroundAtom] = []
-    for pred in sorted(idb_arity):
-        for combo in itertools.product(gdom, repeat=idb_arity[pred]):
-            universe.append((pred, combo))
-    index = {atom: i for i, atom in enumerate(universe)}
-    n_raw = len(universe)
+    def form(atom: Atom, slot: Dict[str, int], free: Sequence[str]):
+        """The atom's number: a constant, (binding slot, weight) pairs, free weights."""
+        c, place = block[atom.pred]
+        bound_w, free_w = {}, dict.fromkeys(free, 0)
+        for t, w in zip(atom.args, place):
+            if isinstance(t, Const):
+                c += w * code[t.name]
+            elif t.name in slot:
+                bound_w[slot[t.name]] = bound_w.get(slot[t.name], 0) + w
+            else:
+                free_w[t.name] += w
+        return c, tuple(bound_w.items()), tuple(free_w.values())
 
-    # one entry per (head index, sorted derived-atom indices): no column is a
-    # constant term (b), one column a linear term (A), more a monomial
-    entries: Dict[Tuple[int, Tuple[int, ...]], Any] = {}
-    zero, one = s.zero, s.one
+    # one entry per (head index, sorted derived-atom indices...): no derived
+    # atom is a constant term (b), one a linear term (A), more a monomial
+    entries: Dict[Tuple[int, ...], Any] = {}
+    zero, one, add = s.zero, s.one, s.add
+    adom_codes = [code[c] for c in adom]  # the values free variables take
 
     for rule in program.rules:
         for prod in rule.body:
@@ -631,32 +663,47 @@ def ground(
             # variables no EDB atom binds range over the active domain
             slot: Dict[str, int] = {}
             steps = [
-                _join_step(a, by_pred[a.pred], slot) for a in prod.atoms if a.pred not in idb
+                _join_step(a, by_pred[a.pred], slot, code) for a in prod.atoms if a.pred not in idb
             ]
             names = dict.fromkeys(rule.head.variables() + prod.variables())
             free = [v for v in names if v not in slot]
-            var_list = [*slot, *free]
-            idb_atoms = [_instantiator(a, var_list) for a in prod.atoms if a.pred in idb]
-            head = _instantiator(rule.head, var_list)
+            forms = [form(a, slot, free) for a in (rule.head, *prod.atoms) if a.pred in idb]
+            monomial = len(forms) > 2
+            # what each assignment of the free variables adds to each number
+            shifts = [
+                tuple(sum(map(operator.mul, fw, rest)) for *_, fw in forms)
+                for rest in itertools.product(adom_codes, repeat=len(free))
+            ] if free else [()]
             for bound, coeff in _join(steps, one, s.mul):
                 if coeff == zero:
                     continue
-                for rest in itertools.product(adom, repeat=len(free)):
-                    combo = bound + rest
-                    cols = [index[atom(combo)] for atom in idb_atoms]
-                    if len(cols) > 1:
-                        cols.sort()
-                    key = (index[head(combo)], tuple(cols))
-                    entries[key] = s.add(entries.get(key, zero), coeff)
+                at = []
+                for c, terms, _ in forms:
+                    for k, w in terms:
+                        c += w * bound[k]
+                    at.append(c)
+                at = tuple(at)
+                for shift in shifts:
+                    key = tuple(map(operator.add, at, shift)) if shift else at
+                    if monomial:
+                        key = (key[0], *sorted(key[1:]))
+                    # a first term is stored as it is: add(O, v) == v on every carrier
+                    entries[key] = add(entries[key], coeff) if key in entries else coeff
 
     entries = {k: v for k, v in entries.items() if v != zero}
     keep = _productive(entries) if prune else range(n_raw)
     remap = {old: new for new, old in enumerate(keep)}
-    atoms = tuple(universe[i] for i in keep)
+
+    def decode(k: int) -> GroundAtom:
+        p = bisect.bisect_right(starts, k) - 1
+        k -= starts[p]
+        return preds[p], tuple([gdom[k // w % radix] for w in places[p]])
+
+    atoms = tuple(map(decode, keep))
     a_entries: List[Tuple[int, int, Any]] = []
     b = [zero] * len(keep)
     rows: List[List[Monomial]] = [[] for _ in keep]
-    for (i, cols), v in entries.items():
+    for (i, *cols), v in entries.items():
         kept_cols = tuple(map(remap.get, cols))
         # a term whose derived atoms are all kept has a kept head
         if None in kept_cols:
@@ -673,19 +720,20 @@ def ground(
     return GroundedPolynomialSystem(s, atoms, monomials, n_raw)
 
 
-def _join_step(atom: Atom, facts: Sequence[Tuple[Tuple[str, ...], Any]], slot: Dict[str, int]):
+def _join_step(atom: Atom, facts: Sequence, slot: Dict[str, int], code: Mapping[str, int]):
     """Index the facts that match ``atom`` by the variables bound before it.
 
-    ``slot`` maps each bound variable to its position in a binding; the
-    atom's new variables are appended to it. Returns the binding positions of
-    the key and ``{key: [(values of the new variables, fact value), ...]}``,
-    which keeps only the facts that agree with the atom's constants and
-    repeat a repeated new variable.
+    Fact arguments are constant codes; ``code`` gives the atom's constants
+    theirs. ``slot`` maps each bound variable to its position in a binding;
+    the atom's new variables are appended to it. Returns the binding
+    positions of the key and ``{key: [(values of the new variables, fact
+    value), ...]}``, which keeps only the facts that agree with the atom's
+    constants and repeat a repeated new variable.
     """
     fixed, key_pos, key_slots, same, first = [], [], [], [], {}
     for p, t in enumerate(atom.args):
         if isinstance(t, Const):
-            fixed.append((p, t.name))
+            fixed.append((p, code[t.name]))
         elif t.name in slot:
             key_pos.append(p)
             key_slots.append(slot[t.name])
@@ -697,10 +745,15 @@ def _join_step(atom: Atom, facts: Sequence[Tuple[Tuple[str, ...], Any]], slot: D
         slot[name] = len(slot)
     new_pos = tuple(first.values())
     index: Dict[tuple, List[Tuple[tuple, Any]]] = {}
+    if fixed or same:
+        facts = [
+            (args, v) for args, v in facts
+            if all(args[p] == c for p, c in fixed) and all(args[p] == args[q] for p, q in same)
+        ]
     for args, v in facts:
-        if all(args[p] == c for p, c in fixed) and all(args[p] == args[q] for p, q in same):
-            key = tuple(args[p] for p in key_pos)
-            index.setdefault(key, []).append((tuple(args[p] for p in new_pos), v))
+        index.setdefault(tuple(map(args.__getitem__, key_pos)), []).append(
+            (tuple(map(args.__getitem__, new_pos)), v)
+        )
     return tuple(key_slots), index
 
 
@@ -736,44 +789,39 @@ def _join(steps, one, mul) -> Iterator[Tuple[tuple, Any]]:
             k -= 1
 
 
-def _instantiator(atom: Atom, var_list: Sequence[str]) -> Callable[[tuple], GroundAtom]:
-    """The ground instance of ``atom`` as a function of values for ``var_list``."""
-    pred = atom.pred
-    consts = tuple(t.name for t in atom.args if isinstance(t, Const))
-    # positions in the values followed by the constants
-    slots = [
-        var_list.index(t.name) if isinstance(t, Var) else len(var_list) + consts.index(t.name)
-        for t in atom.args
-    ]
-    return lambda combo: (pred, tuple(map((combo + consts).__getitem__, slots)))
+def _productive(keys: Iterable[Tuple[int, ...]]) -> List[int]:
+    """Atoms that can reach a nonzero value, ascending, from distinct term keys.
 
-
-def _productive(entries: Iterable[Tuple[int, Tuple[int, ...]]]) -> List[int]:
-    """Atoms that can reach a nonzero value, ascending.
-
-    A term makes its head productive once each of its distinct derived atoms
-    is; each term counts down the atoms it still waits on.
+    A term ``(head, derived atoms...)`` with one distinct derived atom makes
+    its head productive once that atom is; a term with more counts down the
+    atoms it still waits on.
     """
+    feeds: Dict[int, List[int]] = {}  # atom -> heads of its one-atom terms
+    waiting: Dict[int, List[int]] = {}  # atom -> the longer terms waiting on it
     heads: List[int] = []
     missing: List[int] = []
-    waiting: Dict[int, List[int]] = {}
     work: List[int] = []
-    for t, (i, cols) in enumerate(entries):
-        need = set(cols) if len(cols) > 1 else cols
-        heads.append(i)
-        missing.append(len(need))
-        for c in need:
-            waiting.setdefault(c, []).append(t)
+    for key in keys:
+        need = set(key[1:]) if len(key) > 2 else key[1:]
         if not need:
-            work.append(i)
-    productive = set()
+            work.append(key[0])
+        elif len(need) == 1:
+            feeds.setdefault(key[-1], []).append(key[0])
+        else:
+            for c in need:
+                waiting.setdefault(c, []).append(len(heads))
+            heads.append(key[0])
+            missing.append(len(need))
+    productive = set(work)
     while work:
         i = work.pop()
-        if i in productive:
-            continue
-        productive.add(i)
+        ready = feeds.pop(i, [])
         for t in waiting.get(i, ()):
             missing[t] -= 1
             if not missing[t]:
-                work.append(heads[t])
+                ready.append(heads[t])
+        for h in ready:
+            if h not in productive:
+                productive.add(h)
+                work.append(h)
     return sorted(productive)

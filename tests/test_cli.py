@@ -369,6 +369,39 @@ def test_semiring_too_large_exits_1_at_once(sid, message):
     assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
+# a 400-edge cycle: 64,000,000 ground atoms of T, 400 of them productive
+WIDE_PROGRAM = "@semiring trop\nT(X,Y,Z) :- E(X,Y)*E(Y,Z).\n" + "".join(
+    f"E(v{k},v{(k + 1) % 400}) = {k % 7 + 1}.\n" for k in range(400)
+)
+
+
+@pytest.mark.parametrize("command", ["run", "ground"])
+def test_wide_program_grounds_within_the_memory_limit(tmp_path, command):
+    prog = tmp_path / "wide.dl"
+    prog.write_text(WIDE_PROGRAM)
+
+    def cli(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "semifix", command, str(prog), *flags],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            preexec_fn=_limit_memory,
+            timeout=60,
+        )
+
+    res = cli()
+    assert (res.returncode, res.stderr) == (0, "")
+    if command == "run":
+        assert sum(line.startswith("T(") for line in res.stdout.splitlines()) == 400
+        assert "T(v0,v1,v2) = 3\n" in res.stdout
+    else:
+        assert "\nn 400\n" in res.stdout
+    res = cli("--no-prune")
+    message = "64000000 ground atoms without pruning exceed the limit of 1000000 atoms"
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_semiring_flag_overrides_a_bad_directive(tmp_path, capsys):
     prog = tmp_path / "p.dl"
     prog.write_text("@semiring capped:99999\nT(X) :- E(X).\nE(a).\n")

@@ -22,6 +22,7 @@ from semifix import (
 )
 from semifix.errors import MalformedLiteral
 from semifix.frontend import Atom, Const, Product, Program, Rule, Var
+from semifix.semirings import TropSemiring
 
 from conftest import ALL_IDS
 
@@ -664,6 +665,10 @@ def _features(program):
     for rule in program.rules:
         if len(set(rule.head.variables())) < len(rule.head.variables()):
             seen.add("repeated head variable")
+        if set(rule.head.constants()) - set("abcd"):
+            seen.add("head constant outside the active domain")
+        if len(rule.head.args) == 3:
+            seen.add("arity-3 derived predicate")
         for prod in rule.body:
             edb = [a for a in prod.atoms if a.pred not in idb]
             seen.add(f"{len(edb)} EDB atoms")
@@ -674,12 +679,46 @@ def _features(program):
             edb_vars = {v for a in edb for v in a.variables()}
             if set(prod.variables()) - edb_vars:
                 seen.add("variable only in derived atoms")
+            if len(set(prod.variables()) - edb_vars) > 1:
+                seen.add("two free variables")
             if sum(a.pred in idb for a in prod.atoms) > 1:
                 seen.add("nonlinear")
     return seen
 
 
 DIFF_IDS = ALL_IDS + ("capped:5", "capped:6")
+
+
+# fixed inputs for the atom numbering, checked after the random draws
+NUMBERING_PROGRAMS = (
+    # an arity-3 derived predicate next to arity-1 and arity-2 ones, so
+    # numbers and decoding cross three blocks of different sizes
+    "V(X,Y,Z) :- E(X,Y)*G(Y,Z) + T(X,Z)*F(Y).\n"
+    "T(X,Y) :- G(X,Y) + V(X,Z,Y)*F(Z).\n"
+    "U(X) :- F(X) + V(X,X,Y)*F(Y).\n",
+    # products with two free variables, linear and not
+    "T(X,Y) :- E(X,Y) + T(Y,X).\nU(X) :- F(X) + T(Y,Z)*G(X,X).\n",
+    "T(X,Y) :- E(X,Y) + U(X)*U(Y).\nU(X) :- F(X) + T(X,Y)*T(Y,Z).\n",
+    # head constants outside the active domain a..d
+    "T(k,X) :- F(X) + T(k,Y)*E(Y,X).\nU(k) :- T(k,X)*F(X).\nU(X) :- T(X,k).\n",
+)
+
+
+def _assert_ground_matches_reference(program, db):
+    for prune in (False, True):
+        for force_polynomial in (False, True):
+            got = ground(program, db, prune=prune, force_polynomial=force_polynomial)
+            atoms, n_raw, a_entries, b, monomials = reference_ground(
+                program, db, prune, force_polynomial
+            )
+            assert got.atoms == atoms
+            assert got.n_raw == n_raw
+            if monomials is None:
+                assert isinstance(got, GroundedLinearSystem)
+                assert list(got.A.entries()) == a_entries
+                assert got.b == b
+            else:
+                assert got.monomials == monomials
 
 
 @pytest.mark.parametrize("sid", DIFF_IDS)
@@ -691,22 +730,51 @@ def test_ground_matches_active_domain_reference(sid):
         program = parse_program(_random_program(rng, linear=trial % 3 != 0))
         db = _random_facts(rng, s)
         seen |= _features(program)
-        for prune in (False, True):
-            for force_polynomial in (False, True):
-                got = ground(program, db, prune=prune, force_polynomial=force_polynomial)
-                atoms, n_raw, a_entries, b, monomials = reference_ground(
-                    program, db, prune, force_polynomial
-                )
-                assert got.atoms == atoms
-                assert got.n_raw == n_raw
-                if monomials is None:
-                    assert isinstance(got, GroundedLinearSystem)
-                    assert list(got.A.entries()) == a_entries
-                    assert got.b == b
-                else:
-                    assert got.monomials == monomials
+        _assert_ground_matches_reference(program, db)
+    for text in NUMBERING_PROGRAMS:
+        program = parse_program(text)
+        seen |= _features(program)
+        for _ in range(2):
+            _assert_ground_matches_reference(program, _random_facts(rng, s))
     assert seen >= {
         "0 EDB atoms", "1 EDB atoms", "2 EDB atoms", "3 EDB atoms", "constant",
         "repeated variable in an EDB atom", "variable only in derived atoms",
-        "repeated head variable", "nonlinear",
+        "repeated head variable", "nonlinear", "two free variables",
+        "head constant outside the active domain", "arity-3 derived predicate",
     }
+
+
+def test_distinct_term_keys_are_stored_without_add():
+    # a first term is stored as it is; add(O, v) == v makes that exact
+    s = TropSemiring()  # a private instance, so counting wraps no shared carrier
+    calls = {"add": 0}
+    add = s.add
+
+    def counted_add(a, b):
+        calls["add"] += 1
+        return add(a, b)
+
+    # the path program over a DAG: each (T(x,y), T(x,z)) term comes from one
+    # edge z -> y, and each T(x,y) constant term from the edge x -> y
+    edges = [("a", "b", "3"), ("b", "c", "4"), ("a", "c", "9"), ("c", "d", "1")]
+    db = build_edb(s, [("E", (u, v), w) for u, v, w in edges])
+    for text, adds in ((TC, 0), ("U(X) :- E(X,Y).\n", 1)):  # U(a) sums two edges
+        program = parse_program(text)
+        expected = reference_ground(program, db)
+        s.add = counted_add
+        got = ground(program, db)
+        del s.add
+        assert calls == {"add": adds}
+        assert (got.atoms, got.n_raw, list(got.A.entries()), got.b) == expected[:4]
+        calls["add"] = 0
+
+
+def test_no_prune_over_the_atom_limit_raises_before_allocating():
+    # 200 constants and an arity-3 head: 8,000,000 atoms, none of them built
+    s = semiring_from_id("bool")
+    db = build_edb(s, [("E", (f"v{k}", f"v{(k + 1) % 200}"), None) for k in range(200)])
+    program = parse_program("T(X,Y,Z) :- E(X,Y)*E(Y,Z).\n")
+    with pytest.raises(GroundingError, match="^8000000 ground atoms without pruning exceed"):
+        ground(program, db, prune=False)
+    assert ground(program, db).n_raw == 8_000_000
+    assert ground(program, db).n == 200
