@@ -848,6 +848,13 @@ MALFORMED_PROGRAMS = [
         "T(X) :- E(X).\n  @semiring capped:99999\nE(a).\n",
         "line 2, col 3: carrier size 100001 exceeds the limit 4096",
     ),
+    # tokenizer edge cases: end of input after a comment stays at the '%'
+    ("T(X) :- E(X).\nE(a) % c", "line 2, col 6: expected ':-', '=' or '.', got 'end of input'"),
+    ("T(X) :- E(X).\nE(a)\t\t", "line 2, col 7: expected ':-', '=' or '.', got 'end of input'"),
+    ("T(X) :- E(X).\r\nE(a) x.\r\n", "line 2, col 6: expected ':-', '=' or '.', got 'x'"),
+    ("T(X) :- E(X).\nE(1.5.2).\n", "line 2, col 6: expected ',' or ')', got '.'"),
+    ("T(X) :- E(X).\nE(12ab).\n", "line 2, col 5: expected ',' or ')', got 'ab'"),
+    ("T(X) :- E(X).\nE(\u00bd).\n", "line 2, col 3: unexpected character '\u00bd'"),
 ]
 
 

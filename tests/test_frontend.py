@@ -89,6 +89,21 @@ def test_parse_bag_literal_fact():
     assert p.facts[0].literal == "[3,7]"
 
 
+@pytest.mark.parametrize(
+    "text, semiring_id, literal",
+    [
+        ("T(X) :- E(X).\nE(a) = [1, 2 ].\n", None, "[1,2]"),
+        ("T(X) :- E(X).\nE(a) = 3 / 4.\n", None, "3/4"),
+        ("T(X) :- E(X).\nE(a) = 2.5.\n", None, "2.5"),
+        ("@semiring trop% c\nT(X) :- E(X).\nE(a) = 1.\n", "trop", "1"),
+    ],
+)
+def test_literal_text_joins_its_tokens(text, semiring_id, literal):
+    p = parse_program(text)
+    assert p.semiring_id == semiring_id
+    assert p.facts[0].literal == literal
+
+
 def test_comments_ignored():
     p = parse_program("% header\nP(X) :- Q(X). % trailing\n% done\n")
     assert len(p.rules) == 1
