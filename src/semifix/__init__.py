@@ -50,7 +50,6 @@ from .frontend import (
     ground,
     parse_facts_tsv,
     parse_program,
-    print_program,
 )
 from .generators import (
     BlockedGraph,
@@ -85,7 +84,6 @@ from .walks import (
     reassemble,
     walk_label_product,
     walk_sum_exact,
-    walk_sum_matrices,
     walk_sum_upto,
 )
 

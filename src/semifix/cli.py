@@ -410,6 +410,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        head = exc.object[:exc.start]
+        line, col = head.count(b"\n") + 1, len(head) - head.rfind(b"\n")
+        byte = exc.object[exc.start]
+        print(f"error: line {line}, col {col}: invalid UTF-8 byte {byte:#04x}", file=sys.stderr)
+        return 1
 
 
 def console_entry():  # pragma: no cover - thin wrapper

@@ -9,12 +9,14 @@ Surface syntax, one statement per ``.``-terminated clause:
     E(b,c) = 4.
 
 ``+`` is semiring addition, ``*`` is semiring multiplication, ``%`` starts a
-comment. Names followed by ``(`` are predicates; capitalized arguments are
-variables, lowercase identifiers and numbers are constants. A fact without
-``= literal`` carries the multiplicative identity (``true`` under bool).
-Variables that occur in a body but not in the head are summed over the active
-domain. Facts may also come from a separate TSV file with columns
-``predicate, arg1..argk, literal``.
+comment. A name starts with a letter or ``_`` and goes on with characters that
+are ``str.isalnum()`` or ``_``; a number is Unicode decimal digits with an
+optional ``.digits`` part. Names followed by ``(`` are predicates;
+capitalized arguments are variables, lowercase identifiers and numbers are
+constants. A fact without ``= literal`` carries the multiplicative identity
+(``true`` under bool). Variables that occur in a body but not in the head are
+summed over the active domain. Facts may also come from a separate TSV file
+with columns ``predicate, arg1..argk, literal``.
 
 Grounding binds each body product's variables by joining its EDB atoms with
 the facts (a variable no EDB atom binds ranges over the active domain) and
@@ -30,6 +32,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -53,100 +56,49 @@ def format_ground_atom(atom: GroundAtom) -> str:
 # Tokens
 # ---------------------------------------------------------------------------
 
+# Alternatives are tried in order at each position; ERROR takes any character
+# no other alternative starts with, so the matches cover the whole text.
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>%[^\n]*)|(?P<ARROW>:-)|(?P<COLON>:)"
+    r"|(?P<DIRECTIVE>@(?P<name>\w*)[ \t]*(?P<word>[^\s%]*))"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)|(?P<NAME>\w+)|(?P<PUNCT>[(),.+*=\[\]/])|(?P<ERROR>.)"
+)
 _PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    ".": "DOT",
-    "+": "PLUS",
-    "*": "STAR",
-    "=": "EQUALS",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    "/": "SLASH",
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "+": "PLUS",
+    "*": "STAR", "=": "EQUALS", "[": "LBRACK", "]": "RBRACK", "/": "SLASH",
 }
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = Tuple[str, str, int, int]  # kind, text, line, col
 
 
 def tokenize(text: str) -> List[Token]:
+    """Tokens of ``text`` ending in EOF; a lexical error raises ParseError."""
     tokens: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k=1):
-        nonlocal i, col
-        i += k
-        col += k
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif c in " \t\r":
-            advance()
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == ":":
-            if i + 1 < n and text[i + 1] == "-":
-                tokens.append(Token("ARROW", ":-", line, col))
-                advance(2)
-            else:
-                raise ParseError("expected :- ", line, col)
-        elif c == "@":
-            start_col = col
-            advance()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            name = text[i:j]
-            if not name:
-                raise ParseError("expected a directive name after @", line, col)
-            tokens.append(Token("DIRECTIVE", name, line, start_col))
-            advance(j - i)
-            while i < n and text[i] in " \t":
-                advance()
-            j = i
-            while j < n and not text[j].isspace() and text[j] != "%":
-                j += 1
-            if j > i:
-                tokens.append(Token("WORD", text[i:j], line, col))
-                advance(j - i)
-        elif c.isdigit():
-            start_col = col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j + 1 < n and text[j] == "." and text[j + 1].isdigit():
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(Token("NUMBER", text[i:j], line, start_col))
-            advance(j - i)
-        elif c.isalpha() or c == "_":
-            start_col = col
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "VAR" if word[0].isupper() else "IDENT"
-            tokens.append(Token(kind, word, line, start_col))
-            advance(j - i)
-        elif c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
-            advance()
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start, m = 1, 0, None
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "NAME":
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            tokens.append(("VAR" if word[0].isupper() else "IDENT", word, line, col))
+        elif kind == "PUNCT":
+            tokens.append((_PUNCT[word], word, line, col))
+        elif kind in ("NUMBER", "ARROW"):
+            tokens.append((kind, word, line, col))
+        elif kind == "DIRECTIVE":
+            if not m.group("name"):
+                raise ParseError("expected a directive name after @", line, col + 1)
+            tokens.append((kind, m.group("name"), line, col))
+            if m.group("word"):
+                tokens.append(("WORD", m.group("word"), line, m.start("word") - line_start + 1))
+        elif kind == "COLON":
+            raise ParseError("expected :- ", line, col)
+        elif kind == "ERROR":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+    # end of input after a trailing comment is reported at its '%'
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
+    tokens.append(("EOF", "", line, end - line_start + 1))
     return tokens
 
 
@@ -238,6 +190,10 @@ class Program:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _unexpected(what: str, t: Token) -> ParseError:
+    return ParseError(f"expected {what}, got {t[1] or 'end of input'!r}", t[2], t[3])
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
@@ -252,45 +208,41 @@ class _Parser:
         return t
 
     def expect(self, kind: str, what: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            got = t.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", t.line, t.col)
+        if self.peek()[0] != kind:
+            raise _unexpected(what, self.peek())
         return self.next()
 
     def parse_atom(self) -> Atom:
-        t = self.peek()
-        if t.kind not in ("IDENT", "VAR"):
-            raise ParseError(f"expected a predicate name, got {t.text!r}", t.line, t.col)
+        kind, name, line, col = self.peek()
+        if kind not in ("IDENT", "VAR"):
+            raise ParseError(f"expected a predicate name, got {name!r}", line, col)
         self.next()
         self.expect("LPAREN", "'(' after predicate name")
         args: List[Term] = []
         while True:
             a = self.next()
-            if a.kind == "VAR":
-                args.append(Var(a.text))
-            elif a.kind in ("IDENT", "NUMBER"):
-                args.append(Const(a.text))
+            if a[0] == "VAR":
+                args.append(Var(a[1]))
+            elif a[0] in ("IDENT", "NUMBER"):
+                args.append(Const(a[1]))
             else:
-                got = a.text or "end of input"
-                raise ParseError(f"expected an argument, got {got!r}", a.line, a.col)
+                raise _unexpected("an argument", a)
             sep = self.next()
-            if sep.kind == "RPAREN":
+            if sep[0] == "RPAREN":
                 break
-            if sep.kind != "COMMA":
-                got = sep.text or "end of input"
-                raise ParseError(f"expected ',' or ')', got {got!r}", sep.line, sep.col)
-        return Atom(t.text, tuple(args), (t.line, t.col))
+            if sep[0] != "COMMA":
+                raise _unexpected("',' or ')'", sep)
+        return Atom(name, tuple(args), (line, col))
 
     def parse_body(self) -> Tuple[Product, ...]:
         products: List[Product] = []
         while True:
             atoms = [self.parse_atom()]
-            while self.peek().kind == "STAR":
+            while self.peek()[0] == "STAR":
                 self.next()
                 atoms.append(self.parse_atom())
             products.append(Product(tuple(atoms)))
-            if self.peek().kind != "PLUS":
+            if self.peek()[0] != "PLUS":
                 break
             self.next()
         return tuple(products)
@@ -299,16 +251,16 @@ class _Parser:
         parts: List[str] = []
         depth = 0
         while True:
-            t = self.peek()
-            if t.kind == "EOF":
-                raise ParseError("unterminated fact literal", t.line, t.col)
-            if t.kind == "DOT" and depth == 0:
+            kind, text, line, col = self.peek()
+            if kind == "EOF":
+                raise ParseError("unterminated fact literal", line, col)
+            if kind == "DOT" and depth == 0:
                 break
-            if t.kind == "LBRACK":
+            if kind == "LBRACK":
                 depth += 1
-            elif t.kind == "RBRACK":
+            elif kind == "RBRACK":
                 depth -= 1
-            parts.append(t.text)
+            parts.append(text)
             self.next()
         return "".join(parts)
 
@@ -320,34 +272,32 @@ def parse_program(text: str) -> Program:
     facts: List[FactStmt] = []
     semiring_id: Optional[str] = None
     semiring_pos: Optional[Tuple[int, int]] = None
-    while p.peek().kind != "EOF":
-        t = p.peek()
-        if t.kind == "DIRECTIVE":
+    while p.peek()[0] != "EOF":
+        kind, name, line, col = p.peek()
+        if kind == "DIRECTIVE":
             p.next()
-            if t.text != "semiring":
-                raise ParseError(f"unknown directive @{t.text}", t.line, t.col)
+            if name != "semiring":
+                raise ParseError(f"unknown directive @{name}", line, col)
             if semiring_id is not None:
-                raise ParseError("duplicate @semiring directive", t.line, t.col)
-            w = p.peek()
-            if w.kind != "WORD":
-                raise ParseError("expected a semiring id after @semiring", t.line, t.col)
-            semiring_id, semiring_pos = p.next().text, (t.line, t.col)
+                raise ParseError("duplicate @semiring directive", line, col)
+            if p.peek()[0] != "WORD":
+                raise ParseError("expected a semiring id after @semiring", line, col)
+            semiring_id, semiring_pos = p.next()[1], (line, col)
             continue
         atom = p.parse_atom()
         nxt = p.next()
-        if nxt.kind == "ARROW":
+        if nxt[0] == "ARROW":
             body = p.parse_body()
             p.expect("DOT", "'.' at end of rule")
             rules.append(Rule(atom, body, atom.pos))
-        elif nxt.kind == "EQUALS":
+        elif nxt[0] == "EQUALS":
             literal = p.parse_literal_text()
             p.expect("DOT", "'.' at end of fact")
             facts.append(_fact_from_atom(atom, literal))
-        elif nxt.kind == "DOT":
+        elif nxt[0] == "DOT":
             facts.append(_fact_from_atom(atom, None))
         else:
-            got = nxt.text or "end of input"
-            raise ParseError(f"expected ':-', '=' or '.', got {got!r}", nxt.line, nxt.col)
+            raise _unexpected("':-', '=' or '.'", nxt)
     program = Program(tuple(rules), tuple(facts), semiring_id, semiring_pos)
     _check_program(program)
     return program
@@ -385,27 +335,6 @@ def _check_program(program: Program) -> None:
                     f"head variable {name} is unbound in a body product",
                     *(r.pos or (None, None)),
                 )
-
-
-def print_program(program: Program) -> str:
-    """Render a Program back to source; reparsing yields an equal AST."""
-    lines: List[str] = []
-    if program.semiring_id:
-        lines.append(f"@semiring {program.semiring_id}")
-
-    def term(t: Term) -> str:
-        return t.name
-
-    def atom(a: Atom) -> str:
-        return f"{a.pred}({','.join(term(t) for t in a.args)})"
-
-    for r in program.rules:
-        body = " + ".join("*".join(atom(a) for a in p.atoms) for p in r.body)
-        lines.append(f"{atom(r.head)} :- {body}.")
-    for f in program.facts:
-        head = f"{f.pred}({','.join(f.args)})"
-        lines.append(f"{head}." if f.literal is None else f"{head} = {f.literal}.")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +497,6 @@ class GroundedPolynomialSystem(GroundedSystem):
 
     monomials: Tuple[Tuple[Monomial, ...], ...]
     n_raw: int
-
-    def max_degree(self) -> int:
-        return max((len(v) for row in self.monomials for _, v in row), default=0)
 
 
 def ground(

@@ -4,11 +4,11 @@ These are the verification tools. ``walk_sums`` enumerates the walks of the
 label digraph of A (the directed graph whose edge u -> v carries the entry
 A[u, v]) once and folds their label products by hop count: the exact sums are
 the entries of the matrix powers, and their running sum over hop counts gives
-the power sums. ``walk_sum_exact``, ``walk_sum_upto`` and ``walk_sum_matrices``
-are views of that one fold. Long walks are factored into a simple path plus
-simple cycles with multiplicities. Because multiplication commutes, the label
-product of a walk equals the product of its factors, which is what makes the
-decomposition useful.
+the power sums. ``walk_sum_exact`` and ``walk_sum_upto`` are views of that one
+fold. Long walks are factored into a simple path plus simple cycles with
+multiplicities. Because multiplication commutes, the label product of a walk
+equals the product of its factors, which is what makes the decomposition
+useful.
 """
 
 from __future__ import annotations
@@ -162,12 +162,6 @@ def walk_sum_upto(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK_
     check_endpoints(A, i, j)
     s = A.semiring
     return reduce(s.add, (t.get((i, j), s.zero) for t in walk_sums(A, (i,), h, budget)), s.zero)
-
-
-def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) -> List[Matrix]:
-    """All exact walk sums at once: result[h][i, j] == walk_sum_exact(A, i, j, h)."""
-    tables = walk_sums(A, range(A.n), max_h, budget)
-    return [Matrix(A.semiring, A.n, ((i, j, v) for (i, j), v in t.items())) for t in tables]
 
 
 # ---------------------------------------------------------------------------

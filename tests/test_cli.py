@@ -855,6 +855,9 @@ MALFORMED_PROGRAMS = [
     ("T(X) :- E(X).\nE(1.5.2).\n", "line 2, col 6: expected ',' or ')', got '.'"),
     ("T(X) :- E(X).\nE(12ab).\n", "line 2, col 5: expected ',' or ')', got 'ab'"),
     ("T(X) :- E(X).\nE(\u00bd).\n", "line 2, col 3: unexpected character '\u00bd'"),
+    # numeric characters that are not decimal digits start no number and no name
+    ("T(X) :- E(X).\nE(\u00b2).\n", "line 2, col 3: unexpected character '\u00b2'"),
+    ("T(X) :- E(X).\nE(1\u00b2).\n", "line 2, col 4: unexpected character '\u00b2'"),
 ]
 
 
@@ -873,6 +876,25 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, mess
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, data, at",
+    [
+        (["run", "--semiring", "bool"], b"T(X) :- E(X).\nE(a\xff).\n", "line 2, col 4"),
+        # the column counts bytes: '# ' and the two bytes of an e-acute come first
+        (["analyze"], b"semiring bool\nn 1\n# \xc3\xa9\xff\n", "line 3, col 5"),
+        (["analyze", "--workers", "2"], b"semiring bool\nn 1\n# \xc3\xa9\xff\n", "line 3, col 5"),
+        (["oracle", "--i", "0", "--j", "0", "--h", "1"], b"\xffsemiring bool\nn 1\n", "line 1, col 1"),
+    ],
+)
+def test_invalid_utf8_exits_1_with_line(tmp_path, capsys, command, data, at):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    # with --workers 2 the file is read in a worker process
+    files = [str(path)] * (2 if "--workers" in command else 1)
+    assert main(command[:1] + files + command[1:]) == 1
+    assert capsys.readouterr().err == f"error: {at}: invalid UTF-8 byte 0xff\n"
 
 
 @pytest.mark.parametrize(

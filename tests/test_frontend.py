@@ -17,7 +17,6 @@ from semifix import (
     naive_eval_linear,
     parse_facts_tsv,
     parse_program,
-    print_program,
     semiring_from_id,
 )
 from semifix.errors import MalformedLiteral
@@ -25,6 +24,7 @@ from semifix.frontend import Atom, Const, Product, Program, Rule, Var
 from semifix.semirings import TropSemiring
 
 from conftest import ALL_IDS
+from reference import max_degree, print_program
 
 TC = "T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n"
 
@@ -102,6 +102,11 @@ def test_literal_text_joins_its_tokens(text, semiring_id, literal):
     p = parse_program(text)
     assert p.semiring_id == semiring_id
     assert p.facts[0].literal == literal
+
+
+def test_names_may_continue_with_numeric_characters():
+    p = parse_program("T(X) :- E(X).\nE(a\u00b2).\n")
+    assert p.facts[0].args == ("a\u00b2",)
 
 
 def test_comments_ignored():
@@ -292,7 +297,7 @@ def test_ground_polynomial_form():
     db = build_edb(s, [("E", ("a", "b"), None), ("E", ("b", "c"), None)])
     psys = ground(parse_program("T(X,Y) :- E(X,Y) + T(X,Z)*T(Z,Y)."), db)
     assert isinstance(psys, GroundedPolynomialSystem)
-    assert psys.max_degree() == 2
+    assert max_degree(psys) == 2
     trace = naive_eval_general(psys)
     assert trace.fixpoint[psys.index[("T", ("a", "c"))]] is True
 
@@ -304,7 +309,7 @@ def test_forced_polynomial_matches_linear_atoms():
     poly = ground(parse_program(TC), db, force_polynomial=True)
     assert isinstance(poly, GroundedPolynomialSystem)
     assert poly.atoms == lin.atoms
-    assert poly.max_degree() == 1
+    assert max_degree(poly) == 1
 
 
 def test_no_prune_keeps_full_universe():

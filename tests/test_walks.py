@@ -18,13 +18,13 @@ from semifix import (
     semiring_from_id,
     walk_label_product,
     walk_sum_exact,
-    walk_sum_matrices,
     walk_sum_upto,
 )
 from semifix.generators import gen_random_system
 from semifix.walks import Walk, walk_sums
 
 from conftest import ALL_IDS, brute_walk_sums
+from reference import walk_sum_matrices
 
 
 def bool_matrix(n, edges):
