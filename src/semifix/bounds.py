@@ -136,23 +136,13 @@ def _carrier_profile(s: Semiring, claimed_p: Optional[int], claimed_L: Optional[
     carrier = s.elements()
     if carrier is not None:
         p, p_source = effective_stability(s)
-    elif claimed_p is not None:
-        # symbolic carriers contribute bounds only through claimed parameters
-        p, p_source = claimed_p, "claimed"
-    else:
-        p, p_source = None, None
-    if carrier is not None:
-        L, L_source = len(carrier), "computed"
-    elif claimed_L is not None:
-        L, L_source = claimed_L, "claimed"
-    else:
-        L, L_source = None, None
-    ordered: Optional[bool] = None
-    chain: Optional[int] = None
-    if carrier is not None:
         chain = ordered_chain(s)
-        ordered = chain is not None
-    return p, (p_source if p is not None else None), L, L_source, chain, ordered
+        p_source = p_source if p is not None else None
+        return p, p_source, len(carrier), "computed", chain, chain is not None
+    # symbolic carriers contribute bounds only through claimed parameters
+    p_source = None if claimed_p is None else "claimed"
+    L_source = None if claimed_L is None else "claimed"
+    return claimed_p, p_source, claimed_L, L_source, None, None
 
 
 def applicable_bounds(

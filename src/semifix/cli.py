@@ -12,6 +12,7 @@ import functools
 import io
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
@@ -399,23 +400,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "gen" and args.family == "cycle" and args.L is None:
         parser.error("gen cycle needs --L")
-    try:
-        return args.handler(args)
-    except EnumerationBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SemifixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        head = exc.object[:exc.start]
-        line, col = head.count(b"\n") + 1, len(head) - head.rfind(b"\n")
-        byte = exc.object[exc.start]
-        print(f"error: line {line}, col {col}: invalid UTF-8 byte {byte:#04x}", file=sys.stderr)
-        return 1
+    # warnings print after the command, so a failed command's first line is its error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.handler(args)
+        except EnumerationBudgetExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (SemifixError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except UnicodeDecodeError as exc:
+            head = exc.object[:exc.start]
+            line, col = head.count(b"\n") + 1, len(head) - head.rfind(b"\n")
+            byte = exc.object[exc.start]
+            print(f"error: line {line}, col {col}: invalid UTF-8 byte {byte:#04x}", file=sys.stderr)
+            return 1
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def console_entry():  # pragma: no cover - thin wrapper

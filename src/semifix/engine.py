@@ -113,31 +113,34 @@ def _tables(s: Semiring):
     return table(s.add), table(s.mul)
 
 
-def _readers(n: int, reads: Iterable[Iterable[int]]) -> List[List[int]]:
-    """The rows that read each column: ``reads`` transposed."""
+def _readers(n: int, rows: Iterable[Iterable[Tuple[int, Any]]]) -> List[List[int]]:
+    """The rows that read each column; ``rows[i]`` holds row i's (column, coefficient) pairs."""
     readers: List[List[int]] = [[] for _ in range(n)]
-    for i, cols in enumerate(reads):
-        for c in cols:
+    for i, pairs in enumerate(rows):
+        for c, _ in pairs:
             readers[c].append(i)
     return readers
 
 
-def _linear_rows(A: Matrix):
+def _linear_rows(A: Matrix, inflationary: bool = False):
     """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
 
     ``rows_for(b)`` makes the row function of x <- Ax (+) b. A row folds
     ``add(acc, mul(A[i][j], x[j]))`` from zero over the row's entries, as
-    ``Matrix.matvec`` does, and ends with ``add(acc, b[i])``; it skips every
-    x[j] and b[i] that is zero, which is exact because zero annihilates under
-    mul and is the identity of add. On a carrier with ``_tables`` a row reads
-    add and mul from them, and a row that meets a value outside the tables
-    is recomputed with the semiring's add and mul. Those are looked up when
-    the row function is made, never at import, so wrappers set on the
-    instance (the benchmark's op counters) see every call of that path.
+    ``Matrix.matvec`` does, and ends with ``add(acc, b[i])``. ``inflationary``
+    appends the term ``(i, one)`` to row i (``_polynomial_rows`` the monomial
+    ``(one, (i,))``), so the row computes x (+) f(x) and reads its own column.
+    A row skips every x[j] and b[i] that is zero, which is exact because zero
+    annihilates under mul and is the identity of add. On a carrier with
+    ``_tables`` a row reads add and mul from them, and a row that meets a
+    value outside the tables is recomputed with the semiring's add and mul.
+    Those are looked up when the row function is made, never at import, so
+    wrappers set on the instance (the benchmark's op counters) see every call
+    of that path.
     """
     s = A.semiring
     zero = s.zero
-    rows = [tuple(A.row(i).items()) for i in range(A.n)]
+    rows = [tuple(A.row(i).items()) + ((i, s.one),) * inflationary for i in range(A.n)]
     tables = _tables(s)
 
     def rows_for(b: Sequence):
@@ -170,14 +173,14 @@ def _linear_rows(A: Matrix):
 
         return table_row
 
-    return _readers(A.n, map(A.row, range(A.n))), rows_for
+    return _readers(A.n, rows), rows_for
 
 
-def _polynomial_rows(psys: GroundedPolynomialSystem):
+def _polynomial_rows(psys: GroundedPolynomialSystem, inflationary: bool):
     """The rows that read each column of a monomial system, and the row function."""
     s = psys.semiring
     add, mul, zero = s.add, s.mul, s.zero
-    monomials = psys.monomials
+    monomials = [tuple(r) + ((s.one, (i,)),) * inflationary for i, r in enumerate(psys.monomials)]
 
     def row(i, x):
         acc = zero
@@ -188,10 +191,15 @@ def _polynomial_rows(psys: GroundedPolynomialSystem):
             acc = add(acc, term)
         return acc
 
-    return _readers(psys.n, ({c for _, cols in r for c in cols} for r in monomials)), row
+    return _readers(psys.n, ([(c, k) for k, cols in r for c in cols] for r in monomials)), row
 
 
-def _default_cap(semiring: Semiring, n: int) -> int:
+def _default_cap(semiring: Semiring, n: int, cap: Optional[int]) -> int:
+    """``cap`` checked to be >= 1, or the default cap when it is None."""
+    if cap is not None:
+        if cap < 1:
+            raise InvalidParameter("cap must be >= 1")
+        return cap
     if n == 0:
         return 1
     p, _src = effective_stability(semiring)
@@ -210,24 +218,19 @@ def _default_cap(semiring: Semiring, n: int) -> int:
     return max(candidates)
 
 
-def _iterate(semiring, n, readers, row, cap, inflationary) -> IterationTrace:
+def _iterate(semiring, n, readers, row, cap) -> IterationTrace:
     """Naive iteration that recomputes only the rows whose inputs changed.
 
     Step 1 computes every row; after that row i is recomputed only when a
     column it reads changed in the previous step (``readers[c]`` lists the
-    rows that read column c; under ``inflationary`` a row also reads its own
-    column). A row whose columns all equal their previous values would
-    recompute the value it already holds, because ``==`` is a congruence for
-    add and mul; neither idempotence nor distributivity is needed, so every
-    state and index equals that of a full recompute. The
+    rows that read column c). A row whose columns all equal their previous
+    values would recompute the value it already holds, because ``==`` is a
+    congruence for add and mul; neither idempotence nor distributivity is
+    needed, so every state and index equals that of a full recompute. The
     step's changes are written into the one working vector only after every
     dirty row has read the previous state.
     """
-    if cap is not None and cap < 1:
-        raise InvalidParameter("cap must be >= 1")
-    if cap is None:
-        cap = _default_cap(semiring, n)
-    add = semiring.add
+    cap = _default_cap(semiring, n, cap)
     start = (semiring.zero,) * n
     x = list(start)
     log = []
@@ -236,8 +239,6 @@ def _iterate(semiring, n, readers, row, cap, inflationary) -> IterationTrace:
         step = []
         for i in dirty:
             v = row(i, x)
-            if inflationary:
-                v = add(x[i], v)
             if v != x[i]:
                 step.append((i, v))
         log.append(tuple(step))
@@ -246,8 +247,6 @@ def _iterate(semiring, n, readers, row, cap, inflationary) -> IterationTrace:
         for i, v in step:
             x[i] = v
         dirty = {r for i, _ in step for r in readers[i]}
-        if inflationary:
-            dirty.update(i for i, _ in step)
     return IterationTrace(start, tuple(log), tuple(x), None, True)
 
 
@@ -262,8 +261,8 @@ def naive_eval_linear(
     Stops at ``cap`` applications without convergence and flags the trace as
     capped instead of raising. ``inflationary`` switches to x <- x (+) f(x).
     """
-    readers, rows_for = _linear_rows(sys.A)
-    return _iterate(sys.semiring, sys.n, readers, rows_for(sys.b), cap, inflationary)
+    readers, rows_for = _linear_rows(sys.A, inflationary)
+    return _iterate(sys.semiring, sys.n, readers, rows_for(sys.b), cap)
 
 
 def naive_eval_general(
@@ -273,8 +272,8 @@ def naive_eval_general(
     inflationary: bool = False,
 ) -> IterationTrace:
     """Same contract as naive_eval_linear, for monomial systems."""
-    readers, row = _polynomial_rows(psys)
-    return _iterate(psys.semiring, psys.n, readers, row, cap, inflationary)
+    readers, row = _polynomial_rows(psys, inflationary)
+    return _iterate(psys.semiring, psys.n, readers, row, cap)
 
 
 def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:
@@ -286,7 +285,7 @@ def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:
     s, n = A.semiring, A.n
     readers, rows_for = kernel or _linear_rows(A)
     row = rows_for([s.one if i == j else s.zero for i in range(n)])
-    return _iterate(s, n, readers, row, cap, False)
+    return _iterate(s, n, readers, row, cap)
 
 
 def matrix_power_sum(A: Matrix, k: int) -> Matrix:
@@ -312,10 +311,7 @@ def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int
     A repeated column stays fixed, so k is the largest power-sum index of the
     column runs; S(cap+1) is trace state cap+2, which sets the run cap.
     """
-    if cap is not None and cap < 1:
-        raise InvalidParameter("cap must be >= 1")
-    if cap is None:
-        cap = _default_cap(A.semiring, A.n)
+    cap = _default_cap(A.semiring, A.n, cap)
     k, kernel = 0, _linear_rows(A)
     for j in range(A.n):
         run = column_run(A, j, cap + 2, kernel)

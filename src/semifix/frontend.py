@@ -213,10 +213,9 @@ class _Parser:
         return self.next()
 
     def parse_atom(self) -> Atom:
-        kind, name, line, col = self.peek()
+        kind, name, line, col = t = self.next()
         if kind not in ("IDENT", "VAR"):
-            raise ParseError(f"expected a predicate name, got {name!r}", line, col)
-        self.next()
+            raise _unexpected("a predicate name", t)
         self.expect("LPAREN", "'(' after predicate name")
         args: List[Term] = []
         while True:
@@ -401,10 +400,9 @@ def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
             raise GroundingError(f"predicate {pred} used with inconsistent arity in facts", *at)
         key = (pred, tuple(args))
         if key in facts:
-            warnings.warn(
-                f"duplicate fact for {format_ground_atom(key)}; values combined additively",
-                stacklevel=2,
-            )
+            where = "" if at[0] is None else f"line {at[0]}, col {at[1]}: "
+            atom = format_ground_atom(key)
+            warnings.warn(f"{where}duplicate fact for {atom}; values combined additively", stacklevel=2)
             facts[key] = semiring.add(facts[key], value)
         else:
             facts[key], positions[key] = value, at

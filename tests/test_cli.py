@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -858,6 +859,10 @@ MALFORMED_PROGRAMS = [
     # numeric characters that are not decimal digits start no number and no name
     ("T(X) :- E(X).\nE(\u00b2).\n", "line 2, col 3: unexpected character '\u00b2'"),
     ("T(X) :- E(X).\nE(1\u00b2).\n", "line 2, col 4: unexpected character '\u00b2'"),
+    # end of input where a body atom is due
+    ("T(X) :-", "line 1, col 8: expected a predicate name, got 'end of input'"),
+    ("T(X) :- E(X) +", "line 1, col 15: expected a predicate name, got 'end of input'"),
+    ("T(X) :- E(X) *", "line 1, col 15: expected a predicate name, got 'end of input'"),
 ]
 
 
@@ -895,6 +900,30 @@ def test_invalid_utf8_exits_1_with_line(tmp_path, capsys, command, data, at):
     files = [str(path)] * (2 if "--workers" in command else 1)
     assert main(command[:1] + files + command[1:]) == 1
     assert capsys.readouterr().err == f"error: {at}: invalid UTF-8 byte 0xff\n"
+
+
+@pytest.mark.parametrize(
+    "program, facts, at",
+    [
+        ("T(X) :- E(X).\nE(a) = 1.\nE(a) = 2.\n", None, "line 3, col 1"),
+        ("T(X) :- E(X).\n", "E\ta\t1\nE\ta\t2\n", "line 2, col 1"),
+    ],
+)
+def test_duplicate_fact_warns_with_its_line(tmp_path, capsys, program, facts, at):
+    (tmp_path / "p.dl").write_text(program)
+    argv = ["run", str(tmp_path / "p.dl"), "--semiring", "trop"]
+    if facts:
+        (tmp_path / "f.tsv").write_text(facts)
+        argv.insert(2, str(tmp_path / "f.tsv"))
+    before = warnings.filters, list(warnings.filters), warnings.showwarning
+    with warnings.catch_warnings(record=True) as leaked:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert leaked == []  # no raw UserWarning reaches the caller
+    assert (warnings.filters, list(warnings.filters), warnings.showwarning) == before
+    out, err = capsys.readouterr()
+    assert out == "T(a) = 1\nstability index: 1 (states), 0 (power sums)\n"
+    assert err == f"warning: {at}: duplicate fact for E(a); values combined additively\n"
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from semifix import (
 )
 from semifix.engine import MAX_ATOMS, column_run
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
-from semifix.semirings import TropBagSemiring, effective_stability, ordered_chain
+from semifix.semirings import Semiring, TropBagSemiring, effective_stability, ordered_chain
 from semifix.generators import (
     LINEAR_PATH_PROGRAM,
     gen_cycle_lowerbound,
@@ -612,6 +612,32 @@ def test_matrix_add_matches_constructor_merge(sid):
         assert list(merged.entries()) == list(reference.entries())
 
 
+class _Mod4(Semiring):
+    """Integers mod 4: 2 * 2 == 0 and 1 + 3 == 0, so sums and products can vanish."""
+
+    id, zero, one = "mod4", 0, 1
+
+    def add(self, a, b):
+        return (a + b) % 4
+
+    def mul(self, a, b):
+        return a * b % 4
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_matmul_and_add_drop_entries_that_vanish(seed):
+    s, n = _Mod4(), 5
+    rng = random.Random(seed)
+    dense = [[[rng.choice((0, 1, 2, 3)) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    A, B = (Matrix(s, n, [(i, j, v) for i, r in enumerate(d) for j, v in enumerate(r)]) for d in dense)
+    a, b = dense
+    product = [[sum(a[i][k] * b[k][j] for k in range(n)) % 4 for j in range(n)] for i in range(n)]
+    total = [[(a[i][j] + b[i][j]) % 4 for j in range(n)] for i in range(n)]
+    for got, want in ((A.matmul(B), product), (A.add(B), total)):
+        assert [[got.get(i, j) for j in range(n)] for i in range(n)] == want
+        assert all(v != 0 for _, _, v in got.entries())
+
+
 
 def _as_fraction(v):
     """``v`` as a Fraction when it is a finite trop value."""
@@ -700,6 +726,22 @@ def test_tabled_kernel_equals_the_object_path(monkeypatch, sid):
         sys_ = gen_random_system(seed % 7 + 1, 0.4, s, seed)
         tabled, plain = _tabled_and_object(monkeypatch, sys_.A, sys_.b)
         assert tabled == plain, seed
+
+
+@pytest.mark.parametrize("sid", ["capped:4", "trop_p_fin:1:3", "bool"])
+def test_inflationary_runs_on_tabled_carriers_call_no_object_op(monkeypatch, sid):
+    s = semiring_from_id(sid)
+    engine._tables(s), effective_stability(s), ordered_chain(s)  # warm the caches
+    calls = []
+    for op in ("add", "mul"):
+        real = getattr(s, op)
+        monkeypatch.setattr(s, op, lambda a, b, op=op, real=real: calls.append(op) or real(a, b))
+    traces = [
+        naive_eval_linear(gen_random_system(6, 0.4, s, seed), inflationary=True) for seed in range(8)
+    ]
+    assert not any(t.capped for t in traces)
+    assert sum(t.wall_steps for t in traces) > 2 * len(traces)  # the runs did real work
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (5, 3), (4, 6)])
