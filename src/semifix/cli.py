@@ -58,10 +58,19 @@ def _add_flags(p: argparse.ArgumentParser, *names: str):
     )
 
 
-def _emit(args, text: str):
+def _emit(args, text: str, data: bool = False):
+    """Write ``text``; ``--no-reproducible`` adds a timestamp line.
+
+    The stamp is a ``#`` comment ahead of human and matrix-file text. ``data``
+    text (JSON, CSV, JSON lines) has no comment syntax, so its stamp goes to
+    stderr and the output still parses.
+    """
     if not args.reproducible:
-        stamp = datetime.now(timezone.utc).isoformat()
-        text = f"# generated {stamp}\n{text}"
+        stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n"
+        if data:
+            sys.stderr.write(stamp)
+        else:
+            text = stamp + text
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -97,7 +106,7 @@ def cmd_run(args) -> int:
         trace = engine.naive_eval_general(system, cap=args.cap, inflationary=args.inflationary)
     s = system.semiring
     if args.format == "csv":
-        _emit(args, engine.trace_csv(system, trace))
+        _emit(args, engine.trace_csv(system, trace), data=True)
     elif args.format == "json":
         payload = {
             "atoms": {
@@ -108,7 +117,7 @@ def cmd_run(args) -> int:
             "capped": trace.capped,
             "steps": trace.wall_steps,
         }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n", data=True)
     else:
         lines = []
         for label, v in zip(system.atom_labels(), trace.last):
@@ -168,7 +177,7 @@ def cmd_analyze(args) -> int:
     text = bounds.reports_jsonl(reports)
     if args.summary:
         Path(args.summary).write_text(bounds.summary_csv(reports), encoding="utf-8")
-    _emit(args, text)
+    _emit(args, text, data=True)
     return 3 if any(r.violations for r in reports) else 0
 
 
@@ -209,7 +218,7 @@ def cmd_oracle(args) -> int:
     if args.format == "csv":
         out = io.StringIO()
         csv.writer(out, lineterminator="\n").writerows([header] + rows)
-        _emit(args, out.getvalue())
+        _emit(args, out.getvalue(), data=True)
     else:
         widths = [max(len(str(r[k])) for r in ([header] + rows)) for k in range(6)]
         lines = [

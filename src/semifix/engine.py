@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
@@ -41,6 +43,7 @@ from .matrix import Matrix
 from .semirings import (
     MAX_CARRIER_SIZE,
     Semiring,
+    _integral,
     effective_stability,
     ordered_chain,
     semiring_from_id,
@@ -125,23 +128,35 @@ def _readers(n: int, rows: Iterable[Iterable[Tuple[int, Any]]]) -> List[List[int
 def _linear_rows(A: Matrix, inflationary: bool = False):
     """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
 
-    ``rows_for(b)`` makes the row function of x <- Ax (+) b. A row folds
-    ``add(acc, mul(A[i][j], x[j]))`` from zero over the row's entries, as
-    ``Matrix.matvec`` does, and ends with ``add(acc, b[i])``. ``inflationary``
-    appends the term ``(i, one)`` to row i (``_polynomial_rows`` the monomial
-    ``(one, (i,))``), so the row computes x (+) f(x) and reads its own column.
-    A row skips every x[j] and b[i] that is zero, which is exact because zero
-    annihilates under mul and is the identity of add. On a carrier with
-    ``_tables`` a row reads add and mul from them, and a row that meets a
-    value outside the tables is recomputed with the semiring's add and mul.
-    Those are looked up when the row function is made, never at import, so
-    wrappers set on the instance (the benchmark's op counters) see every call
-    of that path.
+    ``rows_for(b)`` returns the row function of x <- Ax (+) b and the scale D
+    of the values it works on. A row folds ``add(acc, mul(A[i][j], x[j]))``
+    from zero over the row's entries, as ``Matrix.matvec`` does, and ends with
+    ``add(acc, b[i])``. ``inflationary`` appends the term ``(i, one)`` to row i
+    (``_polynomial_rows`` the monomial ``(one, (i,))``), so the row computes
+    x (+) f(x) and reads its own column. A row skips every x[j] and b[i] that
+    is zero, which is exact because zero annihilates under mul and is the
+    identity of add. There are three row kernels:
+
+    * On a carrier with ``_tables`` a row reads add and mul from them, and a
+      row that meets a value outside the tables is recomputed with the
+      semiring's add and mul (D = 1).
+    * On a carrier whose ``int_scale`` answers (``trop``) every finite entry
+      of A and b is multiplied by D, the LCM of their denominators, and a row
+      is an inline min-plus fold over ints with zero as the top. That is
+      exact, since min and + commute with scaling by D > 0. A is scaled once
+      per kernel; a b with new denominators rescales the rows for its run.
+      ``_unscaled`` divides the logged values by D.
+    * Otherwise a row calls the semiring's add and mul (D = 1).
+
+    add and mul are looked up when the row function is made, never at import,
+    so wrappers set on the instance (the benchmark's op counters) see every
+    call of the object path; on ``trop`` they see no call of a run.
     """
     s = A.semiring
     zero = s.zero
     rows = [tuple(A.row(i).items()) + ((i, s.one),) * inflationary for i in range(A.n)]
     tables = _tables(s)
+    a_scale = s.int_scale(v for r in rows for _, v in r)
 
     def rows_for(b: Sequence):
         add, mul = s.add, s.mul
@@ -156,7 +171,7 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
             return acc if bi is zero else add(acc, bi)
 
         if tables is None:
-            return row
+            return row, 1
         add_t, mul_t = tables
 
         def table_row(i, x):
@@ -171,9 +186,38 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
             except KeyError:
                 return row(i, x)
 
-        return table_row
+        return table_row, 1
 
-    return _readers(A.n, rows), rows_for
+    if a_scale is None:
+        return _readers(A.n, rows), rows_for
+
+    def scaled_rows(D):
+        # tuples built from lists: a tuple built from an iterator leaves its
+        # resized block on the free lists, which only a full collection empties
+        if D == 1:
+            return rows
+        return [tuple([(j, v.numerator * (D // v.denominator)) for j, v in r]) for r in rows]
+
+    a_rows = scaled_rows(a_scale)
+
+    def int_rows_for(b: Sequence):
+        D = math.lcm(a_scale, s.int_scale(b))
+        int_rows = a_rows if D == a_scale else scaled_rows(D)
+        int_b = b if D == 1 else [v if v is zero else v.numerator * (D // v.denominator) for v in b]
+
+        def int_row(i, x):
+            acc = int_b[i]
+            for j, v in int_rows[i]:
+                xj = x[j]
+                if xj is not zero:
+                    xj += v
+                    if acc is zero or xj < acc:
+                        acc = xj
+            return acc
+
+        return int_row, D
+
+    return _readers(A.n, rows), int_rows_for
 
 
 def _polynomial_rows(psys: GroundedPolynomialSystem, inflationary: bool):
@@ -250,6 +294,20 @@ def _iterate(semiring, n, readers, row, cap) -> IterationTrace:
     return IterationTrace(start, tuple(log), tuple(x), None, True)
 
 
+def _unscaled(trace: IterationTrace, D: int, zero) -> IterationTrace:
+    """``trace`` of a run on values scaled by D, each logged value divided by D once."""
+    if D == 1:
+        return trace
+    x = list(trace.start)
+    changes = []
+    for step in trace.changes:
+        step = tuple([(i, v if v is zero else _integral(Fraction(v, D))) for i, v in step])
+        for i, v in step:
+            x[i] = v
+        changes.append(step)
+    return IterationTrace(trace.start, tuple(changes), tuple(x), trace.stability_index, trace.capped)
+
+
 def naive_eval_linear(
     sys: GroundedLinearSystem,
     cap: Optional[int] = None,
@@ -261,8 +319,10 @@ def naive_eval_linear(
     Stops at ``cap`` applications without convergence and flags the trace as
     capped instead of raising. ``inflationary`` switches to x <- x (+) f(x).
     """
+    s = sys.semiring
     readers, rows_for = _linear_rows(sys.A, inflationary)
-    return _iterate(sys.semiring, sys.n, readers, rows_for(sys.b), cap)
+    row, D = rows_for(sys.b)
+    return _unscaled(_iterate(s, sys.n, readers, row, cap), D, s.zero)
 
 
 def naive_eval_general(
@@ -276,16 +336,22 @@ def naive_eval_general(
     return _iterate(psys.semiring, psys.n, readers, row, cap)
 
 
+def _scaled_column_run(A: Matrix, j: int, cap: int, kernel) -> Tuple[IterationTrace, int]:
+    """``column_run`` on the kernel's own values, and their scale D."""
+    s, n = A.semiring, A.n
+    readers, rows_for = kernel
+    row, D = rows_for([s.one if i == j else s.zero for i in range(n)])
+    return _iterate(s, n, readers, row, cap), D
+
+
 def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:
     """The run of x <- Ax (+) e_j: its state m+1 is column j of S(m).
 
     ``kernel`` is ``_linear_rows(A)``, built here when not given; a caller
     that runs several columns of one matrix builds it once.
     """
-    s, n = A.semiring, A.n
-    readers, rows_for = kernel or _linear_rows(A)
-    row = rows_for([s.one if i == j else s.zero for i in range(n)])
-    return _iterate(s, n, readers, row, cap)
+    trace, D = _scaled_column_run(A, j, cap, kernel or _linear_rows(A))
+    return _unscaled(trace, D, A.semiring.zero)
 
 
 def matrix_power_sum(A: Matrix, k: int) -> Matrix:
@@ -314,7 +380,7 @@ def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int
     cap = _default_cap(A.semiring, A.n, cap)
     k, kernel = 0, _linear_rows(A)
     for j in range(A.n):
-        run = column_run(A, j, cap + 2, kernel)
+        run, _ = _scaled_column_run(A, j, cap + 2, kernel)  # reads no value
         if run.capped:
             return None
         k = max(k, run.powersum_index)

@@ -103,11 +103,11 @@ def _parse_extended_rational(text: str):
     t = text.strip()
     if t == "inf":
         return INF
-    if t.isascii() and t.isdigit():
-        return int(t)
     try:
+        if t.isascii() and t.isdigit():
+            return int(t)
         v = Fraction(t)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # also an int over Python's digit limit
         raise MalformedElement(f"not a rational literal: {text!r}") from None
     if v < 0:
         raise MalformedElement(f"negative value {text!r} is outside the carrier")
@@ -170,6 +170,15 @@ class Semiring:
 
     def elements(self) -> Optional[Sequence]:
         """The full carrier as a sequence, or None when not enumerable."""
+        return None
+
+    def int_scale(self, values) -> Optional[int]:
+        """None, or a D > 0 that makes D * v an int for each finite v in ``values``.
+
+        A carrier answers only when it is min-plus over the non-negative
+        rationals with zero as inf and one as 0: the linear row kernel then
+        runs it on those ints (see ``engine._linear_rows``).
+        """
         return None
 
     def random_element(self, rng: random.Random):
@@ -246,6 +255,9 @@ class TropSemiring(Semiring):
 
     def show(self, a):
         return _show_extended_rational(a)
+
+    def int_scale(self, values):
+        return math.lcm(*{v.denominator for v in values if v is not INF})
 
     def random_element(self, rng):
         if rng.random() < 0.1:

@@ -487,6 +487,34 @@ def test_timestamp_header_toggle(tmp_path, tc_file):
     assert stamped.stdout.startswith("# generated")
 
 
+def _parse_csv(text):
+    rows = list(csv.reader(text.splitlines()))
+    assert rows and all(len(r) == len(rows[0]) for r in rows)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "command, parse",
+    [
+        (["run", "apsp.dl", "--format", "json"], json.loads),
+        (["run", "apsp.dl", "--format", "csv"], _parse_csv),
+        (["oracle", "m.txt", "--i", "0", "--j", "1", "--h", "3", "--format", "csv"], _parse_csv),
+        (["analyze", "m.txt"], lambda text: [json.loads(line) for line in text.splitlines()]),
+    ],
+)
+def test_unreproducible_data_output_still_parses(tmp_path, capsys, monkeypatch, command, parse):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "apsp.dl").write_text(APSP)
+    (tmp_path / "m.txt").write_text(save_system(gen_random_system(3, 0.6, semiring_from_id("trop"), 1)))
+    assert main(command) == 0
+    plain = capsys.readouterr()
+    assert main(command + ["--no-reproducible"]) == 0
+    stamped = capsys.readouterr()
+    assert stamped.out == plain.out
+    assert parse(stamped.out)
+    assert re.fullmatch(r"# generated \S+\n", stamped.err)
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ import pytest
 from semifix import (
     INF,
     Matrix,
+    bounds,
     build_edb,
     engine,
     element_stability,
@@ -802,3 +805,120 @@ def test_rows_skip_zero_inputs_without_changing_the_trace():
         dirty = [i for i in range(sys_.n) if changed.intersection(reads[i])]
     assert calls == {"mul": nonzero_read, "zero_operand": 0}
     assert nonzero_read < entries_read
+
+
+# ---------------------------------------------------------------------------
+# trop rows on ints scaled by the common denominator
+# ---------------------------------------------------------------------------
+
+TROP = semiring_from_id("trop")
+
+
+def _scale_of(A, b):
+    """The scale D the trop kernel runs the vector run of (A, b) on."""
+    _, rows_for = engine._linear_rows(A)
+    return rows_for(b)[1]
+
+
+def _scaled_and_object(monkeypatch, A, b):
+    """The kernel callers' results on scaled ints, then on the object path."""
+    scaled = _kernel_results(A, b)
+    with monkeypatch.context() as m:
+        m.setattr(A.semiring, "int_scale", lambda values: None)
+        assert _scale_of(A, b) == 1
+        return scaled, _kernel_results(A, b)
+
+
+def _fractional_system(n, denominators, seed):
+    """A trop system with three entries per row, weights k/d for d drawn from ``denominators``."""
+    rng = random.Random(seed)
+
+    def weight():
+        return Fraction(rng.randint(0, 40), rng.choice(denominators))
+
+    entries = [(i, rng.randrange(n), weight()) for i in range(n) for _ in range(3)]
+    b = [weight() if rng.random() < 0.5 else INF for _ in range(n)]
+    atoms = [(f"x{i}", ()) for i in range(n)]
+    return GroundedLinearSystem.from_matrix(TROP, Matrix(TROP, n, entries), b, atoms)
+
+
+def _random_trop_systems(n):
+    return [gen_random_system(n, 0.4, TROP, 10 * n + seed) for seed in range(6)]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_scaled_trop_kernel_equals_the_object_path(monkeypatch, n):
+    for seed, sys_ in enumerate(_random_trop_systems(n)):
+        scaled, plain = _scaled_and_object(monkeypatch, sys_.A, sys_.b)
+        assert scaled == plain, seed
+
+
+def test_the_random_trop_systems_have_fractions_and_inf_in_b():
+    drawn = [sys_ for n in range(1, 10) for sys_ in _random_trop_systems(n)]
+    assert sum(v is INF for sys_ in drawn for v in sys_.b) > 50
+    assert sum(type(v) is Fraction for sys_ in drawn for _, _, v in sys_.A.entries()) > 50
+    assert sum(_scale_of(sys_.A, sys_.b) > 1 for sys_ in drawn) > len(drawn) // 2
+
+
+def test_scaled_trop_kernel_rescales_for_new_denominators_in_b(monkeypatch):
+    sys_ = _fractional_system(6, (2, 3), seed=1)
+    b = [v if v is INF else v + Fraction(1, 7) for v in sys_.b]
+    assert _scale_of(sys_.A, sys_.b) == 6 and _scale_of(sys_.A, b) == 42
+    scaled, plain = _scaled_and_object(monkeypatch, sys_.A, b)
+    assert scaled == plain
+
+
+def test_integral_trop_system_is_not_scaled(monkeypatch):
+    sys_ = ground(parse_program(LINEAR_PATH_PROGRAM), random_edge_instance(6, 0.4, TROP, 2))
+    assert all(type(v) is int for _, _, v in sys_.A.entries())
+    assert _scale_of(sys_.A, sys_.b) == 1
+    scaled, plain = _scaled_and_object(monkeypatch, sys_.A, sys_.b)
+    assert scaled == plain
+
+
+def test_scaled_trop_kernel_with_a_48_bit_scale(monkeypatch):
+    # the odd primes up to 41: their product has 48 bits
+    sys_ = _fractional_system(25, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41), seed=4)
+    assert _scale_of(sys_.A, sys_.b).bit_length() == 48
+    scaled, plain = _scaled_and_object(monkeypatch, sys_.A, sys_.b)
+    assert scaled == plain
+    report = bounds.reports_jsonl([bounds.analyze(sys_)])
+    with monkeypatch.context() as m:
+        m.setattr(TROP, "int_scale", lambda values: None)
+        assert bounds.reports_jsonl([bounds.analyze(sys_)]) == report
+
+
+def test_trop_runs_call_no_object_op(monkeypatch):
+    effective_stability(TROP), ordered_chain(TROP)  # warm the caches
+    systems = [gen_random_system(6, 0.4, TROP, seed) for seed in range(8)]
+    calls = []
+    for op in ("add", "mul"):
+        real = getattr(TROP, op)
+        monkeypatch.setattr(TROP, op, lambda a, b, op=op, real=real: calls.append(op) or real(a, b))
+    traces = [naive_eval_linear(sys_, inflationary=infl) for sys_ in systems for infl in (0, 1)]
+    indices = [matrix_stability_index(sys_.A) for sys_ in systems]
+    sums = [matrix_power_sum(sys_.A, 3) for sys_ in systems]
+    assert not any(t.capped for t in traces) and None not in indices
+    assert sum(t.wall_steps for t in traces) > 2 * len(traces)  # the runs did real work
+    assert len(sums) == len(systems)
+    assert calls == []
+
+
+def test_scaled_column_runs_leave_no_blocks_behind():
+    # a tuple built from an iterator keeps its resized block on a free list
+    # that only a full collection empties; a run must not leave such blocks
+    systems = [_fractional_system(n, (2, 3, 4), seed) for seed, n in enumerate((4, 6, 8, 10))]
+    runs = [(sys_.A, j) for sys_ in systems for j in range(sys_.n)]
+    for A, j in runs:
+        column_run(A, j, 40)
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for k in range(800):
+            A, j = runs[k % len(runs)]
+            column_run(A, j, 40)
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 3000

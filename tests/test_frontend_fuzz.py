@@ -46,7 +46,6 @@ def program_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "p.dl"
 
 
-@pytest.mark.filterwarnings("ignore:duplicate fact")
 @settings(max_examples=150, deadline=None)
 @given(text=programs)
 def test_run_exits_with_a_documented_code(program_path, text):

@@ -408,6 +408,17 @@ def test_literal_parsing():
         semiring_from_id("bool").parse("yes")
 
 
+@pytest.mark.parametrize("sid, wrap", [("trop", "{}"), ("trop_p:1", "[{}]"), ("capped:4", "{}")])
+def test_integers_over_the_digit_limit_are_malformed(sid, wrap):
+    # Python refuses int() of more than 4300 digits with a ValueError
+    s = semiring_from_id(sid)
+    for text in ("1" * 5000, "1" * 5000 + "/7", "1/" + "7" * 5000):
+        with pytest.raises(MalformedElement):
+            s.parse(wrap.format(text))
+    if sid == "trop":
+        assert s.parse("1" * 4000 + "/2") == Fraction(int("1" * 4000), 2)
+
+
 def test_semiring_registry():
     assert semiring_from_id("capped:4") is semiring_from_id("capped:4")
     with pytest.raises(InvalidParameter):
