@@ -39,6 +39,7 @@ entry_line = st.one_of(
     st.builds("b {} {}".format, index, literal),
 )
 
+
 def _matrix_file(head, lines, odd, at):
     if odd is not None:
         lines.insert(at, odd)
