@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import unittest.mock
 from fractions import Fraction
@@ -158,6 +160,16 @@ def test_truncation_commutes_with_pairwise_sums(xs, ys, p):
     lhs = min_p_truncate(p, pairwise(min_p_truncate(p, xs), min_p_truncate(p, ys)))
     rhs = min_p_truncate(p, pairwise(xs, ys))
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("value, text", [(INF, "inf"), (CAPPED_O, "O")])
+def test_sentinels_keep_identity_and_repr(value, text):
+    bag = semiring_from_id("trop_p:2").parse("[3]")  # (3, inf, inf)
+    for clone in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        assert clone(value) is value
+        assert repr(clone(value)) == text
+        assert all(a is b for a, b in zip(clone(bag), bag))
+        assert clone((value, bag))[0] is value
 
 
 # ---------------------------------------------------------------------------
