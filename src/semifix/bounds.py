@@ -20,15 +20,19 @@ from .frontend import GroundedLinearSystem
 from .semirings import Semiring, effective_stability, ordered_chain
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise InvalidParameter(msg)
+# the least legal value of each bound parameter
+_MINIMUM = {"n": 1, "p": 0, "L": 1, "chain": 0}
+
+
+def _check(**params: int):
+    for name, value in params.items():
+        if value < _MINIMUM[name]:
+            raise InvalidParameter(f"{name} must be >= {_MINIMUM[name]}")
 
 
 def bound_linear_pn3(n: int, p: int) -> int:
     """n(n^2 - n)(p + 2) + n - 1, the cubic bound for linear systems."""
-    _require(n >= 1, "n must be >= 1")
-    _require(p >= 0, "p must be >= 0")
+    _check(n=n, p=p)
     return n * (n * n - n) * (p + 2) + n - 1
 
 
@@ -41,44 +45,37 @@ def _ceil_log2_pow(base: int, exp: int) -> int:
 
 def bound_linear_pnlogL(n: int, p: int, L: int) -> int:
     """ceil(8 p (lg L + 1) n) + 1, the carrier-size bound for linear systems."""
-    _require(n >= 1, "n must be >= 1")
-    _require(p >= 0, "p must be >= 0")
-    _require(L >= 1, "L must be >= 1")
+    _check(n=n, p=p, L=L)
     return 8 * p * n + _ceil_log2_pow(L, 8 * p * n) + 1
 
 
 def bound_general_exp(n: int, p: int) -> int:
     """Sum of (p+2)^i for i = 1..n, the general polynomial-system bound."""
-    _require(n >= 1, "n must be >= 1")
-    _require(p >= 0, "p must be >= 0")
+    _check(n=n, p=p)
     return sum((p + 2) ** i for i in range(1, n + 1))
 
 
 def bound_linear_exp(n: int, p: int) -> int:
     """Sum of (p+1)^i for i = 1..n, the exponential linear-system bound."""
-    _require(n >= 1, "n must be >= 1")
-    _require(p >= 0, "p must be >= 0")
+    _check(n=n, p=p)
     return sum((p + 1) ** i for i in range(1, n + 1))
 
 
 def bound_zero_stable(n: int) -> int:
     """n, the bound when every element is 0-stable."""
-    _require(n >= 1, "n must be >= 1")
+    _check(n=n)
     return n
 
 
 def bound_naturally_ordered(n: int, chain: int) -> int:
     """n times the longest strict chain of the natural order."""
-    _require(n >= 1, "n must be >= 1")
-    _require(chain >= 0, "chain must be >= 0")
+    _check(n=n, chain=chain)
     return n * chain
 
 
 def bound_loose_npL(n: int, p: int, L: int) -> int:
     """n p L, the loose finite-carrier bound."""
-    _require(n >= 1, "n must be >= 1")
-    _require(p >= 0, "p must be >= 0")
-    _require(L >= 1, "L must be >= 1")
+    _check(n=n, p=p, L=L)
     return n * p * L
 
 
@@ -241,27 +238,28 @@ def reports_jsonl(reports) -> str:
     return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
 
 
+# (CSV column, BoundReport field) of the summary ahead of the bound columns
+_SUMMARY_FIELDS = (
+    ("instance", "instance_id"),
+    ("semiring", "semiring_id"),
+    ("n", "n"),
+    ("p", "p"),
+    ("L", "L"),
+    ("chain", "chain"),
+    ("measured", "measured_index"),
+    ("matrix", "matrix_index"),
+)
+
+
 def summary_csv(reports) -> str:
+    """One CSV row per report; csv writes a None field or absent bound as empty."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow(
-        ["instance", "semiring", "n", "p", "L", "chain", "measured", "matrix"]
-        + list(BOUND_COLUMNS)
-        + ["violations"]
-    )
+    w.writerow([c for c, _ in _SUMMARY_FIELDS] + list(BOUND_COLUMNS) + ["violations"])
     for r in reports:
         w.writerow(
-            [
-                r.instance_id,
-                r.semiring_id,
-                r.n,
-                r.p if r.p is not None else "",
-                r.L if r.L is not None else "",
-                r.chain if r.chain is not None else "",
-                r.measured_index if r.measured_index is not None else "",
-                r.matrix_index if r.matrix_index is not None else "",
-            ]
-            + [r.bounds.get(c, "") for c in BOUND_COLUMNS]
+            [getattr(r, f) for _, f in _SUMMARY_FIELDS]
+            + [r.bounds.get(c) for c in BOUND_COLUMNS]
             + [len(r.violations)]
         )
     return out.getvalue()

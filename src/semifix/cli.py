@@ -29,6 +29,7 @@ from .frontend import (
     tsv_fact_entries,
 )
 from .semirings import (
+    DEFAULT_AXIOM_BUDGET,
     check_axioms,
     effective_stability,
     ordered_chain,
@@ -301,14 +302,12 @@ def _run_args(p: argparse.ArgumentParser):
     )
     p.add_argument("--format", choices=("human", "csv", "json"), default="human")
     _add_flags(p, "--semiring", "--cap", "--no-prune")
-    p.set_defaults(handler=cmd_run)
 
 
 def _ground_args(p: argparse.ArgumentParser):
     p.add_argument("program")
     p.add_argument("facts", nargs="?")
     _add_flags(p, "--semiring", "--no-prune")
-    p.set_defaults(handler=cmd_ground)
 
 
 def _analyze_args(p: argparse.ArgumentParser):
@@ -330,7 +329,6 @@ def _analyze_args(p: argparse.ArgumentParser):
         help="carrier size to assume for a non-enumerable carrier (reported as claimed)",
     )
     _add_flags(p, "--semiring", "--cap", "--no-prune")
-    p.set_defaults(handler=cmd_analyze)
 
 
 def _oracle_args(p: argparse.ArgumentParser):
@@ -346,7 +344,6 @@ def _oracle_args(p: argparse.ArgumentParser):
     )
     p.add_argument("--format", choices=("human", "csv"), default="human")
     _add_flags(p)
-    p.set_defaults(handler=cmd_oracle)
 
 
 def _semiring_args(p: argparse.ArgumentParser):
@@ -354,12 +351,11 @@ def _semiring_args(p: argparse.ArgumentParser):
     p.add_argument(
         "--budget-axioms",
         type=int,
-        default=10_000,
+        default=DEFAULT_AXIOM_BUDGET,
         dest="budget_axioms",
         help="sample budget for axiom checking",
     )
     _add_flags(p, "--seed")
-    p.set_defaults(handler=cmd_semiring)
 
 
 def _gen_args(p: argparse.ArgumentParser):
@@ -370,17 +366,16 @@ def _gen_args(p: argparse.ArgumentParser):
     p.add_argument("--wmin", type=int, default=1)
     p.add_argument("--wmax", type=int, default=9)
     _add_flags(p, "--semiring", "--seed", "--no-prune")
-    p.set_defaults(handler=cmd_gen)
 
 
-# subcommand: (help, function that adds its arguments)
+# subcommand: (help, function that adds its arguments, handler)
 _COMMANDS = {
-    "run": ("evaluate a program to its fixpoint", _run_args),
-    "ground": ("emit the matrix form of a linear program", _ground_args),
-    "analyze": ("measure stability indices against bounds", _analyze_args),
-    "oracle": ("cross-check matrix powers against walk sums", _oracle_args),
-    "semiring": ("axiom, stability and order report", _semiring_args),
-    "gen": ("write a generated instance as a matrix file", _gen_args),
+    "run": ("evaluate a program to its fixpoint", _run_args, cmd_run),
+    "ground": ("emit the matrix form of a linear program", _ground_args, cmd_ground),
+    "analyze": ("measure stability indices against bounds", _analyze_args, cmd_analyze),
+    "oracle": ("cross-check matrix powers against walk sums", _oracle_args, cmd_oracle),
+    "semiring": ("axiom, stability and order report", _semiring_args, cmd_semiring),
+    "gen": ("write a generated instance as a matrix file", _gen_args, cmd_gen),
 }
 
 
@@ -397,9 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, add_arguments, handler) in _COMMANDS.items():
         # a flag prefix such as --sem is a usage error, not a guess
-        add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return top
 
 

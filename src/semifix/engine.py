@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import IndexOutOfRange, InvalidParameter, ParseError
+from .errors import IndexOutOfRange, InvalidParameter, MalformedElement, MalformedLiteral, ParseError
 from .frontend import (
     MAX_ATOMS,
     GroundAtom,
@@ -466,7 +466,10 @@ def load_system(text: str) -> GroundedLinearSystem:
             bad = [k for k in idx if not 0 <= k < n]
             if bad:
                 raise IndexOutOfRange(f"{key} index {bad[0]} outside 0..{n - 1}", lineno, 1)
-            value = semiring.parse(fields[-1])
+            try:
+                value = semiring.parse(fields[-1])
+            except MalformedElement as exc:
+                raise MalformedLiteral(str(exc), lineno, 1) from None
             if key == "A":
                 entries.append((idx[0], idx[1], value))
             else:

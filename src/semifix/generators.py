@@ -30,11 +30,20 @@ def _check_size(n: int):
         raise InvalidParameter(f"n {n} exceeds the limit of {MAX_ATOMS} atoms")
 
 
-def _check_square(n: int):
+def _check_random(n: int, density: float, weight_range: Tuple[int, int]):
+    if n < 0:
+        raise InvalidParameter("n must be >= 0")
     # the random families draw one number per ordered vertex pair whatever the
     # density, and hold up to n*n matrix entries or ground atoms
     if n * n > MAX_ATOMS:
         raise InvalidParameter(f"n {n} exceeds the limit of {isqrt(MAX_ATOMS)} for n*n pairs")
+    if not 0 < density <= 1:
+        raise InvalidParameter("density must be in (0, 1]")
+    lo, hi = weight_range
+    if lo > hi:
+        raise InvalidParameter("empty weight range")
+    if lo < 0:
+        raise InvalidParameter("weights must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -126,16 +135,7 @@ def random_edge_instance(
     weight_range: Tuple[int, int] = (1, 9),
 ) -> EDBInstance:
     """A seeded random edge relation E over vertices v0..v{n-1}."""
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
-    _check_square(n)
-    if not 0 < density <= 1:
-        raise InvalidParameter("density must be in (0, 1]")
-    lo, hi = weight_range
-    if lo > hi:
-        raise InvalidParameter("empty weight range")
-    if lo < 0:
-        raise InvalidParameter("weights must be >= 0")
+    _check_random(n, density, weight_range)
     rng = random.Random(seed)
     facts = {}
     for u in range(n):
@@ -143,7 +143,7 @@ def random_edge_instance(
             if u == v:
                 continue
             if rng.random() < density:
-                w = rng.randint(lo, hi)
+                w = rng.randint(*weight_range)
                 facts[("E", (f"v{u}", f"v{v}"))] = semiring.weight(w)
     return EDBInstance(semiring, facts)
 
@@ -194,11 +194,7 @@ def gen_random_system(
     carriers draw random elements, falling back to integer weights when the
     draw is zero.
     """
-    if n < 0:
-        raise InvalidParameter("n must be >= 0")
-    _check_square(n)
-    if not 0 < density <= 1:
-        raise InvalidParameter("density must be in (0, 1]")
+    _check_random(n, density, weight_range)
     rng = random.Random(seed)
     carrier = semiring.elements()
     nonzero = None

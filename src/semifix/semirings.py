@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,6 +33,7 @@ from .errors import (
     InvalidParameter,
     MalformedElement,
     NotNaturallyOrdered,
+    SemifixError,
     UnsupportedOperation,
 )
 
@@ -49,43 +51,24 @@ def _check_size(what: str, size: int) -> None:
 # Distinguished carrier values
 # ---------------------------------------------------------------------------
 
-def _restore_inf():
-    return INF
+class _Sentinel:
+    """A distinguished carrier value, the one instance under its module-global name."""
 
+    __slots__ = ("_name", "_text")
 
-class _Infinity:
-    """Top of the min-plus carriers: absorbing under +, neutral under min."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "inf"
-
-    def __reduce__(self):
-        # keep the singleton identity across pickling
-        return (_restore_inf, ())
-
-
-INF = _Infinity()
-
-
-def _restore_capped_o():
-    return CAPPED_O
-
-
-class _CappedO:
-    """Additive identity of the capped semiring, distinct from the integer 0."""
-
-    __slots__ = ()
+    def __init__(self, name: str, text: str):
+        self._name, self._text = name, text
 
     def __repr__(self):
-        return "O"
+        return self._text
 
     def __reduce__(self):
-        return (_restore_capped_o, ())
+        # a str names a global of this module: pickle and copy return it
+        return self._name
 
 
-CAPPED_O = _CappedO()
+INF = _Sentinel("INF", "inf")  # top of the min-plus carriers: absorbing under +, neutral under min
+CAPPED_O = _Sentinel("CAPPED_O", "O")  # additive identity of capped, not the integer 0
 
 
 def _ext_key(v):
@@ -103,6 +86,8 @@ def _parse_extended_rational(text: str):
     t = text.strip()
     if t == "inf":
         return INF
+    if "e" in t or "E" in t:  # Fraction would expand 1e999999999 to a 415 MB int
+        raise MalformedElement(f"exponent literal {text!r} is not accepted")
     try:
         if t.isascii() and t.isdigit():
             return int(t)
@@ -120,7 +105,11 @@ def _integral(v: Fraction):
 
 
 def _show_extended_rational(v) -> str:
-    return "inf" if v is INF else str(v)
+    try:
+        return "inf" if v is INF else str(v)
+    except ValueError:  # str refuses an int past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SemifixError(f"value too long to print: over the limit of {limit} digits") from None
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +135,8 @@ class Semiring:
     """A commutative semiring with decidable equality and a literal codec.
 
     Subclasses provide ``add``, ``mul``, ``zero``, ``one``, ``parse``/``show``
-    and, when the carrier is finite, ``elements``. ``known_stability`` records
-    an analytically known stability index for carriers that cannot be
+    and, when the carrier is finite, ``_carrier``, built once. ``known_stability``
+    records an analytically known stability index for carriers that cannot be
     enumerated; it is None when stability must be computed exhaustively.
     """
 
@@ -155,6 +144,7 @@ class Semiring:
     zero: Any = None
     one: Any = None
     known_stability: Optional[int] = None
+    _carrier: Optional[Tuple[Any, ...]] = None
 
     def add(self, a, b):
         raise NotImplementedError
@@ -170,7 +160,7 @@ class Semiring:
 
     def elements(self) -> Optional[Sequence]:
         """The full carrier as a sequence, or None when not enumerable."""
-        return None
+        return self._carrier
 
     def int_scale(self, values) -> Optional[int]:
         """None, or a D > 0 that makes D * v an int for each finite v in ``values``.
@@ -182,7 +172,7 @@ class Semiring:
         return None
 
     def random_element(self, rng: random.Random):
-        raise NotImplementedError
+        return rng.choice(self.elements())
 
     def weight(self, k: int):
         """A canonical element representing an integer edge weight k >= 0."""
@@ -197,6 +187,7 @@ class BoolSemiring(Semiring):
     zero = False
     one = True
     known_stability = 0
+    _carrier = (False, True)
 
     def add(self, a, b):
         return a or b
@@ -214,9 +205,6 @@ class BoolSemiring(Semiring):
 
     def show(self, a):
         return "true" if a else "false"
-
-    def elements(self):
-        return (False, True)
 
     def random_element(self, rng):
         return rng.random() < 0.5
@@ -406,11 +394,7 @@ class FiniteTropBagSemiring(TropBagSemiring):
             )
         return v
 
-    def elements(self):
-        return self._carrier
-
-    def random_element(self, rng):
-        return rng.choice(self.elements())
+    random_element = Semiring.random_element  # a uniform draw from the carrier
 
     def weight(self, k):
         return min_p_truncate(self.p, (min(k, self.cap),))
@@ -434,6 +418,7 @@ class CappedSemiring(Semiring):
         self.id = f"capped:{L}"
         self.zero = CAPPED_O
         self.one = 0
+        self._carrier = (CAPPED_O,) + tuple(range(L + 1))
 
     def add(self, a, b):
         if a is CAPPED_O:
@@ -462,12 +447,6 @@ class CappedSemiring(Semiring):
     def show(self, a):
         return "O" if a is CAPPED_O else str(a)
 
-    def elements(self):
-        return (CAPPED_O,) + tuple(range(self.L + 1))
-
-    def random_element(self, rng):
-        return rng.choice(self.elements())
-
     def weight(self, k):
         return min(k, self.L)
 
@@ -478,6 +457,7 @@ class TrivialSemiring(Semiring):
     id = "trivial"
     zero = 0
     one = 0
+    _carrier = (0,)
 
     def add(self, a, b):
         return 0
@@ -492,9 +472,6 @@ class TrivialSemiring(Semiring):
 
     def show(self, a):
         return "0"
-
-    def elements(self):
-        return (0,)
 
     def random_element(self, rng):
         return 0
@@ -565,13 +542,18 @@ def element_stability(s: Semiring, u, cap: int = DEFAULT_STABILITY_CAP) -> Stabi
     return StabilityResult(None, tuple(seq))
 
 
-def semiring_stability(s: Semiring, cap: int = DEFAULT_STABILITY_CAP) -> SemiringStability:
-    """Maximum element_stability over the whole (finite) carrier."""
+def _enumerable(s: Semiring) -> Sequence:
+    """The carrier of ``s``; UnsupportedOperation when it cannot be enumerated."""
     carrier = s.elements()
     if carrier is None:
         raise UnsupportedOperation(f"{s.id} has no enumerable carrier")
+    return carrier
+
+
+def semiring_stability(s: Semiring, cap: int = DEFAULT_STABILITY_CAP) -> SemiringStability:
+    """Maximum element_stability over the whole (finite) carrier."""
     best, witness = 0, s.zero
-    for u in carrier:
+    for u in _enumerable(s):
         r = element_stability(s, u, cap)
         if r.index is None:
             return SemiringStability(None, u)
@@ -624,10 +606,7 @@ def scalar_repeat(s: Semiring, u, m: int):
 
 def natural_order_leq(s: Semiring, x, y) -> bool:
     """x precedes y when some carrier element z satisfies x (+) z == y."""
-    carrier = s.elements()
-    if carrier is None:
-        raise UnsupportedOperation(f"{s.id} has no enumerable carrier")
-    return any(s.add(x, z) == y for z in carrier)
+    return any(s.add(x, z) == y for z in _enumerable(s))
 
 
 def longest_chain(s: Semiring) -> int:
@@ -635,10 +614,7 @@ def longest_chain(s: Semiring) -> int:
 
     Raises NotNaturallyOrdered when the additive preorder fails antisymmetry.
     """
-    carrier = s.elements()
-    if carrier is None:
-        raise UnsupportedOperation(f"{s.id} has no enumerable carrier")
-    elems = list(carrier)
+    elems = list(_enumerable(s))
     n = len(elems)
     pos = {e: k for k, e in enumerate(elems)}
     # up[i]: indices of the elements that elems[i] precedes, {x (+) z : z in C}

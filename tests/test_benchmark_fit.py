@@ -1,11 +1,14 @@
-"""The benchmark's tracer still fits the library.
+"""The benchmark still fits the library.
 
 ``perfbench/layers.py`` wraps library functions by name under ``--trace 1``
 and reads fields of what they return. These tests import it read-only and run
 one traced op of each workload, so removing or reshaping a name it uses fails
-here instead of only in a traced benchmark run.
+here instead of only in a traced benchmark run. They also run every op of the
+first seeds against the digests pinned in ``perfbench/digests.json``, so a
+change to any output byte fails here instead of only in a benchmark verdict.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -15,7 +18,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import layers  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
+
+from semifix import cli  # noqa: E402
 
 
 @pytest.mark.parametrize("span", sorted(layers.TRACED))
@@ -56,3 +62,18 @@ def test_traced_op_of_each_workload(tmp_path, monkeypatch, capsys, name):
     outcomes = layers.Outcomes()
     outcomes.add(captured)
     assert outcomes.pool
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_outputs_match_the_pinned_digests(tmp_path, monkeypatch, name, seed):
+    pinned = json.loads(run.DIGESTS.read_text(encoding="utf-8"))["digests"][name][str(seed)]
+    workload = workloads.WORKLOADS[name]
+    instances = workload.build(seed, tmp_path)
+    workloads.warm_carriers(workload.carriers)
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for inst in instances:
+        _ns, rc, out, err = run.execute(cli.main, inst.argv)
+        digests[inst.name] = run.output_digest(rc, out, err)
+    assert " ".join(digests[k] for k in sorted(digests)) == pinned

@@ -120,6 +120,41 @@ def test_run_malformed_fact_literal_exits_1_with_line(tmp_path, program, facts, 
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, files, where, literal",
+    [
+        (["run", "p.dl"], {"p.dl": "@semiring trop\nT(X,Y) :- E(X,Y).\nE(a,b) = 1e5000.\n"},
+         "line 3, col 1", "1e5000"),
+        (["run", "p.dl", "f.tsv"], {"p.dl": "@semiring trop\nT(X,Y) :- E(X,Y).\n",
+                                    "f.tsv": "E\ta\tb\t1\nE\tb\tc\t2E3\n"},
+         "line 2, col 1", "2E3"),
+        (["run", "p.dl"], {"p.dl": "@semiring trop_p:2\nT(X,Y) :- E(X,Y).\nE(a,b) = [1,1e9].\n"},
+         "line 3, col 1", "1e9"),
+        (["oracle", "m.txt", "--i", "0", "--j", "0", "--h", "1"],
+         {"m.txt": "semiring trop\nn 1\nA 0 0 1e5000\nb 0 1\n"}, "line 3, col 1", "1e5000"),
+    ],
+    ids=["program", "tsv", "bag", "matrix"],
+)
+def test_exponent_literal_exits_1_with_line(tmp_path, monkeypatch, capsys, argv, files, where, literal):
+    # an exponent would let a short literal build a huge int
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {where}: exponent literal '{literal}' is not accepted\n")
+
+
+def test_value_too_long_to_print_exits_1(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    big = "9" * limit  # the largest int str accepts; the path a -> c sums two of them
+    path = tmp_path / "p.dl"
+    path.write_text(f"T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\nE(a,b) = {big}.\nE(b,c) = {big}.\n")
+    assert main(["run", str(path), "--semiring", "trop"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: value too long to print: over the limit of {limit} digits\n")
+
+
 @pytest.mark.parametrize("n", ["99999999999", str(10**30)])
 def test_analyze_huge_n_header_exits_1_with_line(tmp_path, n):
     # rejected before anything of size n is allocated

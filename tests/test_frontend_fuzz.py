@@ -57,3 +57,41 @@ def test_run_exits_with_a_documented_code(program_path, text):
     assert "Traceback" not in err.getvalue()
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+# TSV fragments as bytes, so that a row can hold a byte that is not UTF-8
+TSV_FRAGMENTS = (
+    b"E", b"T", b"F", b"a", b"b", b"c", b"\t", b"\n", b" ", b"#", b"# note\n",
+    b"1", b"3/4", b"2.5", b"inf", b"x", b"-1", b"1/0", b"[1]", b"1e5000", b"2E3",
+    b"9" * 4301,  # over Python's digit limit for int(str)
+    b"\xff",
+)
+TSV_ROWS = (
+    b"E\ta\tb\t3\n", b"E\tb\tc\t1/2\n", b"E\tc\ta\n", b"E\ta\n",  # the last two are short
+    b"E\ta\tb\tc\t1\n", b"T\ta\tb\t1\n", b"E\tb\tc\t1e5000\n",
+)
+
+tsv_texts = st.lists(
+    st.one_of(st.sampled_from(TSV_ROWS), st.sampled_from(TSV_FRAGMENTS)), max_size=16
+).map(b"".join)
+
+
+@pytest.fixture(scope="module")
+def tsv_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tsv")
+    program = root / "p.dl"
+    program.write_text("T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n", encoding="utf-8")
+    return program, root / "facts.tsv"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=tsv_texts)
+def test_run_on_tsv_facts_exits_with_a_documented_code(tsv_paths, data):
+    program, facts = tsv_paths
+    facts.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["run", str(program), str(facts), "--semiring", "trop", "--cap", "50"])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

@@ -486,6 +486,8 @@ def _parse_via_fraction(text):
     t = text.strip()
     if t == "inf":
         return INF
+    if "e" in t or "E" in t:
+        raise MalformedElement(f"exponent literal {text!r} is not accepted")
     try:
         v = Fraction(t)
     except (ValueError, ZeroDivisionError):
