@@ -238,27 +238,19 @@ def reports_jsonl(reports) -> str:
     return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in reports)
 
 
-# (CSV column, BoundReport field) of the summary ahead of the bound columns
-_SUMMARY_FIELDS = (
-    ("instance", "instance_id"),
-    ("semiring", "semiring_id"),
-    ("n", "n"),
-    ("p", "p"),
-    ("L", "L"),
-    ("chain", "chain"),
-    ("measured", "measured_index"),
-    ("matrix", "matrix_index"),
-)
+# summary CSV column -> BoundReport field, for the columns ahead of the bounds
+_SUMMARY_FIELDS = {"instance": "instance_id", "semiring": "semiring_id", "n": "n", "p": "p",
+                   "L": "L", "chain": "chain", "measured": "measured_index", "matrix": "matrix_index"}
 
 
 def summary_csv(reports) -> str:
     """One CSV row per report; csv writes a None field or absent bound as empty."""
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
-    w.writerow([c for c, _ in _SUMMARY_FIELDS] + list(BOUND_COLUMNS) + ["violations"])
+    w.writerow([*_SUMMARY_FIELDS, *BOUND_COLUMNS, "violations"])
     for r in reports:
         w.writerow(
-            [getattr(r, f) for _, f in _SUMMARY_FIELDS]
+            [getattr(r, f) for f in _SUMMARY_FIELDS.values()]
             + [r.bounds.get(c) for c in BOUND_COLUMNS]
             + [len(r.violations)]
         )

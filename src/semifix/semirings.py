@@ -172,6 +172,7 @@ class Semiring:
         return None
 
     def random_element(self, rng: random.Random):
+        """A uniform draw from the carrier; a carrier without one overrides this."""
         return rng.choice(self.elements())
 
     def weight(self, k: int):
@@ -394,7 +395,7 @@ class FiniteTropBagSemiring(TropBagSemiring):
             )
         return v
 
-    random_element = Semiring.random_element  # a uniform draw from the carrier
+    random_element = Semiring.random_element  # not the parent's draw of unsaturated bags
 
     def weight(self, k):
         return min_p_truncate(self.p, (min(k, self.cap),))
