@@ -264,8 +264,24 @@ def cmd_semiring(args) -> int:
     return 0 if report.all_passed else 1
 
 
+# the optional flags of gen with their defaults, and those each family reads
+_GEN_DEFAULTS = dict(L=None, density=0.5, wmin=1, wmax=9, semiring=None, seed=0, no_prune=False)
+_GEN_READS = {
+    "cycle": {"L"},
+    "random": {"density", "wmin", "wmax", "semiring", "seed", "no_prune"},
+    "randsys": {"density", "semiring", "seed"},
+    "blocked": {"semiring"},
+}
+
+
 def cmd_gen(args) -> int:
     family = args.family
+    given = {d: v for d in _GEN_DEFAULTS if (v := getattr(args, d)) is not None}  # None: left out
+    ignored = [d for d in given if d not in _GEN_READS[family]]
+    if ignored:
+        names = ", ".join("--" + d.replace("_", "-") for d in ignored)
+        raise InvalidParameter(f"gen {family} does not use {names}")
+    vars(args).update(_GEN_DEFAULTS, **given)
     if family == "cycle":
         system = generators.gen_cycle_lowerbound(args.n, args.L)
         spec = generators.cycle_lowerbound_spec(args.n, args.L)
@@ -362,10 +378,11 @@ def _gen_args(p: argparse.ArgumentParser):
     p.add_argument("family", choices=("cycle", "random", "randsys", "blocked"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, help="cap for the cycle family")
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--wmin", type=int, default=1)
-    p.add_argument("--wmax", type=int, default=9)
+    p.add_argument("--density", type=float)
+    p.add_argument("--wmin", type=int)
+    p.add_argument("--wmax", type=int)
     _add_flags(p, "--semiring", "--seed", "--no-prune")
+    p.set_defaults(**dict.fromkeys(_GEN_DEFAULTS))  # cmd_gen tells given flags from absent ones
 
 
 # subcommand: (help, function that adds its arguments, handler)

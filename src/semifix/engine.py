@@ -41,6 +41,7 @@ from .frontend import (
 )
 from .matrix import Matrix
 from .semirings import (
+    INF,
     MAX_CARRIER_SIZE,
     Semiring,
     _integral,
@@ -135,11 +136,18 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
     (``_polynomial_rows`` the monomial ``(one, (i,))``), so the row computes
     x (+) f(x) and reads its own column. A row skips every x[j] and b[i] that
     is zero, which is exact because zero annihilates under mul and is the
-    identity of add. There are three row kernels:
+    identity of add. There are four row kernels:
 
     * On a carrier with ``_tables`` a row reads add and mul from them, and a
       row that meets a value outside the tables is recomputed with the
       semiring's add and mul (D = 1).
+    * On a carrier whose ``bag_limits`` answers (``trop_p``, and
+      ``trop_p_fin`` without tables) a row gathers the entry sums of every
+      product it needs (the pairs ``_limits`` allows, saturated at the cap)
+      and b[i]'s entries, sorts them once and keeps the p+1 smallest (D = 1).
+      That is exact: keeping the p+1 smallest commutes with multiset union,
+      and saturation is monotone, so it commutes with the truncation that
+      mul applies before it.
     * On a carrier whose ``int_scale`` answers (``trop``) every finite entry
       of A and b is multiplied by D, the LCM of their denominators, and a row
       is an inline min-plus fold over ints with zero as the top. That is
@@ -150,12 +158,15 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
 
     add and mul are looked up when the row function is made, never at import,
     so wrappers set on the instance (the benchmark's op counters) see every
-    call of the object path; on ``trop`` they see no call of a run.
+    call of the object path; on ``trop`` and ``trop_p`` they see no call of a
+    run.
     """
     s = A.semiring
     zero = s.zero
     rows = [tuple(A.row(i).items()) + ((i, s.one),) * inflationary for i in range(A.n)]
+    readers = _readers(A.n, rows)
     tables = _tables(s)
+    bag = None if tables else s.bag_limits()
     a_scale = s.int_scale(v for r in rows for _, v in r)
 
     def rows_for(b: Sequence):
@@ -188,8 +199,42 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
 
         return table_row, 1
 
+    if bag is not None:
+        limits, cap = bag
+        width = len(limits)
+        # each coefficient as its finite entries, each with the number of
+        # leading entries of x[j] that mul sums it with
+        pair_rows = [
+            tuple([(j, tuple([(u, k) for u, k in zip(v, limits) if u is not INF])) for j, v in r])
+            for r in rows
+        ]
+
+        def bag_rows_for(b: Sequence):
+            b_entries = [[e for e in bi if e is not INF] for bi in b]
+
+            def bag_row(i, x):
+                sums = []
+                for j, terms in pair_rows[i]:
+                    xj = x[j]
+                    if xj is not zero:
+                        for u, k in terms:
+                            for e in xj[:k]:
+                                if e is INF:
+                                    break
+                                sums.append(u + e)
+                if cap is not None:
+                    sums = [e if e < cap else cap for e in sums]
+                sums += b_entries[i]
+                if not sums:
+                    return zero
+                sums.sort()
+                return (*sums[:width], *zero[len(sums):])
+
+            return bag_row, 1
+
+        return readers, bag_rows_for
     if a_scale is None:
-        return _readers(A.n, rows), rows_for
+        return readers, rows_for
 
     def scaled_rows(D):
         # tuples built from lists: a tuple built from an iterator leaves its
@@ -217,7 +262,7 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
 
         return int_row, D
 
-    return _readers(A.n, rows), int_rows_for
+    return readers, int_rows_for
 
 
 def _polynomial_rows(psys: GroundedPolynomialSystem, inflationary: bool):

@@ -34,6 +34,7 @@ import itertools
 import operator
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
@@ -593,28 +594,25 @@ def ground(
             free = [v for v in names if v not in slot]
             forms = [form(a, slot, free) for a in (rule.head, *prod.atoms) if a.pred in idb]
             monomial = len(forms) > 2
-            # what each assignment of the free variables adds to each number
-            shifts = [
-                tuple(sum(map(operator.mul, fw, rest)) for *_, fw in forms)
-                for rest in itertools.product(adom_codes, repeat=len(free))
-            ] if free else [()]
+            # per form, what each assignment of the free variables adds to its number
+            assignments = list(itertools.product(adom_codes, repeat=len(free)))
+            shifts = [[sum(map(operator.mul, fw, rest)) for rest in assignments] for *_, fw in forms]
             for bound, coeff in _join(steps, one, s.mul):
                 if coeff == zero:
                     continue
-                at = []
-                for c, terms, _ in forms:
+                columns = []
+                for (c, terms, _), shift in zip(forms, shifts):
                     for k, w in terms:
                         c += w * bound[k]
-                    at.append(c)
-                at = tuple(at)
-                for shift in shifts:
-                    key = tuple(map(operator.add, at, shift)) if shift else at
+                    columns.append(map(c.__add__, shift))
+                for key in zip(*columns):
                     if monomial:
                         key = (key[0], *sorted(key[1:]))
                     # a first term is stored as it is: add(O, v) == v on every carrier
                     entries[key] = add(entries[key], coeff) if key in entries else coeff
 
-    entries = {k: v for k, v in entries.items() if v != zero}
+    for key in [k for k, v in entries.items() if v == zero]:
+        del entries[key]
     keep = _productive(entries) if prune else range(n_raw)
     remap = {old: new for new, old in enumerate(keep)}
 
@@ -624,22 +622,22 @@ def ground(
         return preds[p], tuple([gdom[k // w % radix] for w in places[p]])
 
     atoms = tuple(map(decode, keep))
-    a_entries: List[Tuple[int, int, Any]] = []
-    b = [zero] * len(keep)
+    # a term whose derived atoms are all kept has a kept head; each key is
+    # distinct and its value nonzero, so the rows need no further check
+    if linear:
+        a_rows: List[Dict[int, Any]] = [{} for _ in keep]
+        b = [zero] * len(keep)
+        for key, v in entries.items():
+            if len(key) == 1:
+                b[remap[key[0]]] = v
+            elif (j := remap.get(key[1])) is not None:
+                a_rows[remap[key[0]]][j] = v
+        return GroundedLinearSystem(s, atoms, Matrix._from_rows(s, a_rows), tuple(b), n_raw)
     rows: List[List[Monomial]] = [[] for _ in keep]
     for (i, *cols), v in entries.items():
         kept_cols = tuple(map(remap.get, cols))
-        # a term whose derived atoms are all kept has a kept head
-        if None in kept_cols:
-            continue
-        if not linear:
+        if None not in kept_cols:
             rows[remap[i]].append((v, kept_cols))
-        elif kept_cols:
-            a_entries.append((remap[i], kept_cols[0], v))
-        else:
-            b[remap[i]] = v
-    if linear:
-        return GroundedLinearSystem(s, atoms, Matrix(s, len(keep), a_entries), tuple(b), n_raw)
     monomials = tuple(tuple(sorted(row, key=lambda m: m[1])) for row in rows)
     return GroundedPolynomialSystem(s, atoms, monomials, n_raw)
 
@@ -720,20 +718,23 @@ def _productive(keys: Iterable[Tuple[int, ...]]) -> List[int]:
     its head productive once that atom is; a term with more counts down the
     atoms it still waits on.
     """
-    feeds: Dict[int, List[int]] = {}  # atom -> heads of its one-atom terms
-    waiting: Dict[int, List[int]] = {}  # atom -> the longer terms waiting on it
+    feeds: Dict[int, List[int]] = defaultdict(list)  # atom -> heads of its one-atom terms
+    waiting: Dict[int, List[int]] = defaultdict(list)  # atom -> the longer terms waiting on it
     heads: List[int] = []
     missing: List[int] = []
     work: List[int] = []
     for key in keys:
-        need = set(key[1:]) if len(key) > 2 else key[1:]
+        if len(key) == 2:  # a linear term, the common case
+            feeds[key[1]].append(key[0])
+            continue
+        need = set(key[1:])
         if not need:
             work.append(key[0])
         elif len(need) == 1:
-            feeds.setdefault(key[-1], []).append(key[0])
+            feeds[key[1]].append(key[0])
         else:
             for c in need:
-                waiting.setdefault(c, []).append(len(heads))
+                waiting[c].append(len(heads))
             heads.append(key[0])
             missing.append(len(need))
     productive = set(work)

@@ -12,8 +12,9 @@ class Matrix:
     """Immutable n x n matrix over a semiring.
 
     Only nonzero entries are stored; an absent entry means the semiring zero.
-    The constructor, which builds every matrix, adds duplicate coordinates
-    left to right and drops a sum equal to zero.
+    The constructor, which builds every matrix but the grounder's, checks
+    each index, adds duplicate coordinates left to right and drops a sum
+    equal to zero.
     """
 
     __slots__ = ("semiring", "n", "_rows")
@@ -36,6 +37,14 @@ class Matrix:
             else:
                 row[j] = v
         self._rows = rows
+
+    @classmethod
+    def _from_rows(cls, semiring: Semiring, rows: List[Dict[int, Any]]) -> "Matrix":
+        """A matrix over ``rows`` as given, unchecked: the caller built each
+        row's columns in range, each once, with no value equal to zero."""
+        m = cls.__new__(cls)
+        m.semiring, m.n, m._rows = semiring, len(rows), rows
+        return m
 
     @classmethod
     def identity(cls, semiring: Semiring, n: int) -> "Matrix":

@@ -171,6 +171,11 @@ class Semiring:
         """
         return None
 
+    def bag_limits(self) -> Optional[Tuple[Tuple[int, ...], Optional[int]]]:
+        """None, or the ``_limits`` and ``cap`` of a truncated-bag carrier,
+        whose linear rows ``engine._linear_rows`` then folds with one sort."""
+        return None
+
     def random_element(self, rng: random.Random):
         """A uniform draw from the carrier; a carrier without one overrides this."""
         return rng.choice(self.elements())
@@ -334,6 +339,9 @@ class TropBagSemiring(Semiring):
         if cap is not None:
             kept = [e if e < cap else cap for e in kept]
         return (*kept, *self.zero[len(kept):])
+
+    def bag_limits(self):
+        return self._limits, self.cap
 
     def _parse_entry(self, text):
         return _parse_extended_rational(text)

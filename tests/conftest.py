@@ -1,13 +1,22 @@
 import itertools
+import os
 import random
 
 import pytest
 from hypothesis import settings
 
+import semifix
 from semifix.semirings import Semiring
 
 settings.register_profile("ci", derandomize=True, max_examples=150)
 settings.load_profile("ci")
+
+
+def pytest_report_header(config):
+    # pyproject's pythonpath puts this checkout's src/ ahead of PYTHONPATH,
+    # so name the package the run imports
+    return f"semifix under test: {os.path.dirname(semifix.__file__)}"
+
 
 FINITE_IDS = ("bool", "trivial", "capped:2", "capped:3", "capped:4", "trop_p_fin:1:1")
 ALL_IDS = FINITE_IDS + ("trop", "trop_p:1", "trop_p:2")

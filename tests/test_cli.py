@@ -495,6 +495,42 @@ def test_gen_out_of_range_exits_1(tmp_path, args, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (("randsys", "--n", "3", "--seed", "1", "--wmin", "50", "--wmax", "60"), "--wmin, --wmax"),
+        (("randsys", "--n", "3", "--no-prune"), "--no-prune"),
+        (("randsys", "--n", "3", "--L", "2"), "--L"),
+        (("cycle", "--n", "3", "--L", "2", "--density", "0.1", "--wmin", "5", "--seed", "1"),
+         "--density, --wmin, --seed"),
+        (("cycle", "--n", "3", "--L", "2", "--semiring", "capped:2", "--wmax", "9"), "--wmax, --semiring"),
+        (("random", "--n", "3", "--L", "2"), "--L"),
+        # a flag given at its default value is still given
+        (("blocked", "--n", "3", "--seed", "0", "--density", "0.5"), "--density, --seed"),
+    ],
+)
+def test_gen_flags_the_family_ignores_exit_1(tmp_path, args, names):
+    out = tmp_path / "g.mat"
+    res = run_cli("gen", *args, "--out", str(out))
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: gen {args[0]} does not use {names}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "family, defaults",
+    [
+        ("random", ("--density", "0.5", "--wmin", "1", "--wmax", "9", "--seed", "0", "--semiring", "trop")),
+        ("randsys", ("--density", "0.5", "--seed", "0", "--semiring", "capped:4")),
+        ("blocked", ("--semiring", "bool")),
+    ],
+)
+def test_gen_flags_left_out_take_their_defaults(family, defaults):
+    implicit = run_cli("gen", family, "--n", "6")
+    explicit = run_cli("gen", family, "--n", "6", *defaults)
+    assert implicit.returncode == explicit.returncode == 0
+    assert implicit.stdout == explicit.stdout != ""
+
+
 def test_run_nonlinear_program(tmp_path):
     path = tmp_path / "nl.dl"
     path.write_text("@semiring bool\nT(X,Y) :- E(X,Y) + T(X,Z)*T(Z,Y).\nE(a,b).\nE(b,c).\n")

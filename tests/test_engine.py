@@ -29,7 +29,13 @@ from semifix import (
 )
 from semifix.engine import MAX_ATOMS, column_run
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
-from semifix.semirings import Semiring, TropBagSemiring, effective_stability, ordered_chain
+from semifix.semirings import (
+    Semiring,
+    TropBagSemiring,
+    effective_stability,
+    min_p_truncate,
+    ordered_chain,
+)
 from semifix.generators import (
     LINEAR_PATH_PROGRAM,
     gen_cycle_lowerbound,
@@ -713,12 +719,17 @@ def _kernel_results(A, b):
     )
 
 
-def _tabled_and_object(monkeypatch, A, b):
-    """The kernel callers' results with tables, then on the object path."""
-    tabled = _kernel_results(A, b)
+def _object_results(monkeypatch, A, b):
+    """The kernel callers' results on the object row: no tables, no bag kernel."""
     with monkeypatch.context() as m:
         m.setattr(engine, "_tables", lambda s: None)
-        return tabled, _kernel_results(A, b)
+        m.setattr(A.semiring, "bag_limits", lambda: None)
+        return _kernel_results(A, b)
+
+
+def _tabled_and_object(monkeypatch, A, b):
+    """The kernel callers' results with tables, then on the object row."""
+    return _kernel_results(A, b), _object_results(monkeypatch, A, b)
 
 
 @pytest.mark.parametrize("sid", TABLED_IDS)
@@ -766,6 +777,9 @@ def test_values_outside_the_tables_take_the_object_path(monkeypatch, sid, outsid
     for b in ([s.zero, s.zero, s.one], [outside, s.zero, s.one]):
         tabled, plain = _tabled_and_object(monkeypatch, A, b)
         assert tabled == plain
+        with monkeypatch.context() as m:  # the kernel the carrier has without tables
+            m.setattr(engine, "_tables", lambda s: None)
+            assert _kernel_results(A, b) == plain
 
 
 def test_only_carriers_with_at_most_64_elements_get_tables():
@@ -780,6 +794,7 @@ def test_only_carriers_with_at_most_64_elements_get_tables():
 
 def test_rows_skip_zero_inputs_without_changing_the_trace():
     s = TropBagSemiring(2)  # a private instance, so counting wraps no shared carrier
+    s.bag_limits = lambda: None  # the object row, which calls mul once per nonzero input
     calls = {"mul": 0, "zero_operand": 0}
     mul = s.mul
 
@@ -805,6 +820,139 @@ def test_rows_skip_zero_inputs_without_changing_the_trace():
         dirty = [i for i in range(sys_.n) if changed.intersection(reads[i])]
     assert calls == {"mul": nonzero_read, "zero_operand": 0}
     assert nonzero_read < entries_read
+
+
+@pytest.mark.parametrize("source", ["path program", "random system"])
+def test_bag_rows_skip_zero_inputs_and_sum_only_the_limited_pairs(monkeypatch, source):
+    s = TropBagSemiring(2)  # a private instance, so counting wraps no shared carrier
+    limits, _ = s.bag_limits()
+    sums = [0]
+
+    class Counted(int):
+        """An entry of A that counts the entry sums formed from it."""
+
+        def __add__(self, other):
+            sums[0] += 1
+            return int.__add__(self, other)
+
+    if source == "path program":  # single-entry weights
+        grounded = ground(parse_program(LINEAR_PATH_PROGRAM), random_edge_instance(8, 0.35, s, seed=3))
+    else:  # bags of up to three entries
+        grounded = gen_random_system(12, 0.2, s, seed=3)
+    reference = reference_linear(grounded, 60, False)
+    A = Matrix(s, grounded.n, [
+        (i, j, tuple(e if e is INF else Counted(e) for e in v)) for i, j, v in grounded.A.entries()
+    ])
+    sys_ = GroundedLinearSystem.from_matrix(s, A, grounded.b, grounded.atoms)
+    calls = []
+    for op in ("add", "mul"):
+        real = getattr(s, op)
+        monkeypatch.setattr(s, op, lambda a, b, op=op, real=real: calls.append(op) or real(a, b))
+    trace = naive_eval_linear(sys_, cap=60)
+    assert_trace_matches(trace, reference)
+    assert calls == []
+    # replay the dirty rows: the pairs (a, c) with c < limits[a] of finite entries
+    reads = [list(A.row(i).items()) for i in range(sys_.n)]
+    dirty, entries_read, nonzero_read, pairs = range(sys_.n), 0, 0, 0
+    for x, step in zip(trace.states, trace.changes):
+        for i in dirty:
+            entries_read += len(reads[i])
+            for j, v in reads[i]:
+                if x[j] != s.zero:
+                    nonzero_read += 1
+                    pairs += sum(
+                        u is not INF and e is not INF
+                        for a, u in enumerate(v) for e in x[j][:limits[a]]
+                    )
+        changed = {i for i, _ in step}
+        dirty = [i for i in range(sys_.n) if changed.intersection(j for j, _ in reads[i])]
+    assert sums[0] == pairs > 0
+    assert nonzero_read < entries_read
+
+
+# ---------------------------------------------------------------------------
+# trop_p rows folded with one sort
+# ---------------------------------------------------------------------------
+
+BAG_IDS = ("trop_p:1", "trop_p:2", "trop_p:3", "trop_p_fin:3:3")
+
+
+def _bag_and_object(monkeypatch, A, b):
+    """The kernel callers' results on the bag kernel, then on the object row."""
+    s = A.semiring
+    assert engine._tables(s) is None and s.bag_limits() is not None
+    return _kernel_results(A, b), _object_results(monkeypatch, A, b)
+
+
+def _fractional_bag_system(s, n, seed):
+    """A bag system with three entries per row, entries k/d for small d, half of b zero."""
+    rng = random.Random(seed)
+
+    def bag():
+        k = rng.randint(1, s.p + 1)
+        return min_p_truncate(s.p, [Fraction(rng.randint(0, 40), rng.choice((1, 2, 3, 7))) for _ in range(k)])
+
+    entries = [(i, rng.randrange(n), bag()) for i in range(n) for _ in range(3)]
+    b = [bag() if rng.random() < 0.5 else s.zero for _ in range(n)]
+    return GroundedLinearSystem.from_matrix(s, Matrix(s, n, entries), b, [(f"x{i}", ()) for i in range(n)])
+
+
+@pytest.mark.parametrize("sid", BAG_IDS)
+def test_bag_kernel_equals_the_object_row_on_random_systems(monkeypatch, sid):
+    s = semiring_from_id(sid)
+    for seed in range(8):
+        sys_ = gen_random_system(seed % 7 + 1, 0.4, s, seed)
+        bag, plain = _bag_and_object(monkeypatch, sys_.A, sys_.b)
+        assert bag == plain, seed
+
+
+@pytest.mark.parametrize("sid", ["trop_p:1", "trop_p:2", "trop_p:3"])
+def test_bag_kernel_equals_the_object_row_on_fraction_entries(monkeypatch, sid):
+    s = semiring_from_id(sid)
+    for seed, n in enumerate((1, 3, 5, 8)):
+        sys_ = _fractional_bag_system(s, n, seed)
+        assert any(type(e) is Fraction for _, _, v in sys_.A.entries() for e in v)
+        bag, plain = _bag_and_object(monkeypatch, sys_.A, sys_.b)
+        assert bag == plain, seed
+
+
+def test_bag_kernel_equals_the_object_row_on_the_path_program(monkeypatch):
+    s = semiring_from_id("trop_p:2")
+    for seed in range(4):
+        sys_ = ground(parse_program(LINEAR_PATH_PROGRAM), random_edge_instance(6, 0.4, s, seed))
+        bag, plain = _bag_and_object(monkeypatch, sys_.A, sys_.b)
+        assert bag == plain, seed
+
+
+def test_bag_kernel_saturates_products_but_not_b(monkeypatch):
+    s = semiring_from_id("trop_p_fin:3:3")
+    big = (2, 5, 9, INF)  # two entries above the chain 0..3
+    A = Matrix(s, 3, [(0, 1, big), (1, 2, s.one), (2, 0, s.weight(1)), (2, 2, s.one)])
+    for b in ([s.zero, s.zero, s.one], [big, s.zero, s.one]):
+        bag, plain = _bag_and_object(monkeypatch, A, b)
+        assert bag == plain
+    # row 0 keeps the product sums 2, 5, 9 saturated and b[0]'s 4 as it is
+    A = Matrix(s, 2, [(0, 1, big)])
+    bag, plain = _bag_and_object(monkeypatch, A, [(4, 6, INF, INF), s.one])
+    assert bag == plain
+    assert bag[0][2] == ((2, 3, 3, 4), s.one)
+
+
+@pytest.mark.parametrize("sid", BAG_IDS)
+def test_bag_runs_call_no_object_op(monkeypatch, sid):
+    s = semiring_from_id(sid)
+    effective_stability(s), ordered_chain(s)  # warm the caches
+    systems = [gen_random_system(6, 0.4, s, seed) for seed in range(6)]
+    calls = []
+    for op in ("add", "mul"):
+        real = getattr(s, op)
+        monkeypatch.setattr(s, op, lambda a, b, op=op, real=real: calls.append(op) or real(a, b))
+    traces = [naive_eval_linear(sys_, inflationary=infl) for sys_ in systems for infl in (0, 1)]
+    columns = [column_run(sys_.A, j, 40) for sys_ in systems for j in range(sys_.n)]
+    indices = [matrix_stability_index(sys_.A) for sys_ in systems]
+    assert not any(t.capped for t in traces + columns) and None not in indices
+    assert sum(t.wall_steps for t in traces) > 2 * len(traces)  # the runs did real work
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

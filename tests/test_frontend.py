@@ -9,6 +9,7 @@ from semifix import (
     GroundedPolynomialSystem,
     GroundingError,
     MalformedElement,
+    Matrix,
     ParseError,
     build_edb,
     classify_linearity,
@@ -21,6 +22,7 @@ from semifix import (
 )
 from semifix.errors import MalformedLiteral
 from semifix.frontend import Atom, Const, Product, Program, Rule, Var
+from semifix.generators import random_edge_instance
 from semifix.semirings import TropSemiring
 
 from conftest import ALL_IDS
@@ -762,6 +764,49 @@ def test_ground_matches_active_domain_reference(sid):
         "repeated head variable", "nonlinear", "two free variables",
         "head constant outside the active domain", "arity-3 derived predicate",
     }
+
+
+def _as_monomials(system):
+    """The monomial rows of a linear system, in the order ground gives them."""
+    s = system.semiring
+    return tuple(
+        tuple(sorted(
+            [(v, (j,)) for j, v in system.A.row(i).items()] + [(bi, ())] * (bi != s.zero),
+            key=lambda m: m[1],
+        ))
+        for i, bi in enumerate(system.b)
+    )
+
+
+def _assert_linear_ground_is_exact(program, db):
+    s = db.semiring
+    for prune in (False, True):
+        got = ground(program, db, prune=prune)
+        poly = ground(program, db, prune=prune, force_polynomial=True)
+        assert isinstance(got, GroundedLinearSystem)
+        assert (got.atoms, got.n_raw) == (poly.atoms, poly.n_raw)
+        assert _as_monomials(got) == poly.monomials
+        # the checked constructor rebuilds the same matrix: every index in
+        # range, no entry equal to zero, no coordinate twice
+        assert got.A == Matrix(s, got.n, list(got.A.entries()))
+        assert got.A.n == got.n == len(got.b)
+
+
+@pytest.mark.parametrize("sid", DIFF_IDS + ("trop_p_fin:1:3",))
+def test_linear_ground_equals_its_monomials_and_the_checked_matrix(sid):
+    s = semiring_from_id(sid)
+    rng = random.Random(f"linear/{sid}")
+    for _ in range(16):
+        _assert_linear_ground_is_exact(
+            parse_program(_random_program(rng, linear=True)), _random_facts(rng, s)
+        )
+    for text in (TC, NUMBERING_PROGRAMS[1], NUMBERING_PROGRAMS[3]):
+        _assert_linear_ground_is_exact(parse_program(text), _random_facts(rng, s))
+    for seed in range(3):
+        db = random_edge_instance(7, 0.4, s, seed)
+        _assert_linear_ground_is_exact(parse_program(TC), db)
+        if s.one != s.zero:  # the path program grounds a real matrix
+            assert len(list(ground(parse_program(TC), db).A.entries())) > 10
 
 
 def test_distinct_term_keys_are_stored_without_add():
