@@ -202,6 +202,13 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
     if bag is not None:
         limits, cap = bag
         width = len(limits)
+
+        def bags(values):
+            # a value of another shape takes the object row, whose add and mul reject it
+            return all(type(v) is tuple and len(v) == width for v in values)
+
+        if not bags(v for r in rows for _, v in r):
+            return readers, rows_for
         # each coefficient as its finite entries, each with the number of
         # leading entries of x[j] that mul sums it with
         pair_rows = [
@@ -210,6 +217,8 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
         ]
 
         def bag_rows_for(b: Sequence):
+            if not bags(b):
+                return rows_for(b)
             b_entries = [[e for e in bi if e is not INF] for bi in b]
 
             def bag_row(i, x):

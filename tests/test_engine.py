@@ -28,6 +28,7 @@ from semifix import (
     walk_sum_upto,
 )
 from semifix.engine import MAX_ATOMS, column_run
+from semifix.errors import MalformedElement
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
 from semifix.semirings import (
     Semiring,
@@ -936,6 +937,18 @@ def test_bag_kernel_saturates_products_but_not_b(monkeypatch):
     bag, plain = _bag_and_object(monkeypatch, A, [(4, 6, INF, INF), s.one])
     assert bag == plain
     assert bag[0][2] == ((2, 3, 3, 4), s.one)
+
+
+@pytest.mark.parametrize(
+    "a_value, b_value", [((1,), None), ([1, INF, INF], None), (None, (2, 3)), (None, [0, INF, INF])]
+)
+def test_a_value_of_another_shape_takes_the_object_row_which_rejects_it(a_value, b_value):
+    s = semiring_from_id("trop_p:2")
+    A = Matrix(s, 2, [(0, 1, a_value or s.weight(1)), (1, 0, s.weight(1))])
+    b = [s.zero, b_value or s.one]
+    sys_ = GroundedLinearSystem.from_matrix(s, A, b, [("x", ()), ("y", ())])
+    with pytest.raises(MalformedElement, match="^expected a bag of exactly 3 entries"):
+        naive_eval_linear(sys_)
 
 
 @pytest.mark.parametrize("sid", BAG_IDS)
