@@ -71,8 +71,6 @@ from .semirings import (
     element_stability,
     longest_chain,
     min_p_truncate,
-    natural_order_leq,
-    scalar_repeat,
     semiring_from_id,
     semiring_stability,
 )

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Collection, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, InvalidParameter, MalformedElement, MalformedLiteral, ParseError
 from .frontend import (
@@ -117,11 +117,12 @@ def _tables(s: Semiring):
     return table(s.add), table(s.mul)
 
 
-def _readers(n: int, rows: Iterable[Iterable[Tuple[int, Any]]]) -> List[List[int]]:
-    """The rows that read each column; ``rows[i]`` holds row i's (column, coefficient) pairs."""
+def _readers(n: int, rows: Iterable[Iterable[int]]) -> List[List[int]]:
+    """The rows that read each column, each reading row once; ``rows[i]`` holds
+    the columns row i reads, no column twice."""
     readers: List[List[int]] = [[] for _ in range(n)]
-    for i, pairs in enumerate(rows):
-        for c, _ in pairs:
+    for i, cols in enumerate(rows):
+        for c in cols:
             readers[c].append(i)
     return readers
 
@@ -163,8 +164,9 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
     """
     s = A.semiring
     zero = s.zero
-    rows = [tuple(A.row(i).items()) + ((i, s.one),) * inflationary for i in range(A.n)]
-    readers = _readers(A.n, rows)
+    maps = [A.row(i) for i in range(A.n)]  # dicts: a row reads each column once
+    rows = [tuple(m.items()) + ((i, s.one),) * inflationary for i, m in enumerate(maps)]
+    readers = _readers(A.n, [m.keys() | {i} for i, m in enumerate(maps)] if inflationary else maps)
     tables = _tables(s)
     bag = None if tables else s.bag_limits()
     a_scale = s.int_scale(v for r in rows for _, v in r)
@@ -289,7 +291,7 @@ def _polynomial_rows(psys: GroundedPolynomialSystem, inflationary: bool):
             acc = add(acc, term)
         return acc
 
-    return _readers(psys.n, ([(c, k) for k, cols in r for c in cols] for r in monomials)), row
+    return _readers(psys.n, ({c for _, cols in r for c in cols} for r in monomials)), row
 
 
 def _default_cap(semiring: Semiring, n: int, cap: Optional[int]) -> int:
@@ -316,35 +318,44 @@ def _default_cap(semiring: Semiring, n: int, cap: Optional[int]) -> int:
     return max(candidates)
 
 
-def _iterate(semiring, n, readers, row, cap) -> IterationTrace:
+def _iterate(semiring, n, readers, row, cap, dirty: Collection[int]) -> IterationTrace:
     """Naive iteration that recomputes only the rows whose inputs changed.
 
-    Step 1 computes every row; after that row i is recomputed only when a
-    column it reads changed in the previous step (``readers[c]`` lists the
-    rows that read column c). A row whose columns all equal their previous
-    values would recompute the value it already holds, because ``==`` is a
-    congruence for add and mul; neither idempotence nor distributivity is
-    needed, so every state and index equals that of a full recompute. The
-    step's changes are written into the one working vector only after every
-    dirty row has read the previous state.
+    Step 1 computes the rows in ``dirty``: every row that can leave zero at
+    x = 0 (a linear row only if its b entry is not zero, since every row
+    kernel skips zero inputs and returns ``zero`` itself). After that row i is
+    recomputed only when a column it reads changed in the previous step
+    (``readers[c]`` lists each row that reads column c once). A row whose
+    columns all equal their previous values would recompute the value it
+    already holds, because ``==`` is a congruence for add and mul; neither
+    idempotence nor distributivity is needed, so every state and index equals
+    that of a full recompute. The step's changes are written into the one
+    working vector only after every dirty row has read the previous state. A
+    step with one dirty row or one change pays O(1) bookkeeping: it calls
+    ``row`` directly, and the changed column's readers are the next dirty rows.
     """
     cap = _default_cap(semiring, n, cap)
     start = (semiring.zero,) * n
     x = list(start)
     log = []
-    dirty: Iterable[int] = range(n)
     for q in range(cap):
-        step = []
-        for i in dirty:
+        if len(dirty) == 1:
+            (i,) = dirty
             v = row(i, x)
-            if v != x[i]:
-                step.append((i, v))
-        log.append(tuple(step))
+            step = ((i, v),) if v != x[i] else ()
+        else:
+            step = tuple([(i, v) for i in dirty if (v := row(i, x)) != x[i]])
+        log.append(step)
         if not step:
             return IterationTrace(start, tuple(log), tuple(x), q, False)
-        for i, v in step:
+        if len(step) == 1:
+            ((i, v),) = step
             x[i] = v
-        dirty = {r for i, _ in step for r in readers[i]}
+            dirty = readers[i]
+        else:
+            for i, v in step:
+                x[i] = v
+            dirty = {r for i, _ in step for r in readers[i]}
     return IterationTrace(start, tuple(log), tuple(x), None, True)
 
 
@@ -376,7 +387,9 @@ def naive_eval_linear(
     s = sys.semiring
     readers, rows_for = _linear_rows(sys.A, inflationary)
     row, D = rows_for(sys.b)
-    return _unscaled(_iterate(s, sys.n, readers, row, cap), D, s.zero)
+    # at x = 0 a row with a zero b entry returns zero itself
+    first = [i for i, v in enumerate(sys.b) if v is not s.zero]
+    return _unscaled(_iterate(s, sys.n, readers, row, cap, first), D, s.zero)
 
 
 def naive_eval_general(
@@ -387,7 +400,7 @@ def naive_eval_general(
 ) -> IterationTrace:
     """Same contract as naive_eval_linear, for monomial systems."""
     readers, row = _polynomial_rows(psys, inflationary)
-    return _iterate(psys.semiring, psys.n, readers, row, cap)
+    return _iterate(psys.semiring, psys.n, readers, row, cap, range(psys.n))
 
 
 def _scaled_column_run(A: Matrix, j: int, cap: int, kernel) -> Tuple[IterationTrace, int]:
@@ -395,7 +408,7 @@ def _scaled_column_run(A: Matrix, j: int, cap: int, kernel) -> Tuple[IterationTr
     s, n = A.semiring, A.n
     readers, rows_for = kernel
     row, D = rows_for([s.one if i == j else s.zero for i in range(n)])
-    return _iterate(s, n, readers, row, cap), D
+    return _iterate(s, n, readers, row, cap, (j,)), D
 
 
 def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:

@@ -616,12 +616,14 @@ def ground(
     keep = _productive(entries) if prune else range(n_raw)
     remap = {old: new for new, old in enumerate(keep)}
 
-    def decode(k: int) -> GroundAtom:
-        p = bisect.bisect_right(starts, k) - 1
-        k -= starts[p]
-        return preds[p], tuple([gdom[k // w % radix] for w in places[p]])
-
-    atoms = tuple(map(decode, keep))
+    # keep is ascending, so each predicate's kept atoms are one run of it,
+    # decoded one argument position at a time
+    decoded: List[GroundAtom] = []
+    for pred, c, place, end in zip(preds, starts, places, starts[1:] + [n_raw]):
+        run = keep[bisect.bisect_left(keep, c):bisect.bisect_left(keep, end)]
+        columns = [[gdom[(k - c) // w % radix] for k in run] for w in place]
+        decoded += zip(itertools.repeat(pred), zip(*columns) if place else [()] * len(run))
+    atoms = tuple(decoded)
     # a term whose derived atoms are all kept has a kept head; each key is
     # distinct and its value nonzero, so the rows need no further check
     if linear:

@@ -599,24 +599,9 @@ def effective_stability(s: Semiring) -> Tuple[Optional[int], str]:
     return None, "unknown"
 
 
-def scalar_repeat(s: Semiring, u, m: int):
-    """u (+) u (+) ... m times; the empty sum is zero."""
-    if m < 0:
-        raise InvalidParameter("repeat count must be >= 0")
-    acc = s.zero
-    for _ in range(m):
-        acc = s.add(acc, u)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Natural order
 # ---------------------------------------------------------------------------
-
-def natural_order_leq(s: Semiring, x, y) -> bool:
-    """x precedes y when some carrier element z satisfies x (+) z == y."""
-    return any(s.add(x, z) == y for z in _enumerable(s))
-
 
 def longest_chain(s: Semiring) -> int:
     """Maximum number of strict steps in any chain of the natural order.

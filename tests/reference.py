@@ -1,10 +1,13 @@
 """Reference helpers that only the tests use: rendering a program back to
-source, all exact walk sums as matrices, and a monomial system's degree."""
+source, all exact walk sums as matrices, a monomial system's degree, repeated
+sums and the natural order."""
 
 from typing import List
 
 from semifix import Matrix
+from semifix.errors import InvalidParameter
 from semifix.frontend import GroundedPolynomialSystem, Program
+from semifix.semirings import Semiring, _enumerable
 from semifix.walks import DEFAULT_WALK_BUDGET, walk_sums
 
 
@@ -35,3 +38,18 @@ def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) 
 def max_degree(system: GroundedPolynomialSystem) -> int:
     """The largest number of derived atoms in one monomial."""
     return max((len(v) for row in system.monomials for _, v in row), default=0)
+
+
+def scalar_repeat(s: Semiring, u, m: int):
+    """u (+) u (+) ... m times; the empty sum is zero."""
+    if m < 0:
+        raise InvalidParameter("repeat count must be >= 0")
+    acc = s.zero
+    for _ in range(m):
+        acc = s.add(acc, u)
+    return acc
+
+
+def natural_order_leq(s: Semiring, x, y) -> bool:
+    """x precedes y when some carrier element z satisfies x (+) z == y."""
+    return any(s.add(x, z) == y for z in _enumerable(s))

@@ -43,9 +43,7 @@ from semifix import (
     matrix_stability_index,
     naive_eval_general,
     naive_eval_linear,
-    natural_order_leq,
     parse_program,
-    scalar_repeat,
     semiring_from_id,
     semiring_stability,
     walk_label_product,
@@ -62,7 +60,7 @@ from semifix.matrix import Matrix as _Matrix
 from semifix.walks import Walk
 
 from conftest import BrokenMulSemiring
-from reference import walk_sum_matrices
+from reference import natural_order_leq, scalar_repeat, walk_sum_matrices
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 

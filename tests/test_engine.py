@@ -337,6 +337,89 @@ def test_change_driven_cycle_index(n, L):
     assert hit.capped
 
 
+def assert_log_matches(trace, reference):
+    """The change log field by field against whole reference states; each
+    step is compared as a map, since the order within a step is free."""
+    states, index, capped = reference
+    assert trace.start == states[0]
+    assert len(trace.changes) == len(states) - 1
+    for step, prev, cur in zip(trace.changes, states, states[1:]):
+        assert len(step) == len(dict(step))  # no row logged twice in a step
+        assert dict(step) == {i: v for i, v in enumerate(cur) if v != prev[i]}
+    assert trace.last == states[-1]
+    assert trace.stability_index == index
+    assert trace.capped == capped
+
+
+def cycle_with_self_loops(n, L):
+    """gen_cycle_lowerbound(n, L) plus a self-loop on every other vertex."""
+    cycle = gen_cycle_lowerbound(n, L)
+    s = cycle.semiring
+    loops = [(k, k, 1 + k % 2) for k in range(0, n, 2)]
+    A = Matrix(s, n, list(cycle.A.entries()) + loops)
+    return GroundedLinearSystem.from_matrix(s, A, cycle.b, cycle.atoms)
+
+
+@pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (7, 5)])
+def test_cycle_steps_of_one_change_match_full_recompute(n, L):
+    sys_ = gen_cycle_lowerbound(n, L)
+    for cap in (n * L + n + 5, n * L):  # converged, then capped
+        trace = naive_eval_linear(sys_, cap=cap)
+        assert all(len(step) == 1 for step in trace.changes[:n * L + n])
+        assert_log_matches(trace, reference_linear(sys_, cap, False))
+
+
+@pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (6, 3)])
+def test_inflationary_self_loops_read_their_column_once(n, L):
+    # row k reads column k through A[k][k] and through the inflationary term
+    sys_ = cycle_with_self_loops(n, L)
+    readers, _ = engine._linear_rows(sys_.A, inflationary=True)
+    assert all(len(r) == len(set(r)) for r in readers)
+    assert all(k in readers[k] for k in range(n))
+    for cap in (200, 5):
+        for inflationary in (False, True):
+            trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
+            assert_log_matches(trace, reference_linear(sys_, cap, inflationary))
+
+
+@pytest.mark.parametrize("inflationary", [False, True])
+@pytest.mark.parametrize("sid", ["bool", "capped:3", "trop_p_fin:1:2", "trop_p:1"])
+def test_monomial_reading_one_column_twice(sid, inflationary):
+    # row 0 is c + a * x0 * x0 and the only row that reads x0
+    s = semiring_from_id(sid)
+    rng = random.Random(5)
+    c, a, d, e = (nonzero_element(s, rng) for _ in range(4))
+    monomials = (((c, ()), (a, (0, 0))), ((d, ()), (e, (1,))))
+    psys = GroundedPolynomialSystem(s, (("x0", ()), ("x1", ())), monomials, 2)
+    readers, _ = engine._polynomial_rows(psys, inflationary)
+    assert readers == [[0], [1]]
+    for cap in (40, 1):
+        trace = naive_eval_general(psys, cap=cap, inflationary=inflationary)
+        assert_log_matches(trace, reference_general(psys, cap, inflationary))
+
+
+def test_cycle_runs_evaluate_one_row_per_step(monkeypatch):
+    iterate, calls = engine._iterate, []
+
+    def counted(semiring, n, readers, row, cap, dirty):
+        return iterate(semiring, n, readers, lambda i, x: calls.append(i) or row(i, x), cap, dirty)
+
+    monkeypatch.setattr(engine, "_iterate", counted)
+    n, L = 5, 3
+    sys_ = gen_cycle_lowerbound(n, L)  # row k reads column k + 1; b[0] is one
+    trace = naive_eval_linear(sys_)
+    assert trace.stability_index == n * L + n
+    # step 1 evaluates row 0 only, and each later step the one reader of the
+    # column that changed
+    changed = [i for step in trace.changes[:-1] for i, _ in step]
+    assert calls == [0] + [(i - 1) % n for i in changed]
+    for j in range(n):
+        calls.clear()
+        run = column_run(sys_.A, j, 4 * n * L)
+        assert calls[0] == j
+        assert len(calls) == run.wall_steps
+
+
 def reference_csv(system, states):
     """trace_csv's format, written from a list of whole states."""
     s = system.semiring

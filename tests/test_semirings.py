@@ -17,8 +17,6 @@ from semifix import (
     element_stability,
     longest_chain,
     min_p_truncate,
-    natural_order_leq,
-    scalar_repeat,
     semiring_from_id,
     semiring_stability,
 )
@@ -27,6 +25,7 @@ from semifix.errors import InvalidParameter
 from semifix.semirings import _integral
 
 from conftest import ALL_IDS, FINITE_IDS, seeded_elements
+from reference import natural_order_leq, scalar_repeat
 
 
 # ---------------------------------------------------------------------------
