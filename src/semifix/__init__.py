@@ -31,10 +31,8 @@ from .errors import (
     EnumerationBudgetExceeded,
     GroundingError,
     InvalidParameter,
-    InvalidWalk,
     MalformedElement,
     NotNaturallyOrdered,
-    NotReassemblable,
     ParseError,
     SemifixError,
     UnsupportedOperation,
@@ -74,15 +72,6 @@ from .semirings import (
     semiring_from_id,
     semiring_stability,
 )
-from .walks import (
-    CycleDecomposition,
-    Walk,
-    cycle_decompose,
-    eulerian_walk_check,
-    reassemble,
-    walk_label_product,
-    walk_sum_exact,
-    walk_sum_upto,
-)
+from .walks import walk_sum_exact, walk_sum_upto
 
 __version__ = "0.1.0"

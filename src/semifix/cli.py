@@ -193,6 +193,8 @@ def cmd_oracle(args) -> int:
     i, j, max_h = args.i, args.j, args.h
     if max_h < 0:
         raise InvalidParameter(f"--h must be >= 0, got {max_h}")
+    if args.budget < 1:
+        raise InvalidParameter(f"--budget must be >= 1, got {args.budget}")
     walks.check_endpoints(A, i, j)
     exact_sums = walks.walk_sums(A, (i,), max_h, budget=args.budget)
     # state h+1 of the column run is column j of S(h), so entry i of S(h) is
@@ -231,6 +233,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_semiring(args) -> int:
+    if args.budget_axioms < 1:
+        raise InvalidParameter(f"--budget-axioms must be >= 1, got {args.budget_axioms}")
     s = semiring_from_id(args.id)
     report = check_axioms(s, sample_budget=args.budget_axioms, seed=args.seed)
     lines = [f"semiring {s.id}"]

@@ -56,10 +56,3 @@ class GroundingError(ParseError):
 class EnumerationBudgetExceeded(SemifixError):
     """Walk enumeration would exceed the configured budget."""
 
-
-class InvalidWalk(SemifixError):
-    """An edge multiset does not form a connected walk."""
-
-
-class NotReassemblable(SemifixError):
-    """The remaining edges do not admit a walk between the endpoints."""

@@ -672,10 +672,12 @@ def check_axioms(s: Semiring, sample_budget: int = DEFAULT_AXIOM_BUDGET, seed: i
     ``sample_budget`` bounds the total number of tuples drawn across all laws
     in sampling mode; exhaustive mode is used when |carrier|^3 fits the budget.
     """
+    if sample_budget < 1:
+        raise InvalidParameter(f"sample budget must be >= 1, got {sample_budget}")
     carrier = s.elements()
-    exhaustive = carrier is not None and len(carrier) ** 3 <= max(sample_budget, 1)
+    exhaustive = carrier is not None and len(carrier) ** 3 <= sample_budget
     rng = random.Random(seed)
-    per_law = -(-max(sample_budget, 1) // len(_LAWS))  # ceil division
+    per_law = -(-sample_budget // len(_LAWS))  # ceil division
     samples = 0
     checks = []
     for name, arity, law in _LAWS:

@@ -24,7 +24,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +35,6 @@ from semifix import (
     Matrix,
     build_edb,
     check_axioms,
-    cycle_decompose,
     element_stability,
     ground,
     matrix_power_sum,
@@ -46,7 +44,6 @@ from semifix import (
     parse_program,
     semiring_from_id,
     semiring_stability,
-    walk_label_product,
     walk_sum_upto,
 )
 from semifix.bounds import analyze
@@ -57,7 +54,6 @@ from semifix.generators import (
     random_edge_instance,
 )
 from semifix.matrix import Matrix as _Matrix
-from semifix.walks import Walk
 
 from conftest import BrokenMulSemiring
 from reference import natural_order_leq, scalar_repeat, walk_sum_matrices
@@ -365,47 +361,7 @@ def test_cycle_family_goldens_and_monotonicity():
 
 
 # ---------------------------------------------------------------------------
-# 7. Cycle-decomposition properties
-# ---------------------------------------------------------------------------
-
-def test_cycle_decomposition_properties():
-    rng = random.Random(2024)
-    label_semirings = [
-        semiring_from_id(i) for i in ("bool", "trop", "capped:4", "trop_p:1")
-    ]
-    for case in range(1000):
-        n = rng.randint(2, 5)
-        length = rng.randint(0, 12)
-        v = rng.randrange(n)
-        verts = [v]
-        for _ in range(length):
-            w = rng.randrange(n - 1)
-            if w >= verts[-1]:
-                w += 1
-            verts.append(w)
-        walk = Walk(tuple(verts))
-        dec = cycle_decompose(walk, n, check_invariants=True)
-        assert dec.edge_multiset() == Counter(walk.edges()), case
-        assert dec.cycle_count <= n * n - n, case
-        assert len(set(dec.path.vertices)) == len(dec.path.vertices), case
-        for cyc, mult in dec.cycles:
-            assert mult >= 1 and cyc.start == cyc.end, case
-            inner = cyc.vertices[:-1]
-            assert len(set(inner)) == len(inner), case
-        s = label_semirings[case % 4]
-        labels = gen_random_system(n, 1.0, s, seed=case).A
-        phi = walk_label_product(labels, walk)
-        prod = walk_label_product(labels, dec.path)
-        for cyc, mult in dec.cycles:
-            piece = walk_label_product(labels, cyc)
-            for _ in range(mult):
-                prod = s.mul(prod, piece)
-        assert prod == phi, case
-    report("cycle decomposition properties (1000 walks)", True)
-
-
-# ---------------------------------------------------------------------------
-# 8. Stability computations
+# 7. Stability computations
 # ---------------------------------------------------------------------------
 
 def test_capped4_stability_value():
@@ -510,7 +466,7 @@ def test_repeated_sums_stabilize_one_past_index():
 
 
 # ---------------------------------------------------------------------------
-# 9. Linear versus general engine agreement
+# 8. Linear versus general engine agreement
 # ---------------------------------------------------------------------------
 
 def test_linear_and_general_engines_agree():
@@ -534,7 +490,7 @@ def test_linear_and_general_engines_agree():
 
 
 # ---------------------------------------------------------------------------
-# 10. Command-line determinism
+# 9. Command-line determinism
 # ---------------------------------------------------------------------------
 
 def _cli(*args):

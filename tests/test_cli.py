@@ -696,6 +696,10 @@ def test_unread_flags_are_usage_errors(capsys, base, flag):
     [
         (("analyze", "--workers", "0"), "--workers must be >= 1"),
         (("oracle", "--i", "0", "--j", "0", "--h", "-1"), "--h must be >= 0"),
+        (("oracle", "--i", "0", "--j", "0", "--h", "0", "--budget", "-1"), "--budget must be >= 1"),
+        (("oracle", "--i", "0", "--j", "0", "--h", "0", "--budget", "0"), "--budget must be >= 1"),
+        (("semiring", "--budget-axioms", "-5"), "--budget-axioms must be >= 1"),
+        (("semiring", "--budget-axioms", "0"), "--budget-axioms must be >= 1"),
     ],
 )
 def test_out_of_range_cli_values_exit_1(tmp_path, args, message):

@@ -367,6 +367,12 @@ def test_axioms_sampled_pass(sid):
     assert report.all_passed
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_axiom_sample_budget_below_one_is_rejected(budget):
+    with pytest.raises(InvalidParameter, match="sample budget must be >= 1"):
+        check_axioms(semiring_from_id("bool"), sample_budget=budget)
+
+
 def test_capped_axioms_all_but_distributivity():
     # both operations are addition capped at L, which cannot distribute:
     # 1*(0+0) = 1 while (1*0)+(1*0) = 2

@@ -1,6 +1,5 @@
 import itertools
-import random
-from collections import Counter
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -8,20 +7,14 @@ import pytest
 
 from semifix import (
     EnumerationBudgetExceeded,
-    InvalidWalk,
     Matrix,
-    NotReassemblable,
-    cycle_decompose,
-    eulerian_walk_check,
     matrix_power_sum,
-    reassemble,
     semiring_from_id,
-    walk_label_product,
     walk_sum_exact,
     walk_sum_upto,
 )
 from semifix.generators import gen_random_system
-from semifix.walks import Walk, walk_sums
+from semifix.walks import _walks, walk_sums
 
 from conftest import ALL_IDS, brute_walk_sums
 from reference import walk_sum_matrices
@@ -30,36 +23,6 @@ from reference import walk_sum_matrices
 def bool_matrix(n, edges):
     s = semiring_from_id("bool")
     return Matrix(s, n, [(u, v, True) for u, v in edges])
-
-
-def random_walk(rng, n, length):
-    """A random walk that never repeats the current vertex (no self-loops)."""
-    v = rng.randrange(n)
-    verts = [v]
-    for _ in range(length):
-        w = rng.randrange(n - 1)
-        if w >= verts[-1]:
-            w += 1
-        verts.append(w)
-    return Walk(tuple(verts))
-
-
-# ---------------------------------------------------------------------------
-# Walk type
-# ---------------------------------------------------------------------------
-
-def test_walk_from_edges_and_str():
-    w = Walk.from_edges([(0, 1), (1, 2)])
-    assert str(w) == "0->1->2"
-    assert w.hops == 2
-    assert w.edges() == ((0, 1), (1, 2))
-    empty = Walk.from_edges([], start=3)
-    assert empty.hops == 0 and empty.start == empty.end == 3
-
-
-def test_walk_from_edges_rejects_gaps():
-    with pytest.raises(InvalidWalk):
-        Walk.from_edges([(0, 1), (2, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +60,67 @@ def test_walk_sum_budget_guard():
     A = bool_matrix(4, [(i, j) for i in range(4) for j in range(4)])
     with pytest.raises(EnumerationBudgetExceeded):
         walk_sum_exact(A, 0, 0, 12, budget=1000)
+
+
+def peak_bytes(call):
+    """Peak traced allocation, in bytes, while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_budget_guard_counts_the_walks_around_a_cycle_up_front():
+    # out-degree 1 gives h + 1 walks from a source on a cycle; the guard
+    # refuses them before walk_sums builds its h + 1 tables
+    A = bool_matrix(3, [(0, 1), (1, 2), (2, 0)])
+
+    def refuse():
+        with pytest.raises(EnumerationBudgetExceeded, match="^100001 walks exceed the budget of 1000$"):
+            walk_sums(A, (0,), 10**5, budget=1000)
+
+    assert peak_bytes(refuse) < 100_000
+
+
+def test_budget_guard_refuses_branching_walks_without_their_power():
+    h = 10**7  # 2^h alone would take 1.25 MB
+    A = bool_matrix(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+    def refuse():
+        with pytest.raises(EnumerationBudgetExceeded, match=f"^up to 2 x 2\\^{h} walks exceed the budget of 1000$"):
+            walk_sums(A, (0, 1), h, budget=1000)
+
+    assert peak_bytes(refuse) < 100_000
+
+
+def test_budget_guard_counts_exactly_the_walks_a_chain_visits():
+    # every graph on 3 vertices in which no vertex branches: each vertex has
+    # no successor or one of the three
+    for succ in itertools.product((None, 0, 1, 2), repeat=3):
+        A = bool_matrix(3, [(u, v) for u, v in enumerate(succ) if v is not None])
+        for h in (0, 1, 2, 3, 4, 7, 50):
+            for src in ((0,), (1,), (2,), (0, 1, 2), (2, 2)):
+                visited = sum(1 for _ in _walks(A, src, h, float("inf")))
+                tables = walk_sums(A, src, h, budget=visited)
+                assert sum(map(len, tables)) <= visited
+                with pytest.raises(EnumerationBudgetExceeded, match=f"^{visited} walks exceed"):
+                    walk_sums(A, src, h, budget=visited - 1)
+
+
+def test_budget_guard_verdict_on_branching_walks():
+    # the guard refuses sources x deg^h > budget, with the power capped
+    A = bool_matrix(3, [(0, 1), (0, 2), (1, 0), (2, 2)])
+    for h in range(12):
+        for budget in range(0, 300, 7):
+            for src in ((0,), (0, 1, 2)):
+                try:
+                    walk_sums(A, src, h, budget=budget)
+                    refused = False
+                except EnumerationBudgetExceeded as exc:
+                    refused = str(exc).startswith("up to")
+                assert refused == (len(src) * 2**h > budget)
 
 
 def test_walk_sum_upto_equals_sum_of_exacts():
@@ -168,153 +192,8 @@ def test_walk_sums_match_brute_force(sid):
                         assert table.get((i, j), s.zero) == refs[i][g][j]
 
 
-# ---------------------------------------------------------------------------
-# Eulerian conditions
-# ---------------------------------------------------------------------------
-
-def test_eulerian_examples():
-    assert eulerian_walk_check([(0, 1), (1, 2)], 0, 2)
-    assert not eulerian_walk_check([(0, 1), (2, 3)], 0, 1)
-    assert eulerian_walk_check([(0, 1), (1, 2), (2, 0)] * 2, 0, 0)
-    assert not eulerian_walk_check([(0, 1), (1, 2)], 0, 1)
-    assert not eulerian_walk_check([], 0, 0)
-
-
-# ---------------------------------------------------------------------------
-# Cycle decomposition
-# ---------------------------------------------------------------------------
-
-def test_decompose_simple_path_is_base_case():
-    d = cycle_decompose(Walk((0, 1, 2)))
-    assert d.path == Walk((0, 1, 2))
-    assert d.cycles == ()
-
-
-def test_decompose_spec_walk():
-    d = cycle_decompose(Walk((0, 1, 0, 1, 2)))
-    assert d.path == Walk((0, 1, 2))
-    assert len(d.cycles) == 1
-    cyc, mult = d.cycles[0]
-    assert Counter(cyc.edges()) == Counter([(0, 1), (1, 0)])
-    assert mult == 1
-
-
-def test_decompose_triple_triangle():
-    # around the triangle three times, entered and left through vertex 0
-    verts = (3, 0) + (1, 2, 0) * 3 + (4,)
-    d = cycle_decompose(Walk(verts))
-    assert d.path.start == 3 and d.path.end == 4
-    assert len(d.cycles) == 1
-    cyc, mult = d.cycles[0]
-    assert mult == 3
-    assert Counter(cyc.edges()) == Counter([(0, 1), (1, 2), (2, 0)])
-
-
-def test_decompose_closed_walk_has_empty_path():
-    d = cycle_decompose(Walk((0, 1, 0)))
-    assert d.path == Walk((0,))
-    assert d.cycles == ((Walk((0, 1, 0)), 1),)
-
-
-def test_decompose_conserves_edges_and_phi():
-    rng = random.Random(4)
-    semirings = [semiring_from_id(i) for i in ("bool", "trop", "capped:4", "trop_p:1")]
-    for _ in range(200):
-        n = rng.randint(2, 5)
-        walk = random_walk(rng, n, rng.randint(0, 12))
-        d = cycle_decompose(walk, n, check_invariants=True)
-        assert d.edge_multiset() == Counter(walk.edges())
-        assert d.cycle_count <= n * n - n
-        if walk.hops > n - 1:
-            assert d.cycle_count >= 1  # a walk that long must repeat a vertex
-        assert len(set(d.path.vertices)) == len(d.path.vertices)
-        for cyc, mult in d.cycles:
-            assert mult >= 1
-            assert cyc.start == cyc.end
-            inner = cyc.vertices[:-1]
-            assert len(set(inner)) == len(inner)
-        labels = gen_random_system(n, 1.0, rng.choice(semirings), seed=rng.randint(0, 99)).A
-        s = labels.semiring
-        phi = walk_label_product(labels, walk)
-        assembled = walk_label_product(labels, d.path)
-        for cyc, mult in d.cycles:
-            piece = walk_label_product(labels, cyc)
-            for _ in range(mult):
-                assembled = s.mul(assembled, piece)
-        assert assembled == phi
-
-
-def test_decompose_seeded_still_valid():
-    walk = Walk((0, 1, 2, 0, 1, 2, 0, 3))
-    base = cycle_decompose(walk)
-    for seed in range(5):
-        d = cycle_decompose(walk, seed=seed)
-        assert d.edge_multiset() == base.edge_multiset()
-        assert d.path.start == 0 and d.path.end == 3
-
-
-def test_long_walk_contains_high_multiplicity_cycle():
-    # a pigeonhole check: any long enough walk on few vertices must repeat
-    # some cycle many times
-    rng = random.Random(9)
-    for n, p in ((2, 1), (3, 2)):
-        length = n * (n * n - n) * (p + 2) + n
-        walk = random_walk(rng, n, length)
-        d = cycle_decompose(walk, n)
-        assert max(mult for _, mult in d.cycles) >= p + 2
-
-
-# ---------------------------------------------------------------------------
-# Reassembly
-# ---------------------------------------------------------------------------
-
-def test_reassemble_identity():
-    walk = Walk((0, 1, 0, 1, 2))
-    d = cycle_decompose(walk)
-    again = reassemble(d)
-    assert Counter(again.edges()) == Counter(walk.edges())
-    assert again.start == walk.start and again.end == walk.end
-    labels = bool_matrix(3, set(walk.edges()))
-    assert walk_label_product(labels, again) == walk_label_product(labels, walk)
-
-
-def test_reassemble_drop_one_copy():
-    d = cycle_decompose(Walk((0, 1, 0, 1, 2)))
-    assert reassemble(d, {0: 1}) == Walk((0, 1, 2))
-
-
-def test_reassemble_drop_everything_leaves_path():
-    d = cycle_decompose(Walk((0, 1, 0, 1, 2)))
-    dropped = {i: m for i, (_, m) in enumerate(d.cycles)}
-    assert reassemble(d, dropped) == Walk((0, 1, 2))
-
-
-def test_reassemble_closed_walk_to_empty():
-    d = cycle_decompose(Walk((0, 1, 0)))
-    assert reassemble(d, {0: 1}) == Walk((0,))
-
-
-def test_reassemble_rejects_disconnection():
-    # dropping the bridge between the two lobes strands the far cycle
-    walk = Walk((0, 1, 0, 2, 3, 2, 0))
-    d = cycle_decompose(walk)
-    bridge = next(
-        i for i, (c, _) in enumerate(d.cycles) if set(c.vertices) == {0, 2}
-    )
-    with pytest.raises(NotReassemblable):
-        reassemble(d, {bridge: d.cycles[bridge][1]})
-
-
-def test_reassemble_drop_counts_validated():
-    d = cycle_decompose(Walk((0, 1, 0)))
-    with pytest.raises(Exception):
-        reassemble(d, {0: 5})
-    with pytest.raises(Exception):
-        reassemble(d, {7: 1})
-
-
 def test_walk_sums_beyond_the_recursion_limit():
-    # out-degree 1 passes the budget guard at any depth
+    # out-degree 1: 1501 walks from each source, inside the default budget
     s = semiring_from_id("trop")
     A = Matrix(s, 3, [(k, (k + 1) % 3, Fraction(1)) for k in range(3)])
     h = 1500
@@ -323,10 +202,3 @@ def test_walk_sums_beyond_the_recursion_limit():
     tables = walk_sum_matrices(A, h)
     assert tables[h].get(0, 0) == Fraction(h)
     assert tables[h - 1].get(0, 2) == Fraction(h - 1)
-
-
-def test_cycle_decompose_long_simple_cycle():
-    walk = Walk(tuple(range(1500)) + (0,))
-    dec = cycle_decompose(walk)
-    assert dec.cycles == ((walk, 1),)
-    assert dec.path == Walk((0,))
