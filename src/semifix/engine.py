@@ -331,31 +331,39 @@ def _iterate(semiring, n, readers, row, cap, dirty: Collection[int]) -> Iteratio
     idempotence nor distributivity is needed, so every state and index equals
     that of a full recompute. The step's changes are written into the one
     working vector only after every dirty row has read the previous state. A
-    step with one dirty row or one change pays O(1) bookkeeping: it calls
-    ``row`` directly, and the changed column's readers are the next dirty rows.
+    step with one change pays O(1) bookkeeping: the changed column's readers
+    are the next dirty rows. While that column has one reader, the steps form
+    a chain, run in an inner loop that calls ``row`` directly and builds no
+    step before it is logged.
     """
     cap = _default_cap(semiring, n, cap)
     start = (semiring.zero,) * n
     x = list(start)
     log = []
-    for q in range(cap):
-        if len(dirty) == 1:
-            (i,) = dirty
-            v = row(i, x)
-            step = ((i, v),) if v != x[i] else ()
-        else:
-            step = tuple([(i, v) for i in dirty if (v := row(i, x)) != x[i]])
-        log.append(step)
+    append = log.append
+    q = 0
+    while q < cap:
+        step = tuple([(i, v) for i in dirty if (v := row(i, x)) != x[i]])
+        append(step)
         if not step:
             return IterationTrace(start, tuple(log), tuple(x), q, False)
-        if len(step) == 1:
-            ((i, v),) = step
+        q += 1
+        for i, v in step:
+            x[i] = v
+        if len(step) > 1:
+            dirty = {r for i, _ in step for r in readers[i]}
+            continue
+        dirty = readers[i]
+        while len(dirty) == 1 and q < cap:
+            (i,) = dirty
+            v = row(i, x)
+            if v == x[i]:
+                append(())
+                return IterationTrace(start, tuple(log), tuple(x), q, False)
+            append(((i, v),))
             x[i] = v
             dirty = readers[i]
-        else:
-            for i, v in step:
-                x[i] = v
-            dirty = {r for i, _ in step for r in readers[i]}
+            q += 1
     return IterationTrace(start, tuple(log), tuple(x), None, True)
 
 

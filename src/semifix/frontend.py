@@ -58,9 +58,10 @@ def format_ground_atom(atom: GroundAtom) -> str:
 # ---------------------------------------------------------------------------
 
 # Alternatives are tried in order at each position; ERROR takes any character
-# no other alternative starts with, so the matches cover the whole text.
+# no other alternative starts with, so the matches cover the whole line. No
+# token spans a newline, so a text is tokenized one line at a time.
 _TOKEN = re.compile(
-    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>%[^\n]*)|(?P<ARROW>:-)|(?P<COLON>:)"
+    r"(?P<WS>[ \t\r]+)|(?P<COMMENT>%[^\n]*)|(?P<ARROW>:-)|(?P<COLON>:)"
     r"|(?P<DIRECTIVE>@(?P<name>\w*)[ \t]*(?P<word>[^\s%]*))"
     r"|(?P<NUMBER>\d+(?:\.\d+)?)|(?P<NAME>\w+)|(?P<PUNCT>[(),.+*=\[\]/])|(?P<ERROR>.)"
 )
@@ -68,18 +69,47 @@ _PUNCT = {
     "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "+": "PLUS",
     "*": "STAR", "=": "EQUALS", "[": "LBRACK", "]": "RBRACK", "/": "SLASH",
 }
-Token = Tuple[str, str, int, int]  # kind, text, line, col
+# A line that is exactly one ground fact, ``pred(c1,...,ck) [= literal].``
+# and trailing blanks, is read by one match of _FACT. It accepts only text
+# whose tokens form that same fact: ASCII names and numbers as arguments (a
+# variable, a non-ASCII character or a comment leaves the line to _TOKEN), and
+# a literal without blanks that is a number, a/b, a name or a flat bag.
+_B = r"[ \t\r]*"
+_NUM = r"\d+(?:\.\d+)?"
+_ARG = rf"(?:[a-z_]\w*|{_NUM})"
+_FACT = re.compile(
+    rf"(?P<pred>[A-Za-z_]\w*){_B}\({_B}(?P<args>{_ARG}(?:{_B},{_B}{_ARG})*){_B}\){_B}"
+    rf"(?:={_B}(?P<literal>{_NUM}(?:/{_NUM})?|[A-Za-z_]\w*|\[[\w/,.]*\]){_B})?\.{_B}",
+    re.ASCII,
+)
+Token = Tuple[str, Any, int, int]  # kind, text (a FACT token's _FACT match), line, col
 
 
 def tokenize(text: str) -> List[Token]:
-    """Tokens of ``text`` ending in EOF; a lexical error raises ParseError."""
+    """Tokens of ``text`` ending in EOF; a lexical error raises ParseError.
+
+    A line that is one ground fact is one FACT token, which the parser reads
+    as a whole statement or expands into the line's tokens.
+    """
     tokens: List[Token] = []
-    line, line_start, m = 1, 0, None
-    for m in _TOKEN.finditer(text):
-        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
-        if kind == "NL":
-            line, line_start = line + 1, m.end()
-        elif kind == "NAME":
+    for line, s in enumerate(text.split("\n"), start=1):
+        m = _FACT.fullmatch(s)
+        if m:
+            tokens.append(("FACT", m, line, 1))
+        else:
+            m = _line_tokens(s, line, tokens)
+    # end of input after a trailing comment is reported at its '%'
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(s)
+    tokens.append(("EOF", "", line, end + 1))
+    return tokens
+
+
+def _line_tokens(s: str, line: int, tokens: List[Token]) -> Optional[re.Match]:
+    """Append the tokens of line ``s`` to ``tokens``; returns its last match."""
+    m = None
+    for m in _TOKEN.finditer(s):
+        kind, word, col = m.lastgroup, m.group(), m.start() + 1
+        if kind == "NAME":
             if not (word[0].isalpha() or word[0] == "_"):
                 raise ParseError(f"unexpected character {word[0]!r}", line, col)
             tokens.append(("VAR" if word[0].isupper() else "IDENT", word, line, col))
@@ -92,15 +122,12 @@ def tokenize(text: str) -> List[Token]:
                 raise ParseError("expected a directive name after @", line, col + 1)
             tokens.append((kind, m.group("name"), line, col))
             if m.group("word"):
-                tokens.append(("WORD", m.group("word"), line, m.start("word") - line_start + 1))
+                tokens.append(("WORD", m.group("word"), line, m.start("word") + 1))
         elif kind == "COLON":
             raise ParseError("expected :- ", line, col)
         elif kind == "ERROR":
             raise ParseError(f"unexpected character {word!r}", line, col)
-    # end of input after a trailing comment is reported at its '%'
-    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
-    tokens.append(("EOF", "", line, end - line_start + 1))
-    return tokens
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +218,9 @@ class Program:
 # Parser
 # ---------------------------------------------------------------------------
 
+_WORDS = ("NUMBER", "IDENT", "VAR")
+
+
 def _unexpected(what: str, t: Token) -> ParseError:
     return ParseError(f"expected {what}, got {t[1] or 'end of input'!r}", t[2], t[3])
 
@@ -201,12 +231,23 @@ class _Parser:
         self.pos = 0
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        t = self.tokens[self.pos]
+        return self._expand() if t[0] == "FACT" else t
 
     def next(self) -> Token:
         t = self.tokens[self.pos]
+        if t[0] == "FACT":
+            t = self._expand()
         self.pos += 1
         return t
+
+    def _expand(self) -> Token:
+        """Replace the FACT token read mid-statement by its line's tokens."""
+        _, m, line, _ = self.tokens[self.pos]
+        line_tokens: List[Token] = []
+        _line_tokens(m.string, line, line_tokens)
+        self.tokens[self.pos:self.pos + 1] = line_tokens
+        return line_tokens[0]
 
     def expect(self, kind: str, what: str) -> Token:
         if self.peek()[0] != kind:
@@ -250,6 +291,7 @@ class _Parser:
     def parse_literal_text(self) -> str:
         parts: List[str] = []
         depth = 0
+        last = None
         while True:
             kind, text, line, col = self.peek()
             if kind == "EOF":
@@ -260,8 +302,13 @@ class _Parser:
                 depth += 1
             elif kind == "RBRACK":
                 depth -= 1
+            elif kind in _WORDS and last is not None and last[0] in _WORDS and (
+                (last[2], last[3] + len(last[1])) != (line, col)
+            ):
+                # joined, "1 2" would read as 12 and "in f" as inf
+                raise ParseError(f"unexpected blank before {text!r} in a fact literal", line, col)
             parts.append(text)
-            self.next()
+            last = self.next()
         return "".join(parts)
 
 
@@ -272,8 +319,17 @@ def parse_program(text: str) -> Program:
     facts: List[FactStmt] = []
     semiring_id: Optional[str] = None
     semiring_pos: Optional[Tuple[int, int]] = None
-    while p.peek()[0] != "EOF":
-        kind, name, line, col = p.peek()
+    tokens = p.tokens
+    while True:
+        kind, name, line, col = tokens[p.pos]
+        if kind == "FACT":
+            # a statement that starts at a fact line is that line's fact
+            p.pos += 1
+            args = tuple(map(str.strip, name["args"].split(",")))
+            facts.append(FactStmt(name["pred"], args, name["literal"], (line, col)))
+            continue
+        if kind == "EOF":
+            break
         if kind == "DIRECTIVE":
             p.next()
             if name != "semiring":

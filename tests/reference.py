@@ -1,14 +1,196 @@
-"""Reference helpers that only the tests use: rendering a program back to
-source, all exact walk sums as matrices, a monomial system's degree, repeated
-sums and the natural order."""
+"""Reference helpers that only the tests use: the program parser on tokens
+alone, rendering a program back to source, all exact walk sums as matrices, a
+monomial system's degree, repeated sums and the natural order."""
 
-from typing import List
+import re
+from typing import List, Optional, Tuple
 
 from semifix import Matrix
-from semifix.errors import InvalidParameter
-from semifix.frontend import GroundedPolynomialSystem, Program
+from semifix.errors import InvalidParameter, ParseError
+from semifix.frontend import (
+    Atom, Const, FactStmt, GroundedPolynomialSystem, Product, Program, Rule, Term, Var,
+    _check_program,
+)
 from semifix.semirings import Semiring, _enumerable
 from semifix.walks import DEFAULT_WALK_BUDGET, walk_sums
+
+
+# The program tokenizer and parser as they were before a fact line became one
+# FACT token: every line goes through the token regex and the parser, one
+# token at a time. Only the rule that a blank may not split a fact literal's
+# words is new. ``parse_program`` must agree with it on every text.
+
+# Alternatives are tried in order at each position; ERROR takes any character
+# no other alternative starts with, so the matches cover the whole text.
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>%[^\n]*)|(?P<ARROW>:-)|(?P<COLON>:)"
+    r"|(?P<DIRECTIVE>@(?P<name>\w*)[ \t]*(?P<word>[^\s%]*))"
+    r"|(?P<NUMBER>\d+(?:\.\d+)?)|(?P<NAME>\w+)|(?P<PUNCT>[(),.+*=\[\]/])|(?P<ERROR>.)"
+)
+_PUNCT = {
+    "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "+": "PLUS",
+    "*": "STAR", "=": "EQUALS", "[": "LBRACK", "]": "RBRACK", "/": "SLASH",
+}
+Token = Tuple[str, str, int, int]  # kind, text, line, col
+
+
+def reference_tokenize(text: str) -> List[Token]:
+    """Tokens of ``text`` ending in EOF; a lexical error raises ParseError."""
+    tokens: List[Token] = []
+    line, line_start, m = 1, 0, None
+    for m in _TOKEN.finditer(text):
+        kind, word, col = m.lastgroup, m.group(), m.start() - line_start + 1
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind == "NAME":
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", line, col)
+            tokens.append(("VAR" if word[0].isupper() else "IDENT", word, line, col))
+        elif kind == "PUNCT":
+            tokens.append((_PUNCT[word], word, line, col))
+        elif kind in ("NUMBER", "ARROW"):
+            tokens.append((kind, word, line, col))
+        elif kind == "DIRECTIVE":
+            if not m.group("name"):
+                raise ParseError("expected a directive name after @", line, col + 1)
+            tokens.append((kind, m.group("name"), line, col))
+            if m.group("word"):
+                tokens.append(("WORD", m.group("word"), line, m.start("word") - line_start + 1))
+        elif kind == "COLON":
+            raise ParseError("expected :- ", line, col)
+        elif kind == "ERROR":
+            raise ParseError(f"unexpected character {word!r}", line, col)
+    # end of input after a trailing comment is reported at its '%'
+    end = m.start() if m is not None and m.lastgroup == "COMMENT" else len(text)
+    tokens.append(("EOF", "", line, end - line_start + 1))
+    return tokens
+
+
+_WORDS = ("NUMBER", "IDENT", "VAR")
+
+
+def _unexpected(what: str, t: Token) -> ParseError:
+    return ParseError(f"expected {what}, got {t[1] or 'end of input'!r}", t[2], t[3])
+
+
+class _Parser:
+    def __init__(self, tokens: List[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, kind: str, what: str) -> Token:
+        if self.peek()[0] != kind:
+            raise _unexpected(what, self.peek())
+        return self.next()
+
+    def parse_atom(self) -> Atom:
+        kind, name, line, col = t = self.next()
+        if kind not in ("IDENT", "VAR"):
+            raise _unexpected("a predicate name", t)
+        self.expect("LPAREN", "'(' after predicate name")
+        args: List[Term] = []
+        while True:
+            a = self.next()
+            if a[0] == "VAR":
+                args.append(Var(a[1]))
+            elif a[0] in ("IDENT", "NUMBER"):
+                args.append(Const(a[1]))
+            else:
+                raise _unexpected("an argument", a)
+            sep = self.next()
+            if sep[0] == "RPAREN":
+                break
+            if sep[0] != "COMMA":
+                raise _unexpected("',' or ')'", sep)
+        return Atom(name, tuple(args), (line, col))
+
+    def parse_body(self) -> Tuple[Product, ...]:
+        products: List[Product] = []
+        while True:
+            atoms = [self.parse_atom()]
+            while self.peek()[0] == "STAR":
+                self.next()
+                atoms.append(self.parse_atom())
+            products.append(Product(tuple(atoms)))
+            if self.peek()[0] != "PLUS":
+                break
+            self.next()
+        return tuple(products)
+
+    def parse_literal_text(self) -> str:
+        parts: List[str] = []
+        depth = 0
+        last = None
+        while True:
+            kind, text, line, col = self.peek()
+            if kind == "EOF":
+                raise ParseError("unterminated fact literal", line, col)
+            if kind == "DOT" and depth == 0:
+                break
+            if kind == "LBRACK":
+                depth += 1
+            elif kind == "RBRACK":
+                depth -= 1
+            elif kind in _WORDS and last is not None and last[0] in _WORDS and (
+                (last[2], last[3] + len(last[1])) != (line, col)
+            ):
+                raise ParseError(f"unexpected blank before {text!r} in a fact literal", line, col)
+            parts.append(text)
+            last = self.next()
+        return "".join(parts)
+
+
+def reference_parse_program(text: str) -> Program:
+    """``parse_program`` on tokens alone, without the one-match fact lines."""
+    p = _Parser(reference_tokenize(text))
+    rules: List[Rule] = []
+    facts: List[FactStmt] = []
+    semiring_id: Optional[str] = None
+    semiring_pos: Optional[Tuple[int, int]] = None
+    while p.peek()[0] != "EOF":
+        kind, name, line, col = p.peek()
+        if kind == "DIRECTIVE":
+            p.next()
+            if name != "semiring":
+                raise ParseError(f"unknown directive @{name}", line, col)
+            if semiring_id is not None:
+                raise ParseError("duplicate @semiring directive", line, col)
+            if p.peek()[0] != "WORD":
+                raise ParseError("expected a semiring id after @semiring", line, col)
+            semiring_id, semiring_pos = p.next()[1], (line, col)
+            continue
+        atom = p.parse_atom()
+        nxt = p.next()
+        if nxt[0] == "ARROW":
+            body = p.parse_body()
+            p.expect("DOT", "'.' at end of rule")
+            rules.append(Rule(atom, body, atom.pos))
+        elif nxt[0] == "EQUALS":
+            literal = p.parse_literal_text()
+            p.expect("DOT", "'.' at end of fact")
+            facts.append(_fact_from_atom(atom, literal))
+        elif nxt[0] == "DOT":
+            facts.append(_fact_from_atom(atom, None))
+        else:
+            raise _unexpected("':-', '=' or '.'", nxt)
+    program = Program(tuple(rules), tuple(facts), semiring_id, semiring_pos)
+    _check_program(program)
+    return program
+
+
+def _fact_from_atom(atom: Atom, literal: Optional[str]) -> FactStmt:
+    for t in atom.args:
+        if isinstance(t, Var):
+            raise ParseError(f"fact argument {t.name} is a variable", *atom.pos)
+    return FactStmt(atom.pred, tuple(t.name for t in atom.args), literal, atom.pos)
 
 
 def print_program(program: Program) -> str:

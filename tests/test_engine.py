@@ -420,6 +420,30 @@ def test_cycle_runs_evaluate_one_row_per_step(monkeypatch):
         assert len(calls) == run.wall_steps
 
 
+def test_chain_steps_and_wide_steps_interleave():
+    # rows 1-3 read the row before, a chain; rows 4 and 5 both read row 3, so
+    # the next step is wide; row 6 reads 4 and, one step later, 8 (which reads
+    # 5); row 7 reads 6, and row 0 reads 7 with weight 1, closing the loop
+    s = semiring_from_id("capped:4")
+    reads = [(1, 0), (2, 1), (3, 2), (4, 3), (5, 3), (8, 5), (6, 4), (6, 8), (7, 6), (0, 7)]
+    A = Matrix(s, 9, [(i, j, 1 if i == 0 else 0) for i, j in reads])
+    atoms = [(f"x{k}", ()) for k in range(9)]
+    sys_ = GroundedLinearSystem.from_matrix(s, A, [s.one] + [s.zero] * 8, atoms)
+    readers, _ = engine._linear_rows(A)
+    changes = naive_eval_linear(sys_, cap=200).changes
+    # a chain step follows a step of one change whose column has one reader
+    chained = [
+        q for q in range(1, len(changes))
+        if len(changes[q - 1]) == 1 and len(readers[changes[q - 1][0][0]]) == 1
+    ]
+    wide = [q for q, step in enumerate(changes) if len(step) > 1]
+    assert len(chained) >= 10 and len(wide) >= 4
+    assert any(q - 1 in chained for q in wide)  # a chain runs into a wide step
+    assert any(q - 2 in wide for q in chained)  # and a wide step into a chain
+    for cap in range(1, len(changes) + 2):  # every cap, in a chain or not
+        assert_log_matches(naive_eval_linear(sys_, cap=cap), reference_linear(sys_, cap, False))
+
+
 def reference_csv(system, states):
     """trace_csv's format, written from a list of whole states."""
     s = system.semiring

@@ -21,7 +21,9 @@ from semifix import (
     semiring_from_id,
 )
 from semifix.errors import MalformedLiteral
-from semifix.frontend import Atom, Const, Product, Program, Rule, Var
+from semifix.frontend import (
+    Atom, Const, FactStmt, Product, Program, Rule, Var, program_fact_entries, tokenize,
+)
 from semifix.generators import random_edge_instance
 from semifix.semirings import TropSemiring
 
@@ -104,6 +106,73 @@ def test_literal_text_joins_its_tokens(text, semiring_id, literal):
     p = parse_program(text)
     assert p.semiring_id == semiring_id
     assert p.facts[0].literal == literal
+
+
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("E(a) = 1 2.\n", (1, 10)), ("E(a) = in f.\n", (1, 11)),
+        ("E(a) = 1\n2.\n", (2, 1)), ("E(a) = [1 2].\n", (1, 11)),
+    ],
+)
+def test_a_blank_between_literal_words_is_an_error(text, at):
+    # joined, "1 2" would read as 12 and "in f" as inf
+    with pytest.raises(ParseError, match="unexpected blank before") as err:
+        parse_program(text)
+    assert (err.value.line, err.value.col) == at
+
+
+def test_a_fact_line_is_one_token():
+    text = "T(X) :- E(X).\nE(a, b) = 3.\nE(c,d)=[1,2].  \r\n E(d).\nE(X).\nE(e) = 1.5"
+    tokens = tokenize(text)
+    # an indented fact, a variable argument and a missing '.' take the token path
+    assert [t[2] for t in tokens if t[0] == "FACT"] == [2, 3]
+    assert {t[2] for t in tokens if t[0] != "FACT"} == {1, 4, 5, 6}
+    assert tokens[-1] == ("EOF", "", 6, 11)
+
+
+def test_fact_lines_parse_to_positioned_facts():
+    p = parse_program("T(X,Y) :- E(X,Y).\nE(a, b) = 3.\nE(c,d)=[1,2].\r\nE(e,1.5).")
+    assert p.facts == (
+        FactStmt("E", ("a", "b"), "3"), FactStmt("E", ("c", "d"), "[1,2]"),
+        FactStmt("E", ("e", "1.5"), None),
+    )
+    assert [f.pos for f in p.facts] == [(2, 1), (3, 1), (4, 1)]
+
+
+def test_a_fact_line_inside_a_statement_is_read_token_by_token():
+    p = parse_program("T(a) :-\nE(a).\nE(a) =\nF(b).\n")
+    assert p.rules[0].body[0].atoms[0] == Atom("E", (Const("a"),))
+    assert p.rules[0].body[0].atoms[0].pos == (2, 1)
+    assert p.facts == (FactStmt("E", ("a",), "F(b)"),)
+    with pytest.raises(ParseError, match="expected '.' at end of rule, got 'E'") as err:
+        parse_program("T(X) :- E(X)\nE(a).\n")
+    assert (err.value.line, err.value.col) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # "²" is a word character outside ASCII, so the line takes the token path
+        ("E(a) = [\u00b2].\n", "line 1, col 9: unexpected character '\u00b2'"),
+        # a lexical error anywhere wins over an earlier syntax error
+        ("T(X) :- .\nE(a) = 1.\n$", "line 3, col 1: unexpected character '$'"),
+    ],
+)
+def test_fact_line_errors_keep_their_positions(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert str(err.value) == message
+
+
+def test_a_duplicate_fact_line_warns_at_its_line():
+    text = "T(X) :- E(X).\nE(a) = 1.\nE(a) = 2.\n"
+    assert [t[0] for t in tokenize(text)][-3:] == ["FACT", "FACT", "EOF"]
+    with pytest.warns(UserWarning) as record:
+        build_edb(semiring_from_id("trop"), program_fact_entries(parse_program(text)))
+    assert [str(w.message) for w in record] == [
+        "line 3, col 1: duplicate fact for E(a); values combined additively"
+    ]
 
 
 def test_names_may_continue_with_numeric_characters():

@@ -1,6 +1,7 @@
 """Fuzz the program front end: text drawn from grammar fragments must end in a
-ParseError or a program, and `semifix run` on it must exit with a documented
-code and an `error:` line, never a traceback."""
+ParseError or a program, the same one the token-only reference parser gives,
+and `semifix run` on it must exit with a documented code and an `error:` line,
+never a traceback."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from semifix import ParseError, parse_program
 from semifix.cli import main
+
+from reference import reference_parse_program
 
 FRAGMENTS = (
     "T", "E", "F", "X", "Y", "Z", "a", "b", "c", "_", "0", "12", "3.5", "inf",
@@ -27,9 +30,24 @@ STATEMENTS = (
     "E(b,é) = 2.5.\n", "E(a,٣) = 1.\n", "@semiring bool\n",
 )
 
+# lines that are, or nearly are, one ground fact, without their line ends
+FACT_LINES = (
+    "E(a,b)=3.", "E(a, b) = 3.", "E(X,b) = 1.", "E(a,b) = [1,2].", "E(a) = 1.5",
+    "E(a,b) = 1/2.", "E(a,b) = 1.5.", "E(c,a).", "E(a) = 1 2.", "E(a) = in f.",
+    "E(_b, 7) = x_1 .\t", "E(a,b) = [1.5,a/2].", "E(a, b) = [1, 2].", "E(1.5.2).",
+    "E(a) = 1.5.2.", "E(a) = [[1]].", "F(a) = 0. % c", " F(b).", "E(a,é) = 1.",
+)
+LINE_ENDS = ("\n", "\r\n", "\n", "T(X) :-\n", "T(X,Y) :- E(X,Y) +\n", "E(a) =\n")
+
 programs = st.lists(
-    st.one_of(st.sampled_from(STATEMENTS), st.sampled_from(FRAGMENTS)), max_size=24
+    st.one_of(st.sampled_from(STATEMENTS), st.sampled_from(FRAGMENTS), st.sampled_from(FACT_LINES)),
+    max_size=24,
 ).map("".join)
+# whole lines, most of them facts; the last may have no line end
+fact_texts = st.lists(
+    st.tuples(st.sampled_from(FACT_LINES + STATEMENTS), st.sampled_from(LINE_ENDS)).map("".join),
+    max_size=12,
+).map("".join) | st.lists(st.sampled_from(FACT_LINES + LINE_ENDS), max_size=12).map("".join)
 
 
 @settings(max_examples=400)
@@ -39,6 +57,26 @@ def test_parse_program_raises_only_parse_errors(text):
         parse_program(text)
     except ParseError:
         pass
+
+
+def parsed(parse, text):
+    """The program and every rule, atom and fact position, or the error text."""
+    try:
+        program = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    atoms = [a for r in program.rules for a in (r.head, *(a for p in r.body for a in p.atoms))]
+    positions = (
+        [r.pos for r in program.rules], [a.pos for a in atoms], [f.pos for f in program.facts],
+        program.semiring_pos,
+    )
+    return program, positions
+
+
+@settings(max_examples=600)
+@given(st.one_of(programs, fact_texts))
+def test_parse_program_matches_the_token_only_reference(text):
+    assert parsed(parse_program, text) == parsed(reference_parse_program, text)
 
 
 @pytest.fixture(scope="module")
