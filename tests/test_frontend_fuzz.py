@@ -37,6 +37,7 @@ FACT_LINES = (
     "E(_b, 7) = x_1 .\t", "E(a,b) = [1.5,a/2].", "E(a, b) = [1, 2].", "E(1.5.2).",
     "E(a) = 1.5.2.", "E(a) = [[1]].", "F(a) = 0. % c", " F(b).", "E(a,é) = 1.",
 )
+# "\n" twice, as the common line end; the last three leave a statement open
 LINE_ENDS = ("\n", "\r\n", "\n", "T(X) :-\n", "T(X,Y) :- E(X,Y) +\n", "E(a) =\n")
 
 programs = st.lists(
