@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 import warnings
@@ -59,23 +58,26 @@ def _add_flags(p: argparse.ArgumentParser, *names: str):
     )
 
 
-def _emit(args, text: str, data: bool = False):
-    """Write ``text``; ``--no-reproducible`` adds a timestamp line.
+def _emit(args, text, data: bool = False):
+    """Write ``text``, or let ``text(out)`` write to the output as it goes;
+    ``--no-reproducible`` adds a timestamp line.
 
     The stamp is a ``#`` comment ahead of human and matrix-file text. ``data``
     text (JSON, CSV, JSON lines) has no comment syntax, so its stamp goes to
     stderr and the output still parses.
     """
-    if not args.reproducible:
-        stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n"
-        if data:
-            sys.stderr.write(stamp)
+    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        if not args.reproducible:
+            stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n"
+            (sys.stderr if data else out).write(stamp)
+        if callable(text):
+            text(out)
         else:
-            text = stamp + text
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+            out.write(text)
+    finally:
+        if args.out:
+            out.close()
 
 
 def _resolve_semiring(args, program):
@@ -98,6 +100,17 @@ def _load_program_db(args):
     return program, build_edb(semiring, entries)
 
 
+def _json_dump(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` for a payload whose
+    "atoms" maps str to str and whose other values are scalars, written with
+    json's C string encoder: any indent makes json.dumps encode in Python."""
+    quote = json.encoder.encode_basestring_ascii
+    atoms = ",\n".join([f"    {quote(k)}: {quote(v)}" for k, v in sorted(payload["atoms"].items())])
+    fields = {k: json.dumps(v) for k, v in payload.items() if k != "atoms"}
+    fields["atoms"] = "{\n" + atoms + "\n  }" if atoms else "{}"
+    return "{\n" + ",\n".join(f"  {quote(k)}: {fields[k]}" for k in sorted(fields)) + "\n}"
+
+
 def cmd_run(args) -> int:
     program, db = _load_program_db(args)
     system = ground(program, db, prune=not args.no_prune)
@@ -118,7 +131,7 @@ def cmd_run(args) -> int:
             "capped": trace.capped,
             "steps": trace.wall_steps,
         }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n", data=True)
+        _emit(args, _json_dump(payload) + "\n", data=True)
     else:
         lines = []
         for label, v in zip(system.atom_labels(), trace.last):
@@ -201,33 +214,32 @@ def cmd_oracle(args) -> int:
     # the value the log last gave row i up to step h; a run that stops early
     # has repeated its last state, which stays fixed
     steps = engine.column_run(A, j, max_h + 1).changes
-    power = tuple(s.one if k == j else s.zero for k in range(A.n))  # column j of A^0
-    upto = psum = s.zero
-    rows = []
     all_equal = True
-    for h in range(max_h + 1):
-        if h:
-            power = A.matvec(power)
-        exact = exact_sums[h].get((i, j), s.zero)
-        upto = s.add(upto, exact)
-        for k, v in steps[h] if h < len(steps) else ():
-            if k == i:
-                psum = v
-        ok = exact == power[i] and upto == psum
-        all_equal = all_equal and ok
-        cells = (exact, power[i], upto, psum)
-        rows.append((h, *map(s.show, cells), "equal" if ok else "UNEQUAL"))
-    header = ("h", "walks=h", "A^h", "walks<=h", "S(h)", "verdict")
+
+    def rows():  # the header, then one row per h, made as the output takes them
+        nonlocal all_equal
+        yield ("h", "walks=h", "A^h", "walks<=h", "S(h)", "verdict")
+        power = tuple(s.one if k == j else s.zero for k in range(A.n))  # column j of A^0
+        upto = psum = s.zero
+        for h in range(max_h + 1):
+            if h:
+                power = A.matvec(power)
+            exact = exact_sums[h].get((i, j), s.zero) if h < len(exact_sums) else s.zero
+            upto = s.add(upto, exact)
+            for k, v in steps[h] if h < len(steps) else ():
+                if k == i:
+                    psum = v
+            ok = exact == power[i] and upto == psum
+            all_equal = all_equal and ok
+            cells = (exact, power[i], upto, psum)
+            yield (h, *map(s.show, cells), "equal" if ok else "UNEQUAL")
+
     if args.format == "csv":
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n").writerows([header] + rows)
-        _emit(args, out.getvalue(), data=True)
+        _emit(args, lambda out: csv.writer(out, lineterminator="\n").writerows(rows()), data=True)
     else:
-        widths = [max(len(str(r[k])) for r in ([header] + rows)) for k in range(6)]
-        lines = [
-            "  ".join(str(c).ljust(w) for c, w in zip(r, widths))
-            for r in [header] + rows
-        ]
+        table = list(rows())
+        widths = [max(len(str(r[k])) for r in table) for k in range(6)]
+        lines = ["  ".join(str(c).ljust(w) for c, w in zip(r, widths)) for r in table]
         _emit(args, "\n".join(lines) + "\n")
     return 0 if all_equal else 3
 

@@ -131,31 +131,27 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
     """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
 
     ``rows_for(b)`` returns the row function of x <- Ax (+) b and the scale D
-    of the values it works on. A row folds ``add(acc, mul(A[i][j], x[j]))``
-    from zero over the row's entries, as ``Matrix.matvec`` does, and ends with
-    ``add(acc, b[i])``. ``inflationary`` appends the term ``(i, one)`` to row i
-    (``_polynomial_rows`` the monomial ``(one, (i,))``), so the row computes
-    x (+) f(x) and reads its own column. A row skips every x[j] and b[i] that
-    is zero, which is exact because zero annihilates under mul and is the
-    identity of add. There are four row kernels:
+    of the values it works on. A carrier that declares ``idempotent_add`` and
+    ``distributes`` gets no readers, and a push step for its row function
+    (``_pushes``). Otherwise a row folds ``add(acc, mul(A[i][j], x[j]))``
+    from zero over the row's entries, as ``Matrix.matvec`` does, and ends
+    with ``add(acc, b[i])``. ``inflationary`` appends the term ``(i, one)``
+    to row i (``_polynomial_rows`` the monomial ``(one, (i,))``), so the row
+    computes x (+) f(x) and reads its own column. A row skips every x[j] and
+    b[i] that is zero, which is exact because zero annihilates under mul and
+    is the identity of add. There are three row kernels, all with D = 1:
 
     * On a carrier with ``_tables`` a row reads add and mul from them, and a
       row that meets a value outside the tables is recomputed with the
-      semiring's add and mul (D = 1).
+      semiring's add and mul.
     * On a carrier whose ``bag_limits`` answers (``trop_p``, and
       ``trop_p_fin`` without tables) a row gathers the entry sums of every
       product it needs (the pairs ``_limits`` allows, saturated at the cap)
-      and b[i]'s entries, sorts them once and keeps the p+1 smallest (D = 1).
-      That is exact: keeping the p+1 smallest commutes with multiset union,
-      and saturation is monotone, so it commutes with the truncation that
-      mul applies before it.
-    * On a carrier whose ``int_scale`` answers (``trop``) every finite entry
-      of A and b is multiplied by D, the LCM of their denominators, and a row
-      is an inline min-plus fold over ints with zero as the top. That is
-      exact, since min and + commute with scaling by D > 0. A is scaled once
-      per kernel; a b with new denominators rescales the rows for its run.
-      ``_unscaled`` divides the logged values by D.
-    * Otherwise a row calls the semiring's add and mul (D = 1).
+      and b[i]'s entries, sorts them once and keeps the p+1 smallest. That is
+      exact: keeping the p+1 smallest commutes with multiset union, and
+      saturation is monotone, so it commutes with the truncation that mul
+      applies before it.
+    * Otherwise a row calls the semiring's add and mul.
 
     add and mul are looked up when the row function is made, never at import,
     so wrappers set on the instance (the benchmark's op counters) see every
@@ -165,11 +161,12 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
     s = A.semiring
     zero = s.zero
     maps = [A.row(i) for i in range(A.n)]  # dicts: a row reads each column once
+    if s.idempotent_add and s.distributes:
+        return None, _pushes(s, maps)
     rows = [tuple(m.items()) + ((i, s.one),) * inflationary for i, m in enumerate(maps)]
     readers = _readers(A.n, [m.keys() | {i} for i, m in enumerate(maps)] if inflationary else maps)
     tables = _tables(s)
     bag = None if tables else s.bag_limits()
-    a_scale = s.int_scale(v for r in rows for _, v in r)
 
     def rows_for(b: Sequence):
         add, mul = s.add, s.mul
@@ -244,36 +241,91 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
             return bag_row, 1
 
         return readers, bag_rows_for
-    if a_scale is None:
-        return readers, rows_for
+    return readers, rows_for
 
-    def scaled_rows(D):
-        # tuples built from lists: a tuple built from an iterator leaves its
-        # resized block on the free lists, which only a full collection empties
+
+def _pushes(s: Semiring, maps):
+    """``push_for(b)``: the push step of x <- Ax (+) b, and its scale D.
+
+    ``push(step, x)`` takes the (column, value) pairs that changed in the last
+    step, already in x, and folds each entry A[i][c] of those columns into
+    row i: ``new[i] = add(new.get(i, x[i]), mul(A[i][c], x[c]))``. It returns
+    the rows that fold changes, in the order of their first change; b is
+    column n, whose value one changes first. That is exact when add is
+    idempotent and mul distributes: the iterates rise in the natural order,
+    so x(q+1) = x(q) (+) f(x(q)), and each term of a column that did not
+    change is already in x(q). So x (+) f(x) has the same iterates, and
+    ``inflationary`` needs no term of its own. A push reads add and mul from
+    ``_tables`` (and is redone with the object ops on a value outside them),
+    or, on ``trop``, runs min-plus on ints: ``int_scale`` gives D, the LCM of
+    the denominators of A and b, each finite entry is scaled by D once per
+    kernel (again for a b with new denominators), and ``_unscaled`` divides
+    the logged values by D. Otherwise it calls the semiring's add and mul.
+    """
+    zero = s.zero
+    cols: List[dict] = [{} for _ in maps]  # column j maps each row i with A[i][j] to it
+    for i, m in enumerate(maps):
+        for j, v in m.items():
+            cols[j][i] = v
+    tables = _tables(s)
+    a_scale = s.int_scale(v for m in maps for v in m.values())
+
+    def scaled(columns, D):  # min and + commute with scaling by D > 0
         if D == 1:
-            return rows
-        return [tuple([(j, v.numerator * (D // v.denominator)) for j, v in r]) for r in rows]
+            return columns
+        return [{i: v.numerator * (D // v.denominator) for i, v in c.items()} for c in columns]
 
-    a_rows = scaled_rows(a_scale)
+    a_cols = scaled(cols, a_scale or 1)
 
-    def int_rows_for(b: Sequence):
+    def push_for(b: Sequence):
+        add, mul = s.add, s.mul
+        columns = cols + [{i: v for i, v in enumerate(b) if v is not zero}]
+
+        def push(step, x):
+            new = {}
+            get = new.get
+            for c, xc in step:
+                for i, v in columns[c].items():
+                    if (a := add(acc := get(i, x[i]), mul(v, xc))) != acc:
+                        new[i] = a
+            return new
+
+        if tables is not None:
+            add_t, mul_t = tables
+
+            def table_push(step, x):
+                new = {}
+                get = new.get
+                try:
+                    for c, xc in step:
+                        mul_c = mul_t[xc]  # mul commutes: mul_c[v] is mul(v, xc)
+                        for i, v in columns[c].items():
+                            if (a := add_t[acc := get(i, x[i])][mul_c[v]]) != acc:
+                                new[i] = a
+                except KeyError:
+                    return push(step, x)
+                return new
+
+            return table_push, 1
+        if a_scale is None:
+            return push, 1
         D = math.lcm(a_scale, s.int_scale(b))
-        int_rows = a_rows if D == a_scale else scaled_rows(D)
-        int_b = b if D == 1 else [v if v is zero else v.numerator * (D // v.denominator) for v in b]
+        int_columns = (a_cols if D == a_scale else scaled(cols, D)) + scaled(columns[-1:], D)
 
-        def int_row(i, x):
-            acc = int_b[i]
-            for j, v in int_rows[i]:
-                xj = x[j]
-                if xj is not zero:
-                    xj += v
-                    if acc is zero or xj < acc:
-                        acc = xj
-            return acc
+        def int_push(step, x):
+            new = {}
+            get = new.get
+            for c, xc in step:
+                for i, v in int_columns[c].items():
+                    v += xc
+                    acc = get(i, x[i])
+                    if acc is zero or v < acc:
+                        new[i] = v
+            return new
 
-        return int_row, D
+        return int_push, D
 
-    return readers, int_rows_for
+    return push_for
 
 
 def _polynomial_rows(psys: GroundedPolynomialSystem, inflationary: bool):
@@ -321,10 +373,14 @@ def _default_cap(semiring: Semiring, n: int, cap: Optional[int]) -> int:
 def _iterate(semiring, n, readers, row, cap, dirty: Collection[int]) -> IterationTrace:
     """Naive iteration that recomputes only the rows whose inputs changed.
 
-    Step 1 computes the rows in ``dirty``: every row that can leave zero at
-    x = 0 (a linear row only if its b entry is not zero, since every row
-    kernel skips zero inputs and returns ``zero`` itself). After that row i is
-    recomputed only when a column it reads changed in the previous step
+    With ``readers`` None, ``row`` is a push (``_pushes``): each step passes it
+    the changes of the step before, first column n (b) changing to one, and
+    logs the changed rows it returns; ``dirty`` is not read.
+
+    Otherwise step 1 computes the rows in ``dirty``: every row that can leave
+    zero at x = 0 (a linear row only if its b entry is not zero, since every
+    row kernel skips zero inputs and returns ``zero`` itself). After that row
+    i is recomputed only when a column it reads changed in the previous step
     (``readers[c]`` lists each row that reads column c once). A row whose
     columns all equal their previous values would recompute the value it
     already holds, because ``==`` is a congruence for add and mul; neither
@@ -342,16 +398,22 @@ def _iterate(semiring, n, readers, row, cap, dirty: Collection[int]) -> Iteratio
     log = []
     append = log.append
     q = 0
+    push = readers is None
+    if push:
+        dirty = ((n, semiring.one),)
     while q < cap:
-        step = tuple([(i, v) for i in dirty if (v := row(i, x)) != x[i]])
+        if push:
+            step = tuple(row(dirty, x).items())
+        else:
+            step = tuple([(i, v) for i in dirty if (v := row(i, x)) != x[i]])
         append(step)
         if not step:
             return IterationTrace(start, tuple(log), tuple(x), q, False)
         q += 1
         for i, v in step:
             x[i] = v
-        if len(step) > 1:
-            dirty = {r for i, _ in step for r in readers[i]}
+        if push or len(step) > 1:
+            dirty = step if push else {r for i, _ in step for r in readers[i]}
             continue
         dirty = readers[i]
         while len(dirty) == 1 and q < cap:
@@ -395,8 +457,8 @@ def naive_eval_linear(
     s = sys.semiring
     readers, rows_for = _linear_rows(sys.A, inflationary)
     row, D = rows_for(sys.b)
-    # at x = 0 a row with a zero b entry returns zero itself
-    first = [i for i, v in enumerate(sys.b) if v is not s.zero]
+    # at x = 0 a row with a zero b entry returns zero itself; a push reads b itself
+    first = readers and [i for i, v in enumerate(sys.b) if v is not s.zero]
     return _unscaled(_iterate(s, sys.n, readers, row, cap, first), D, s.zero)
 
 

@@ -144,6 +144,10 @@ class Semiring:
     zero: Any = None
     one: Any = None
     known_stability: Optional[int] = None
+    # declared laws (no run checks them): mul distributes over add, add(a, a)
+    # == a; with both, linear steps run as pushes (``engine._linear_rows``)
+    distributes: bool = False
+    idempotent_add: bool = False
     _carrier: Optional[Tuple[Any, ...]] = None
 
     def add(self, a, b):
@@ -166,8 +170,8 @@ class Semiring:
         """None, or a D > 0 that makes D * v an int for each finite v in ``values``.
 
         A carrier answers only when it is min-plus over the non-negative
-        rationals with zero as inf and one as 0: the linear row kernel then
-        runs it on those ints (see ``engine._linear_rows``).
+        rationals with zero as inf and one as 0: the linear push step then
+        runs it on those ints (see ``engine._pushes``).
         """
         return None
 
@@ -193,6 +197,7 @@ class BoolSemiring(Semiring):
     zero = False
     one = True
     known_stability = 0
+    distributes = idempotent_add = True
     _carrier = (False, True)
 
     def add(self, a, b):
@@ -230,6 +235,7 @@ class TropSemiring(Semiring):
     id = "trop"
     zero = INF
     one = 0
+    distributes = idempotent_add = True
     # 1 (+) u = min(0, u) = 0 for every u in the carrier, so each element is
     # 0-stable even though the carrier cannot be enumerated.
     known_stability = 0
@@ -251,7 +257,7 @@ class TropSemiring(Semiring):
         return _show_extended_rational(a)
 
     def int_scale(self, values):
-        return math.lcm(*{v.denominator for v in values if v is not INF})
+        return math.lcm(*{v.denominator for v in values if type(v) is not int and v is not INF})
 
     def random_element(self, rng):
         if rng.random() < 0.1:
@@ -280,6 +286,7 @@ class TropBagSemiring(Semiring):
     """
 
     cap: Optional[int] = None  # entry sums saturate here; None: they do not
+    distributes = True
 
     def __init__(self, p: int):
         if p < 0:
@@ -425,6 +432,7 @@ class CappedSemiring(Semiring):
         _check_size("carrier size", L + 2)
         self.L = L
         self.id = f"capped:{L}"
+        self.distributes = L == 1
         self.zero = CAPPED_O
         self.one = 0
         self._carrier = (CAPPED_O,) + tuple(range(L + 1))
@@ -466,6 +474,7 @@ class TrivialSemiring(Semiring):
     id = "trivial"
     zero = 0
     one = 0
+    distributes = idempotent_add = True
     _carrier = (0,)
 
     def add(self, a, b):

@@ -88,12 +88,16 @@ def walk_sums(
     """Exact walk sums by hop count: tables[g][(i, v)] sums the g-hop walks from i to v.
 
     One enumeration from the given sources up to h hops, each cell folded in
-    walk preorder; a cell no walk reaches is absent and stands for zero.
+    walk preorder. The tables end at the deepest hop count a walk reaches, so
+    their memory follows the walks, not h; a cell no walk reaches, like a
+    table past the end, is absent and stands for zero.
     """
     _guard_budget(A, h, budget, sources)
     s = A.semiring
-    tables: List[Dict[Tuple[int, int], Any]] = [dict() for _ in range(h + 1)]
+    tables: List[Dict[Tuple[int, int], Any]] = []
     for i, hops, v, prod in _walks(A, sources, h, budget):
+        if hops == len(tables):  # preorder reaches hop g + 1 only after hop g
+            tables.append({})
         table = tables[hops]
         table[i, v] = s.add(table.get((i, v), s.zero), prod)
     return tables
@@ -106,7 +110,8 @@ def walk_sum_exact(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK
     skipped since zero annihilates the product.
     """
     check_endpoints(A, i, j)
-    return walk_sums(A, (i,), h, budget)[h].get((i, j), A.semiring.zero)
+    tables = walk_sums(A, (i,), h, budget)
+    return tables[h].get((i, j), A.semiring.zero) if h < len(tables) else A.semiring.zero
 
 
 def walk_sum_upto(A: Matrix, i: int, j: int, h: int, budget: int = DEFAULT_WALK_BUDGET):

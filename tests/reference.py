@@ -214,6 +214,7 @@ def print_program(program: Program) -> str:
 def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) -> List[Matrix]:
     """All exact walk sums at once: result[h][i, j] == walk_sum_exact(A, i, j, h)."""
     tables = walk_sums(A, range(A.n), max_h, budget)
+    tables += [{}] * (max_h + 1 - len(tables))  # hop counts no walk reaches
     return [Matrix(A.semiring, A.n, ((i, j, v) for (i, j), v in t.items())) for t in tables]
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,11 +11,21 @@ from pathlib import Path
 
 import pytest
 
-from semifix import Matrix, save_system, semiring_from_id, walks
-from semifix.cli import _COMMANDS, build_parser, main
+from semifix import (
+    Matrix,
+    build_edb,
+    engine,
+    ground,
+    parse_program,
+    save_system,
+    semiring_from_id,
+    walks,
+)
+from semifix.cli import _COMMANDS, _json_dump, build_parser, main
+from semifix.frontend import program_fact_entries
 from semifix.generators import gen_random_system
 
-from conftest import ALL_IDS, brute_walk_sums
+from conftest import ALL_IDS, brute_walk_sums, linear_step
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -1047,3 +1058,77 @@ def test_tsv_fact_arity_errors_exit_1(tmp_path, capsys, facts, message):
     # the first TSV row at fault, or the first body atom E(X,Y) of p.dl
     at = {"E\ta\t1\n": "line 2, col 11"}.get(facts, "line 2, col 1")
     assert capsys.readouterr().err == f"error: {at}: {message}\n"
+
+
+# each linear row kernel, by the name of the function a run calls
+KERNELS = {
+    "trop": "int_push",
+    "bool": "table_push",
+    "capped:4": "table_row",
+    "trop_p:2": "bag_row",
+    "capped:70": "row",  # 72 elements: too many for tables
+}
+
+
+@pytest.mark.parametrize("sid", KERNELS)
+def test_run_reaches_each_linear_kernel_and_equals_full_recompute(tmp_path, capsys, sid):
+    s, rng = semiring_from_id(sid), random.Random(6)
+    edges = sorted({(rng.randrange(7), rng.randrange(7)) for _ in range(14)})
+    text = f"@semiring {sid}\nT(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n" + "".join(
+        f"E(v{u},v{v}) = {s.show(s.weight(rng.randint(1, 4)))}.\n" for u, v in edges
+    )
+    program = parse_program(text)
+    system = ground(program, build_edb(s, program_fact_entries(program)))
+    assert engine._linear_rows(system.A)[1](system.b)[0].__name__ == KERNELS[sid]
+    x, index = (s.zero,) * system.n, 0
+    while (nxt := linear_step(system, x)) != x:
+        x, index = nxt, index + 1
+    prog = tmp_path / "path.dl"
+    prog.write_text(text)
+    assert main(["run", str(prog), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["atoms"] == {label: s.show(v) for label, v in zip(system.atom_labels(), x)}
+    assert (out["stability_index"], out["capped"]) == (index, False)
+    assert index > 2
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [{}, {"T(é,ü)": "[1,∞]", "x0": "1/3"}, {'a"b': 'c"d', "back\\slash": "tab\there", "ctl\x01": "\n"}],
+    ids=["empty", "non-ascii", "quotes"],
+)
+def test_json_output_equals_json_dumps(atoms):
+    payload = {"atoms": atoms, "stability_index": 3, "powersum_index": 2, "capped": False, "steps": 4}
+    assert _json_dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    payload.update(stability_index=None, powersum_index=None, capped=True)
+    assert _json_dump(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_oracle_csv_memory_follows_the_walks_not_h(tmp_path):
+    # one vertex, no edge: one walk, whatever h; the rows are written as made
+    mat = tmp_path / "one.mat"
+    mat.write_text("semiring trop\nn 1\n")
+    code = (
+        "import resource, sys; from semifix.cli import main; rc = main(sys.argv[1:]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(rc)"
+    )
+
+    def peak_kib(h):
+        out = tmp_path / f"h{h}.csv"
+        res = subprocess.run(
+            [sys.executable, "-c", code, "oracle", str(mat), "--i", "0", "--j", "0", "--h", str(h),
+             "--format", "csv", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            preexec_fn=_limit_memory,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        with out.open() as f:
+            assert next(f) == "h,walks=h,A^h,walks<=h,S(h),verdict\n"
+            lines = 1 + sum(1 for _ in f)
+        assert lines == h + 2
+        return int(res.stderr)
+
+    assert peak_kib(10**6) < 1.5 * peak_kib(1000)

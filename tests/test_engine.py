@@ -1190,3 +1190,85 @@ def test_scaled_column_runs_leave_no_blocks_behind():
     finally:
         gc.enable()
     assert grown < 3000
+
+
+# ---------------------------------------------------------------------------
+# Push steps on carriers with idempotent add and distributive mul
+# ---------------------------------------------------------------------------
+
+# bool, trivial and trop (tests/test_semirings.py pins the declarations)
+PUSH_IDS = tuple(sid for sid in ALL_IDS if engine._linear_rows(Matrix(semiring_from_id(sid), 0))[0] is None)
+
+
+def _push_systems(s):
+    """Systems from every generator the push tests draw on, n = 0-8; on trop
+    also fractional weights with inf in b."""
+    systems = [random_linear_system(s, seed % 9, seed) for seed in range(18)]
+    systems += [gen_random_system(seed % 8 + 1, 0.4, s, seed) for seed in range(8)]
+    if s is TROP:
+        systems += [_fractional_system(n, (2, 3, 7), seed) for seed, n in enumerate((1, 3, 5, 8))]
+    return systems
+
+
+def test_the_push_systems_have_fractions_and_inf_in_b():
+    systems = _push_systems(TROP)
+    assert sum(v is INF for sys_ in systems for v in sys_.b) > 20
+    assert sum(type(v) is Fraction for sys_ in systems for _, _, v in sys_.A.entries()) > 20
+
+
+@pytest.mark.parametrize("kernel", ["own", "object"])
+@pytest.mark.parametrize("inflationary", [False, True])
+@pytest.mark.parametrize("sid", PUSH_IDS)
+def test_push_matches_full_recompute(monkeypatch, sid, inflationary, kernel):
+    s = semiring_from_id(sid)
+    if kernel == "object":  # no tables, no ints: the push calls add and mul
+        monkeypatch.setattr(engine, "_tables", lambda s: None)
+        monkeypatch.setattr(s, "int_scale", lambda values: None)
+    for sys_ in _push_systems(s):
+        for cap in (1, 2, 60):
+            trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
+            assert_log_matches(trace, reference_linear(sys_, cap, inflationary))
+
+
+def _rows_per_step(trace):
+    return [dict(step) for step in trace.changes], trace.last, trace.stability_index, trace.capped
+
+
+@pytest.mark.parametrize("sid", PUSH_IDS)
+def test_push_changes_the_rows_the_pull_loop_changes(monkeypatch, sid):
+    s = semiring_from_id(sid)
+    for sys_ in _push_systems(s):
+        cap = 4 * sys_.n + 6
+        runs = [naive_eval_linear(sys_, cap=cap, inflationary=infl) for infl in (False, True)]
+        runs += [column_run(sys_.A, j, cap) for j in range(sys_.n)]
+        indices = [matrix_stability_index(sys_.A), matrix_stability_index(sys_.A, cap=2)]
+        with monkeypatch.context() as m:
+            m.setattr(s, "idempotent_add", False)  # the pull loop
+            assert engine._linear_rows(sys_.A)[0] is not None
+            pulled = [naive_eval_linear(sys_, cap=cap, inflationary=infl) for infl in (False, True)]
+            pulled += [column_run(sys_.A, j, cap) for j in range(sys_.n)]
+            assert indices == [matrix_stability_index(sys_.A), matrix_stability_index(sys_.A, cap=2)]
+        assert list(map(_rows_per_step, runs)) == list(map(_rows_per_step, pulled))
+
+
+@pytest.mark.parametrize("inflationary", [False, True])
+def test_a_push_folds_each_entry_of_the_changed_columns_once(inflationary):
+    s = TROP.__class__()  # a private instance, so counting wraps no shared carrier
+    s.int_scale = lambda values: None  # the object push, which calls mul once per folded entry
+    mul, calls = s.mul, [0]
+
+    def counted_mul(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    s.mul = counted_mul
+    for seed in range(6):
+        sys_ = gen_random_system(8, 0.3, s, seed)
+        calls[0] = 0
+        trace = naive_eval_linear(sys_, inflationary=inflationary)
+        assert not trace.capped and trace.wall_steps > 2
+        column = [sum(j in sys_.A.row(i) for i in range(sys_.n)) for j in range(sys_.n)]
+        # b is folded once, then each entry of each column that changed
+        folds = sum(v is not s.zero for v in sys_.b)
+        folds += sum(column[c] for step in trace.changes for c, _ in step)
+        assert calls[0] == folds

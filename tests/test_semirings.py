@@ -20,11 +20,11 @@ from semifix import (
     semiring_from_id,
     semiring_stability,
 )
-from semifix import semirings
+from semifix import Matrix, engine, semirings
 from semifix.errors import InvalidParameter
 from semifix.semirings import _integral
 
-from conftest import ALL_IDS, FINITE_IDS, seeded_elements
+from conftest import ALL_IDS, FINITE_IDS, BrokenMulSemiring, seeded_elements
 from reference import natural_order_leq, scalar_repeat
 
 
@@ -392,6 +392,30 @@ def test_broken_semiring_fails_with_witness(broken_semiring):
     failing = report.failures()
     assert [c.name for c in failing] == ["distributes"]
     assert failing[0].counterexample is not None
+
+
+DECLARED = [semiring_from_id(sid) for sid in dict.fromkeys(ALL_IDS + tuple(f"capped:{L}" for L in range(1, 7)))]
+
+
+@pytest.mark.parametrize("s", DECLARED + [BrokenMulSemiring()], ids=lambda s: s.id)
+def test_declared_laws_agree_with_the_axiom_check(s):
+    report = check_axioms(s)
+    assert s.distributes == {c.name: c.passed for c in report.checks}["distributes"]
+    if s.idempotent_add:
+        elems = s.elements() or seeded_elements(s, 2000, seed=5)
+        assert all(s.add(a, a) == a for a in elems)
+    # a carrier runs its linear steps as pushes exactly when it declares both
+    readers, _ = engine._linear_rows(Matrix(s, 2, [(0, 1, s.one), (1, 1, s.one)]))
+    assert (readers is None) == (s.distributes and s.idempotent_add)
+
+
+def test_push_carriers_are_bool_trop_and_trivial():
+    assert {s.id for s in DECLARED if s.idempotent_add} == {"bool", "trop", "trivial"}
+    # capped:1 distributes, and the broken carrier's max is idempotent
+    assert {s.id for s in DECLARED if s.distributes and not s.idempotent_add} == {
+        "capped:1", "trop_p_fin:1:1", "trop_p:1", "trop_p:2"
+    }
+    assert not BrokenMulSemiring.distributes and not BrokenMulSemiring.idempotent_add
 
 
 @pytest.mark.parametrize("sid", ALL_IDS)

@@ -74,7 +74,7 @@ def peak_bytes(call):
 
 def test_budget_guard_counts_the_walks_around_a_cycle_up_front():
     # out-degree 1 gives h + 1 walks from a source on a cycle; the guard
-    # refuses them before walk_sums builds its h + 1 tables
+    # refuses them before walk_sums enumerates any
     A = bool_matrix(3, [(0, 1), (1, 2), (2, 0)])
 
     def refuse():
@@ -184,8 +184,8 @@ def test_walk_sums_match_brute_force(sid):
         sources = [(i,) for i in range(n)] + [tuple(range(n))]
         for src in sources:
             tables = walk_sums(A, src, h)
-            assert len(tables) == h + 1
-            for g, table in enumerate(tables):
+            assert len(tables) <= h + 1
+            for g, table in enumerate(tables + [{}] * (h + 1 - len(tables))):
                 assert {i for i, _ in table} <= set(src)
                 for i in src:
                     for j in range(n):
