@@ -101,14 +101,13 @@ def _load_program_db(args):
 
 
 def _json_dump(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` for a payload whose
-    "atoms" maps str to str and whose other values are scalars, written with
-    json's C string encoder: any indent makes json.dumps encode in Python."""
-    quote = json.encoder.encode_basestring_ascii
-    atoms = ",\n".join([f"    {quote(k)}: {quote(v)}" for k, v in sorted(payload["atoms"].items())])
+    """``json.dumps(payload, sort_keys=True, indent=2)`` for str "atoms" and
+    scalar fields, on json's C encoder, which any indent turns off: the atoms'
+    indent goes into the separator, as an encoded string holds no newline."""
+    atoms = json.dumps(payload["atoms"], sort_keys=True, separators=(",\n    ", ": "))
     fields = {k: json.dumps(v) for k, v in payload.items() if k != "atoms"}
-    fields["atoms"] = "{\n" + atoms + "\n  }" if atoms else "{}"
-    return "{\n" + ",\n".join(f"  {quote(k)}: {fields[k]}" for k in sorted(fields)) + "\n}"
+    fields["atoms"] = "{\n    " + atoms[1:-1] + "\n  }" if payload["atoms"] else "{}"
+    return "{\n" + ",\n".join([f"  {json.dumps(k)}: {fields[k]}" for k in sorted(fields)]) + "\n}"
 
 
 def cmd_run(args) -> int:
