@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import engine
@@ -113,7 +113,8 @@ class BoundReport:
     violations: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields as a shallow dict (``bounds`` and ``violations`` are shared)."""
+        d = dict(vars(self))
         d["semiring"] = d.pop("semiring_id")
         return d
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -553,6 +554,19 @@ def save_system(sys: GroundedLinearSystem, header: Sequence[str] = ()) -> str:
 # fields after the key on each kind of line; the last field keeps its spaces
 _LINE_FIELDS = {"semiring": 1, "n": 1, "A": 3, "b": 2}
 
+# An entry or label line of ASCII digits and blanks, read in one match: groups
+# row and column of A (row None on a b line), the literal, then a label's
+# index and text. An index has at most 7 digits (MAX_ATOMS is 10**6), a
+# literal is printable ASCII. Every other line, and an entry out of range or
+# before the headers, takes the split path of load_system, which raises each
+# error with its line; a malformed literal raises from the literal cache that
+# both paths share.
+_DATA_LINE = re.compile(
+    r"[ \t]*(?:A[ \t]+(\d{1,7})[ \t]+|b[ \t]+)(\d{1,7})[ \t]+([!-~](?:[ \t!-~]*[!-~])?)[ \t]*"
+    r"|[ \t]*#[ \t]*atom[ \t]+0*(\d{1,7})[ \t]+([^ \t](?:.*[^ \t])?)[ \t]*",
+    re.ASCII,
+)
+
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
     try:
@@ -564,17 +578,36 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
 def load_system(text: str) -> GroundedLinearSystem:
     semiring: Optional[Semiring] = None
     n: Optional[int] = None
+    size = 0  # n once both headers are read; until then no entry is in range
     entries: List[Tuple[int, int, Any]] = []
     b_entries: List[Tuple[int, Any]] = []
     labels: dict = {}
+    values: dict = {}  # literal text -> element, so each distinct text is parsed once
+
+    def element(literal: str, lineno: int):
+        if literal not in values:
+            try:
+                values[literal] = semiring.parse(literal)
+            except MalformedElement as exc:
+                raise MalformedLiteral(str(exc), lineno, 1) from None
+        return values[literal]
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _DATA_LINE.fullmatch(raw)
+        if m is not None:
+            i, j, literal, atom, label = m.groups()
+            if label is not None:
+                labels[int(atom)] = label
+                continue
+            j = int(j)
+            if i is None and j < size:
+                b_entries.append((j, element(literal, lineno)))
+                continue
+            if i is not None and int(i) < size and j < size:
+                entries.append((int(i), j, element(literal, lineno)))
+                continue
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split(maxsplit=2)
-            if len(parts) == 3 and parts[0] == "atom" and parts[1].isdigit():
-                labels[int(parts[1])] = parts[2]
+        if not line or line.startswith("#"):
             continue
         key, *rest = line.split(maxsplit=1)
         want = _LINE_FIELDS.get(key)
@@ -603,14 +636,13 @@ def load_system(text: str) -> GroundedLinearSystem:
             bad = [k for k in idx if not 0 <= k < n]
             if bad:
                 raise IndexOutOfRange(f"{key} index {bad[0]} outside 0..{n - 1}", lineno, 1)
-            try:
-                value = semiring.parse(fields[-1])
-            except MalformedElement as exc:
-                raise MalformedLiteral(str(exc), lineno, 1) from None
+            value = element(fields[-1], lineno)
             if key == "A":
                 entries.append((idx[0], idx[1], value))
             else:
                 b_entries.append((idx[0], value))
+        if semiring is not None and n is not None:
+            size = n
     if semiring is None or n is None:
         raise ParseError("missing semiring or n header", 1, 1)
     b = [semiring.zero] * n

@@ -1,17 +1,21 @@
 """Reference helpers that only the tests use: the program parser on tokens
-alone, rendering a program back to source, all exact walk sums as matrices, a
-monomial system's degree, repeated sums and the natural order."""
+alone, the matrix-file reader that splits every line, rendering a program back
+to source, all exact walk sums as matrices, a monomial system's degree,
+repeated sums and the natural order."""
 
 import re
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from semifix import Matrix
-from semifix.errors import InvalidParameter, ParseError
-from semifix.frontend import (
-    Atom, Const, FactStmt, GroundedPolynomialSystem, Product, Program, Rule, Term, Var,
-    _check_program,
+from semifix.engine import _parse_label
+from semifix.errors import (
+    IndexOutOfRange, InvalidParameter, MalformedElement, MalformedLiteral, ParseError,
 )
-from semifix.semirings import Semiring, _enumerable
+from semifix.frontend import (
+    MAX_ATOMS, Atom, Const, FactStmt, GroundedLinearSystem, GroundedPolynomialSystem, Product,
+    Program, Rule, Term, Var, _check_program,
+)
+from semifix.semirings import Semiring, _enumerable, semiring_from_id
 from semifix.walks import DEFAULT_WALK_BUDGET, walk_sums
 
 
@@ -209,6 +213,81 @@ def print_program(program: Program) -> str:
         head = f"{f.pred}({','.join(f.args)})"
         lines.append(f"{head}." if f.literal is None else f"{head} = {f.literal}.")
     return "\n".join(lines) + "\n"
+
+
+# The matrix-file reader as it was before entry and label lines were read in
+# one regex match: every line is stripped, split and checked, and each literal
+# is parsed where it stands. Only the label rule is new: an index is ASCII
+# digits, where ``str.isdigit`` also took "²", which ``int`` refuses.
+# ``load_system`` must agree with it on every text.
+
+_LINE_FIELDS = {"semiring": 1, "n": 1, "A": 3, "b": 2}
+
+
+def _parse_int(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not an integer", lineno, 1) from None
+
+
+def reference_load_system(text: str) -> GroundedLinearSystem:
+    semiring: Optional[Semiring] = None
+    n: Optional[int] = None
+    entries: List[Tuple[int, int, Any]] = []
+    b_entries: List[Tuple[int, Any]] = []
+    labels: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            parts = line[1:].split(maxsplit=2)
+            if len(parts) == 3 and parts[0] == "atom" and parts[1].isascii() and parts[1].isdigit():
+                labels[int(parts[1])] = parts[2]
+            continue
+        key, *rest = line.split(maxsplit=1)
+        want = _LINE_FIELDS.get(key)
+        if want is None:
+            raise ParseError(f"unrecognized line {raw!r}", lineno, 1)
+        fields = rest[0].split(maxsplit=want - 1) if rest else []
+        if len(fields) != want:
+            raise ParseError(f"expected {want} field(s) after {key!r}", lineno, 1)
+        if key == "semiring" and semiring is not None or key == "n" and n is not None:
+            raise ParseError(f"second {key!r} header", lineno, 1)
+        if key == "semiring":
+            try:
+                semiring = semiring_from_id(fields[0])
+            except InvalidParameter as e:
+                raise ParseError(str(e), lineno, 1) from None
+        elif key == "n":
+            n = _parse_int(fields[0], "n", lineno)
+            if n < 0:
+                raise ParseError(f"n must be >= 0, got {n}", lineno, 1)
+            if n > MAX_ATOMS:
+                raise ParseError(f"n {n} exceeds the limit of {MAX_ATOMS} atoms", lineno, 1)
+        elif semiring is None or n is None:
+            raise ParseError(f"{key} entry before semiring/n header", lineno, 1)
+        else:
+            idx = [_parse_int(f, f"{key} index", lineno) for f in fields[:-1]]
+            bad = [k for k in idx if not 0 <= k < n]
+            if bad:
+                raise IndexOutOfRange(f"{key} index {bad[0]} outside 0..{n - 1}", lineno, 1)
+            try:
+                value = semiring.parse(fields[-1])
+            except MalformedElement as exc:
+                raise MalformedLiteral(str(exc), lineno, 1) from None
+            if key == "A":
+                entries.append((idx[0], idx[1], value))
+            else:
+                b_entries.append((idx[0], value))
+    if semiring is None or n is None:
+        raise ParseError("missing semiring or n header", 1, 1)
+    b = [semiring.zero] * n
+    for i, v in b_entries:
+        b[i] = semiring.add(b[i], v)
+    atoms = [_parse_label(labels.get(i, f"x{i}")) for i in range(n)]
+    return GroundedLinearSystem.from_matrix(semiring, Matrix(semiring, n, entries), b, atoms)
 
 
 def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) -> List[Matrix]:
