@@ -554,13 +554,12 @@ def save_system(sys: GroundedLinearSystem, header: Sequence[str] = ()) -> str:
 # fields after the key on each kind of line; the last field keeps its spaces
 _LINE_FIELDS = {"semiring": 1, "n": 1, "A": 3, "b": 2}
 
-# An entry or label line of ASCII digits and blanks, read in one match: groups
-# row and column of A (row None on a b line), the literal, then a label's
-# index and text. An index has at most 7 digits (MAX_ATOMS is 10**6), a
-# literal is printable ASCII. Every other line, and an entry out of range or
-# before the headers, takes the split path of load_system, which raises each
-# error with its line; a malformed literal raises from the literal cache that
-# both paths share.
+# `A i j literal`, `b i literal` and `# atom i label` lines with space or tab
+# blanks, read in one match; groups: A's row (None on a b line), column or b
+# index, literal, label index, label. An index has 1-7 ASCII digits (MAX_ATOMS
+# is 10**6) and a literal is printable ASCII. Every other line, and an entry
+# out of range or before the headers, takes load_system's split path, which
+# raises its errors; a bad literal raises from the cache both paths share.
 _DATA_LINE = re.compile(
     r"[ \t]*(?:A[ \t]+(\d{1,7})[ \t]+|b[ \t]+)(\d{1,7})[ \t]+([!-~](?:[ \t!-~]*[!-~])?)[ \t]*"
     r"|[ \t]*#[ \t]*atom[ \t]+0*(\d{1,7})[ \t]+([^ \t](?:.*[^ \t])?)[ \t]*",

@@ -217,20 +217,15 @@ def test_load_system_matches_the_split_reference(text):
     assert all(c == 1 for c in counts.values()), counts
 
 
-def test_a_comment_line_with_a_non_ascii_index_is_not_a_label():
-    text = "# atom \u00b2 x\nsemiring bool\nn 1\n"
-    assert load_system(text).atom_labels() == ("x0",)
-
-
 def test_atom_labels_read_ascii_blanks_and_digits_only():
     text = (
-        "semiring bool\nn 4\n#atom 0 p(a)\n\t# atom\t001   q r \t\n"
+        "# atom \u00b2 x\nsemiring bool\nn 4\n#atom 0 p(a)\n\t# atom\t001   q r \t\n"
         "# atom\u00a02 s\n# atom 3\u00a0t\n"
     )
     assert load_system(text).atom_labels() == ("p(a)", "q r", "x2", "x3")
 
 
-def test_analyze_reads_a_label_line_with_a_non_ascii_index(tmp_path):
+def test_analyze_and_oracle_read_an_atom_comment_with_a_non_ascii_index(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("# atom \u00b2 x\nsemiring bool\nn 1\n", encoding="utf-8")
     for argv in (["analyze", str(path)], ["oracle", str(path), "--i", "0", "--j", "0", "--h", "1"]):
