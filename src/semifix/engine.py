@@ -45,6 +45,8 @@ from .semirings import (
     INF,
     MAX_CARRIER_SIZE,
     Semiring,
+    TropBagSemiring,
+    TropSemiring,
     _integral,
     effective_stability,
     ordered_chain,
@@ -128,46 +130,66 @@ def _readers(n: int, rows: Iterable[Iterable[int]]) -> List[List[int]]:
     return readers
 
 
+def _kernel(s: Semiring) -> str:
+    """The kernel of the linear rows and pushes on ``s``; no other code picks one.
+
+    Every kernel skips each x[j] and b[i] that is zero, which is exact because
+    zero annihilates under mul and is the identity of add.
+
+    * ``"table"`` (a carrier with ``_tables``): add and mul are read from the
+      tables, and a row or push that meets a value outside them is redone on
+      the object ops.
+    * ``"int"`` (``trop``): a push runs min-plus on ints scaled by D, the LCM
+      of the denominators of A and b (``_common_denominator``); each finite
+      entry is scaled once per kernel (again for a b with new denominators),
+      and ``_unscaled`` divides the logged values by D. Rows call the object
+      ops.
+    * ``"bag"`` (``trop_p``, and ``trop_p_fin`` without tables): a row gathers
+      the entry sums of every product it needs (the pairs ``limits`` allows,
+      saturated at the cap) and b[i]'s entries, sorts them once and keeps the
+      p+1 smallest. That is exact: keeping the p+1 smallest commutes with
+      multiset union, and saturation is monotone, so it commutes with the
+      truncation that mul applies before it.
+    * ``"object"``: the semiring's add and mul, looked up when the row
+      function is made, so wrappers set on the instance (the benchmark's op
+      counters) see every call; on ``trop`` and ``trop_p`` they see no call
+      of a run.
+    """
+    if _tables(s) is not None:
+        return "table"
+    if isinstance(s, TropSemiring):
+        return "int"
+    if isinstance(s, TropBagSemiring):
+        return "bag"
+    return "object"
+
+
+def _common_denominator(values) -> int:
+    """The LCM D of the denominators of the finite ``values``, so each D * v is an int."""
+    return math.lcm(*{v.denominator for v in values if type(v) is not int and v is not INF})
+
+
 def _linear_rows(A: Matrix, inflationary: bool = False):
     """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
 
-    ``rows_for(b)`` returns the row function of x <- Ax (+) b and the scale D
-    of the values it works on. A carrier that declares ``idempotent_add`` and
-    ``distributes`` gets no readers, and a push step for its row function
-    (``_pushes``). Otherwise a row folds ``add(acc, mul(A[i][j], x[j]))``
-    from zero over the row's entries, as ``Matrix.matvec`` does, and ends
-    with ``add(acc, b[i])``. ``inflationary`` appends the term ``(i, one)``
-    to row i (``_polynomial_rows`` the monomial ``(one, (i,))``), so the row
-    computes x (+) f(x) and reads its own column. A row skips every x[j] and
-    b[i] that is zero, which is exact because zero annihilates under mul and
-    is the identity of add. There are three row kernels, all with D = 1:
-
-    * On a carrier with ``_tables`` a row reads add and mul from them, and a
-      row that meets a value outside the tables is recomputed with the
-      semiring's add and mul.
-    * On a carrier whose ``bag_limits`` answers (``trop_p``, and
-      ``trop_p_fin`` without tables) a row gathers the entry sums of every
-      product it needs (the pairs ``_limits`` allows, saturated at the cap)
-      and b[i]'s entries, sorts them once and keeps the p+1 smallest. That is
-      exact: keeping the p+1 smallest commutes with multiset union, and
-      saturation is monotone, so it commutes with the truncation that mul
-      applies before it.
-    * Otherwise a row calls the semiring's add and mul.
-
-    add and mul are looked up when the row function is made, never at import,
-    so wrappers set on the instance (the benchmark's op counters) see every
-    call of the object path; on ``trop`` and ``trop_p`` they see no call of a
-    run.
+    ``rows_for(b)`` returns the row function of x <- Ax (+) b on the kernel of
+    ``_kernel``, and the scale D of the values it works on. A row folds
+    ``add(acc, mul(A[i][j], x[j]))`` over its entries, as ``Matrix.matvec``
+    does, and ends with ``add(acc, b[i])``. A carrier that declares
+    ``idempotent_add`` and ``distributes`` gets no readers, and a push step
+    for its row function (``_pushes``). ``inflationary`` appends the term
+    ``(i, one)`` to row i (``_polynomial_rows`` the monomial ``(one, (i,))``),
+    so the row computes x (+) f(x) and reads its own column.
     """
     s = A.semiring
     zero = s.zero
     maps = [A.row(i) for i in range(A.n)]  # dicts: a row reads each column once
+    kernel = _kernel(s)
     if s.idempotent_add and s.distributes:
-        return None, _pushes(s, maps)
+        return None, _pushes(s, maps, kernel)
     rows = [tuple(m.items()) + ((i, s.one),) * inflationary for i, m in enumerate(maps)]
     readers = _readers(A.n, [m.keys() | {i} for i, m in enumerate(maps)] if inflationary else maps)
-    tables = _tables(s)
-    bag = None if tables else s.bag_limits()
+    tables = _tables(s) if kernel == "table" else None
 
     def rows_for(b: Sequence):
         add, mul = s.add, s.mul
@@ -199,8 +221,8 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
 
         return table_row, 1
 
-    if bag is not None:
-        limits, cap = bag
+    if kernel == "bag":
+        limits, cap = s.limits, s.cap
         width = len(limits)
 
         def bags(values):
@@ -245,8 +267,8 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
     return readers, rows_for
 
 
-def _pushes(s: Semiring, maps):
-    """``push_for(b)``: the push step of x <- Ax (+) b, and its scale D.
+def _pushes(s: Semiring, maps, kernel: str):
+    """``push_for(b)``: the push step of x <- Ax (+) b on ``kernel``, and its scale D.
 
     ``push(step, x)`` takes the (column, value) pairs that changed in the last
     step, already in x, and folds each entry A[i][c] of those columns into
@@ -256,20 +278,15 @@ def _pushes(s: Semiring, maps):
     idempotent and mul distributes: the iterates rise in the natural order,
     so x(q+1) = x(q) (+) f(x(q)), and each term of a column that did not
     change is already in x(q). So x (+) f(x) has the same iterates, and
-    ``inflationary`` needs no term of its own. A push reads add and mul from
-    ``_tables`` (and is redone with the object ops on a value outside them),
-    or, on ``trop``, runs min-plus on ints: ``int_scale`` gives D, the LCM of
-    the denominators of A and b, each finite entry is scaled by D once per
-    kernel (again for a b with new denominators), and ``_unscaled`` divides
-    the logged values by D. Otherwise it calls the semiring's add and mul.
+    ``inflationary`` needs no term of its own.
     """
     zero = s.zero
     cols: List[dict] = [{} for _ in maps]  # column j maps each row i with A[i][j] to it
     for i, m in enumerate(maps):
         for j, v in m.items():
             cols[j][i] = v
-    tables = _tables(s)
-    a_scale = s.int_scale(v for m in maps for v in m.values())
+    tables = _tables(s) if kernel == "table" else None
+    a_scale = _common_denominator(v for m in maps for v in m.values()) if kernel == "int" else None
 
     def scaled(columns, D):  # min and + commute with scaling by D > 0
         if D == 1:
@@ -310,7 +327,7 @@ def _pushes(s: Semiring, maps):
             return table_push, 1
         if a_scale is None:
             return push, 1
-        D = math.lcm(a_scale, s.int_scale(b))
+        D = math.lcm(a_scale, _common_denominator(b))
         int_columns = (a_cols if D == a_scale else scaled(cols, D)) + scaled(columns[-1:], D)
 
         def int_push(step, x):
@@ -482,14 +499,9 @@ def _scaled_column_run(A: Matrix, j: int, cap: int, kernel) -> Tuple[IterationTr
     return _iterate(s, n, readers, row, cap, (j,)), D
 
 
-def column_run(A: Matrix, j: int, cap: int, kernel=None) -> IterationTrace:
-    """The run of x <- Ax (+) e_j: its state m+1 is column j of S(m).
-
-    ``kernel`` is ``_linear_rows(A)``, built here when not given; a caller
-    that runs several columns of one matrix builds it once.
-    """
-    trace, D = _scaled_column_run(A, j, cap, kernel or _linear_rows(A))
-    return _unscaled(trace, D, A.semiring.zero)
+def column_run(A: Matrix, j: int, cap: int) -> IterationTrace:
+    """The run of x <- Ax (+) e_j: its state m+1 is column j of S(m)."""
+    return _unscaled(*_scaled_column_run(A, j, cap, _linear_rows(A)), A.semiring.zero)
 
 
 def matrix_power_sum(A: Matrix, k: int) -> Matrix:
@@ -502,10 +514,9 @@ def matrix_power_sum(A: Matrix, k: int) -> Matrix:
     if k < 0:
         raise InvalidParameter("k must be >= 0")
     # the last state of a run is state k + 1, or the fixpoint reached before it
-    kernel = _linear_rows(A)
-    entries = [
-        (i, j, v) for j in range(A.n) for i, v in enumerate(column_run(A, j, k + 1, kernel).last)
-    ]
+    kernel, zero = _linear_rows(A), A.semiring.zero
+    runs = [_unscaled(*_scaled_column_run(A, j, k + 1, kernel), zero) for j in range(A.n)]
+    entries = [(i, j, v) for j, run in enumerate(runs) for i, v in enumerate(run.last)]
     return Matrix(A.semiring, A.n, entries)
 
 
@@ -647,7 +658,7 @@ def load_system(text: str) -> GroundedLinearSystem:
     b = [semiring.zero] * n
     for i, v in b_entries:
         b[i] = semiring.add(b[i], v)
-    atoms = [_parse_label(labels.get(i, f"x{i}")) for i in range(n)]
+    atoms = [_parse_label(labels[i]) if i in labels else (f"x{i}", ()) for i in range(n)]
     return GroundedLinearSystem.from_matrix(semiring, Matrix(semiring, n, entries), b, atoms)
 
 

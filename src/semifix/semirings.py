@@ -166,20 +166,6 @@ class Semiring:
         """The full carrier as a sequence, or None when not enumerable."""
         return self._carrier
 
-    def int_scale(self, values) -> Optional[int]:
-        """None, or a D > 0 that makes D * v an int for each finite v in ``values``.
-
-        A carrier answers only when it is min-plus over the non-negative
-        rationals with zero as inf and one as 0: the linear push step then
-        runs it on those ints (see ``engine._pushes``).
-        """
-        return None
-
-    def bag_limits(self) -> Optional[Tuple[Tuple[int, ...], Optional[int]]]:
-        """None, or the ``_limits`` and ``cap`` of a truncated-bag carrier,
-        whose linear rows ``engine._linear_rows`` then folds with one sort."""
-        return None
-
     def random_element(self, rng: random.Random):
         """A uniform draw from the carrier; a carrier without one overrides this."""
         return rng.choice(self.elements())
@@ -256,9 +242,6 @@ class TropSemiring(Semiring):
     def show(self, a):
         return _show_extended_rational(a)
 
-    def int_scale(self, values):
-        return math.lcm(*{v.denominator for v in values if type(v) is not int and v is not INF})
-
     def random_element(self, rng):
         if rng.random() < 0.1:
             return INF
@@ -297,8 +280,8 @@ class TropBagSemiring(Semiring):
         self.zero = (INF,) * (p + 1)
         self.one = min_p_truncate(p, (0,))
         self.known_stability = p
-        # j < _limits[i] exactly when (i+1)(j+1) <= p+1
-        self._limits = tuple((p + 1) // (i + 1) for i in range(p + 1))
+        # j < limits[i] exactly when (i+1)(j+1) <= p+1
+        self.limits = tuple((p + 1) // (i + 1) for i in range(p + 1))
 
     def add(self, x, y):
         n = self.p + 1
@@ -331,7 +314,7 @@ class TropBagSemiring(Semiring):
         if not (type(x) is tuple and type(y) is tuple and len(x) == n == len(y)):
             _check_bag(self.p, x)
             _check_bag(self.p, y)
-        limits = self._limits
+        limits = self.limits
         sums = []
         for i, u in enumerate(x):
             if u is INF:
@@ -346,9 +329,6 @@ class TropBagSemiring(Semiring):
         if cap is not None:
             kept = [e if e < cap else cap for e in kept]
         return (*kept, *self.zero[len(kept):])
-
-    def bag_limits(self):
-        return self._limits, self.cap
 
     def _parse_entry(self, text):
         return _parse_extended_rational(text)

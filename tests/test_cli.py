@@ -1066,6 +1066,7 @@ KERNELS = {
     "bool": "table_push",
     "capped:4": "table_row",
     "trop_p:2": "bag_row",
+    "trop_p_fin:3:3": "bag_row",  # 70 elements: too many for tables
     "capped:70": "row",  # 72 elements: too many for tables
 }
 

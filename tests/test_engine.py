@@ -44,7 +44,7 @@ from semifix.generators import (
     random_edge_instance,
 )
 
-from conftest import ALL_IDS, linear_step, seeded_elements, vec_add
+from conftest import ALL_IDS, FINITE_IDS, BrokenMulSemiring, linear_step, seeded_elements, vec_add
 
 
 def reachability(edges, n):
@@ -830,8 +830,7 @@ def _kernel_results(A, b):
 def _object_results(monkeypatch, A, b):
     """The kernel callers' results on the object row: no tables, no bag kernel."""
     with monkeypatch.context() as m:
-        m.setattr(engine, "_tables", lambda s: None)
-        m.setattr(A.semiring, "bag_limits", lambda: None)
+        m.setattr(engine, "_kernel", lambda s: "object")
         return _kernel_results(A, b)
 
 
@@ -880,13 +879,14 @@ def test_tabled_kernel_equals_the_object_path_on_slow_cycles(monkeypatch, n, L):
 )
 def test_values_outside_the_tables_take_the_object_path(monkeypatch, sid, outside):
     s = semiring_from_id(sid)
+    untabled = "bag" if isinstance(s, TropBagSemiring) else "object"
     A = Matrix(s, 3, [(0, 1, outside), (1, 2, s.one), (2, 0, s.one), (2, 2, s.one)])
     assert A.get(0, 1) == outside  # the constructor stores it as given
     for b in ([s.zero, s.zero, s.one], [outside, s.zero, s.one]):
         tabled, plain = _tabled_and_object(monkeypatch, A, b)
         assert tabled == plain
         with monkeypatch.context() as m:  # the kernel the carrier has without tables
-            m.setattr(engine, "_tables", lambda s: None)
+            m.setattr(engine, "_kernel", lambda s: untabled)
             assert _kernel_results(A, b) == plain
 
 
@@ -900,9 +900,29 @@ def test_only_carriers_with_at_most_64_elements_get_tables():
         assert_trace_matches(naive_eval_linear(sys_, cap=80), reference_linear(sys_, 80, False))
 
 
-def test_rows_skip_zero_inputs_without_changing_the_trace():
+# the kernel of every carrier in ALL_IDS, and of carriers at the edge of a choice
+KERNEL_OF = {sid: "table" for sid in FINITE_IDS} | {
+    "trop": "int",
+    "trop_p:1": "bag",
+    "trop_p:2": "bag",
+    "capped:62": "table",  # 64 elements, the most that get tables
+    "capped:63": "object",
+    "trop_p_fin:2:3": "table",
+    "trop_p_fin:3:3": "bag",  # 70 elements: a bag carrier too large for tables
+    "broken": "table",  # BrokenMulSemiring: finite, of no built-in class
+}
+
+
+@pytest.mark.parametrize("sid", KERNEL_OF)
+def test_kernel_picks_one_kernel_per_carrier(sid):
+    s = BrokenMulSemiring() if sid == "broken" else semiring_from_id(sid)
+    assert engine._kernel(s) == KERNEL_OF[sid]
+
+
+def test_rows_skip_zero_inputs_without_changing_the_trace(monkeypatch):
     s = TropBagSemiring(2)  # a private instance, so counting wraps no shared carrier
-    s.bag_limits = lambda: None  # the object row, which calls mul once per nonzero input
+    # the object row, which calls mul once per nonzero input
+    monkeypatch.setattr(engine, "_kernel", lambda s: "object")
     calls = {"mul": 0, "zero_operand": 0}
     mul = s.mul
 
@@ -933,7 +953,8 @@ def test_rows_skip_zero_inputs_without_changing_the_trace():
 @pytest.mark.parametrize("source", ["path program", "random system"])
 def test_bag_rows_skip_zero_inputs_and_sum_only_the_limited_pairs(monkeypatch, source):
     s = TropBagSemiring(2)  # a private instance, so counting wraps no shared carrier
-    limits, _ = s.bag_limits()
+    assert engine._kernel(s) == "bag"
+    limits = s.limits
     sums = [0]
 
     class Counted(int):
@@ -988,7 +1009,7 @@ BAG_IDS = ("trop_p:1", "trop_p:2", "trop_p:3", "trop_p_fin:3:3")
 def _bag_and_object(monkeypatch, A, b):
     """The kernel callers' results on the bag kernel, then on the object row."""
     s = A.semiring
-    assert engine._tables(s) is None and s.bag_limits() is not None
+    assert engine._kernel(s) == "bag"
     return _kernel_results(A, b), _object_results(monkeypatch, A, b)
 
 
@@ -1092,7 +1113,7 @@ def _scaled_and_object(monkeypatch, A, b):
     """The kernel callers' results on scaled ints, then on the object path."""
     scaled = _kernel_results(A, b)
     with monkeypatch.context() as m:
-        m.setattr(A.semiring, "int_scale", lambda values: None)
+        m.setattr(engine, "_kernel", lambda s: "object")
         assert _scale_of(A, b) == 1
         return scaled, _kernel_results(A, b)
 
@@ -1152,7 +1173,7 @@ def test_scaled_trop_kernel_with_a_48_bit_scale(monkeypatch):
     assert scaled == plain
     report = bounds.reports_jsonl([bounds.analyze(sys_)])
     with monkeypatch.context() as m:
-        m.setattr(TROP, "int_scale", lambda values: None)
+        m.setattr(engine, "_kernel", lambda s: "object")
         assert bounds.reports_jsonl([bounds.analyze(sys_)]) == report
 
 
@@ -1222,8 +1243,7 @@ def test_the_push_systems_have_fractions_and_inf_in_b():
 def test_push_matches_full_recompute(monkeypatch, sid, inflationary, kernel):
     s = semiring_from_id(sid)
     if kernel == "object":  # no tables, no ints: the push calls add and mul
-        monkeypatch.setattr(engine, "_tables", lambda s: None)
-        monkeypatch.setattr(s, "int_scale", lambda values: None)
+        monkeypatch.setattr(engine, "_kernel", lambda s: "object")
     for sys_ in _push_systems(s):
         for cap in (1, 2, 60):
             trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
@@ -1252,9 +1272,10 @@ def test_push_changes_the_rows_the_pull_loop_changes(monkeypatch, sid):
 
 
 @pytest.mark.parametrize("inflationary", [False, True])
-def test_a_push_folds_each_entry_of_the_changed_columns_once(inflationary):
+def test_a_push_folds_each_entry_of_the_changed_columns_once(monkeypatch, inflationary):
     s = TROP.__class__()  # a private instance, so counting wraps no shared carrier
-    s.int_scale = lambda values: None  # the object push, which calls mul once per folded entry
+    # the object push, which calls mul once per folded entry
+    monkeypatch.setattr(engine, "_kernel", lambda s: "object")
     mul, calls = s.mul, [0]
 
     def counted_mul(a, b):
