@@ -12,7 +12,6 @@ import functools
 import json
 import sys
 import warnings
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
 
@@ -50,27 +49,18 @@ def _add_flags(p: argparse.ArgumentParser, *names: str):
     for name in names:
         p.add_argument(name, **_FLAGS[name])
     p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument(
-        "--reproducible",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="omit the timestamp header so reruns are byte-identical",
-    )
 
 
-def _emit(args, text, data: bool = False):
-    """Write ``text``, or let ``text(out)`` write to the output as it goes;
-    ``--no-reproducible`` adds a timestamp line.
+def _read(path: str) -> str:
+    """The text of an input file, without the UTF-8 byte-order mark that
+    some editors write in front of it."""
+    return Path(path).read_text(encoding="utf-8-sig")
 
-    The stamp is a ``#`` comment ahead of human and matrix-file text. ``data``
-    text (JSON, CSV, JSON lines) has no comment syntax, so its stamp goes to
-    stderr and the output still parses.
-    """
+
+def _emit(args, text):
+    """Write ``text``, or let ``text(out)`` write to the output as it goes."""
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        if not args.reproducible:
-            stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n"
-            (sys.stderr if data else out).write(stamp)
         if callable(text):
             text(out)
         else:
@@ -92,11 +82,11 @@ def _resolve_semiring(args, program):
 
 
 def _load_program_db(args):
-    program = parse_program(Path(args.program).read_text(encoding="utf-8"))
+    program = parse_program(_read(args.program))
     semiring = _resolve_semiring(args, program)
     entries = program_fact_entries(program)
     if args.facts:
-        entries += tsv_fact_entries(Path(args.facts).read_text(encoding="utf-8"))
+        entries += tsv_fact_entries(_read(args.facts))
     return program, build_edb(semiring, entries)
 
 
@@ -119,7 +109,7 @@ def cmd_run(args) -> int:
         trace = engine.naive_eval_general(system, cap=args.cap, inflationary=args.inflationary)
     s = system.semiring
     if args.format == "csv":
-        _emit(args, engine.trace_csv(system, trace), data=True)
+        _emit(args, engine.trace_csv(system, trace))
     elif args.format == "json":
         payload = {
             "atoms": {
@@ -130,7 +120,7 @@ def cmd_run(args) -> int:
             "capped": trace.capped,
             "steps": trace.wall_steps,
         }
-        _emit(args, _json_dump(payload) + "\n", data=True)
+        _emit(args, _json_dump(payload) + "\n")
     else:
         lines = []
         for label, v in zip(system.atom_labels(), trace.last):
@@ -162,23 +152,16 @@ def cmd_ground(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.workers < 1:
-        raise InvalidParameter(f"--workers must be >= 1, got {args.workers}")
     if args.claimed_p is not None and args.claimed_p < 0:
         raise InvalidParameter(f"--claimed-p must be >= 0, got {args.claimed_p}")
     if args.claimed_L is not None and args.claimed_L < 1:
         raise InvalidParameter(f"--claimed-L must be >= 1, got {args.claimed_L}")
-    paths: List[str] = args.matrix_files
-    reports = []
     opts = dict(cap=args.cap, claimed_p=args.claimed_p, claimed_L=args.claimed_L)
-    if paths:
-        task = functools.partial(_analyze_path, **opts)
-        if args.workers > 1 and len(paths) > 1:
-            import concurrent.futures  # here, not at the top: it slows every start-up
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-                reports = list(pool.map(task, paths))
-        else:
-            reports = [task(p) for p in paths]
+    if args.matrix_files:
+        reports = [
+            bounds.analyze(engine.load_system(_read(path)), instance_id=path, **opts)
+            for path in args.matrix_files
+        ]
     else:
         if not args.program:
             raise SemifixError("pass matrix files or --program")
@@ -190,17 +173,12 @@ def cmd_analyze(args) -> int:
     text = bounds.reports_jsonl(reports)
     if args.summary:
         Path(args.summary).write_text(bounds.summary_csv(reports), encoding="utf-8")
-    _emit(args, text, data=True)
+    _emit(args, text)
     return 3 if any(r.violations for r in reports) else 0
 
 
-def _analyze_path(path: str, **opts) -> bounds.BoundReport:
-    system = engine.load_system(Path(path).read_text(encoding="utf-8"))
-    return bounds.analyze(system, instance_id=path, **opts)
-
-
 def cmd_oracle(args) -> int:
-    system = engine.load_system(Path(args.matrix).read_text(encoding="utf-8"))
+    system = engine.load_system(_read(args.matrix))
     A, s = system.A, system.semiring
     i, j, max_h = args.i, args.j, args.h
     if max_h < 0:
@@ -234,7 +212,7 @@ def cmd_oracle(args) -> int:
             yield (h, *map(s.show, cells), "equal" if ok else "UNEQUAL")
 
     if args.format == "csv":
-        _emit(args, lambda out: csv.writer(out, lineterminator="\n").writerows(rows()), data=True)
+        _emit(args, lambda out: csv.writer(out, lineterminator="\n").writerows(rows()))
     else:
         table = list(rows())
         widths = [max(len(str(r[k])) for r in table) for k in range(6)]
@@ -345,7 +323,6 @@ def _analyze_args(p: argparse.ArgumentParser):
     p.add_argument("matrix_files", nargs="*", help="matrix files to analyze")
     p.add_argument("--program", help="program file instead of a matrix file")
     p.add_argument("--facts", help="TSV facts for --program")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers for batches")
     p.add_argument("--summary", help="also write a CSV summary to this path")
     p.add_argument(
         "--claimed-p",
@@ -450,6 +427,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         except UnicodeDecodeError as exc:
+            # exc.object starts after any byte-order mark, so positions match the unmarked file
             head = exc.object[:exc.start]
             line, col = head.count(b"\n") + 1, len(head) - head.rfind(b"\n")
             byte = exc.object[exc.start]

@@ -261,7 +261,7 @@ def test_analyze_batch_with_summary(tmp_path):
         run_cli("gen", "cycle", "--n", str(n), "--L", "2", "--out", str(mat))
         files.append(str(mat))
     summary = tmp_path / "summary.csv"
-    res = run_cli("analyze", *files, "--summary", str(summary), "--workers", "2")
+    res = run_cli("analyze", *files, "--summary", str(summary))
     assert res.returncode == 0
     lines = res.stdout.strip().splitlines()
     assert len(lines) == 2
@@ -285,6 +285,22 @@ def test_oracle_budget_exits_2(tmp_path):
     assert res.returncode == 2
     assert "budget" in res.stderr
     assert res.stdout == ""
+
+
+# the complete 3-vertex bool digraph: at --h 2 the up-front guard lets every
+# budget of 2^2 = 4 and up through, but the enumeration visits 1 + 2 + 4 walks
+COMPLETE_3 = "semiring bool\nn 3\n" + "".join(
+    f"A {u} {v} true\n" for u in range(3) for v in range(3) if u != v
+)
+
+
+def test_oracle_walk_enumeration_stops_at_its_budget(tmp_path, capsys):
+    mat = tmp_path / "k3.mat"
+    mat.write_text(COMPLETE_3)
+    assert main(["oracle", str(mat), "--i", "0", "--j", "1", "--h", "2", "--budget", "6"]) == 2
+    assert capsys.readouterr() == ("", "error: walk enumeration exceeded 6\n")
+    tables = walks.walk_sums(engine.load_system(COMPLETE_3).A, (0,), 2, budget=7)
+    assert [sorted(t) for t in tables] == [[(0, 0)], [(0, 1), (0, 2)], [(0, 0), (0, 1), (0, 2)]]
 
 
 @pytest.mark.parametrize("h", ["0", "3"])
@@ -402,6 +418,9 @@ def _limit_memory():  # a carrier that outgrows its bound fails here, not on the
         ("capped:1000000000", "carrier size 1000000002 exceeds the limit 4096"),
         ("trop_p_fin:20:20", "carrier size 538257874440 exceeds the limit 4096"),
         ("trop_p:1000000000", "bag size 1000000001 exceeds the limit 4096"),
+        ("capped:0", "cap L must be >= 1"),
+        ("trop_p:-1", "bag order p must be >= 0"),
+        ("trop_p_fin:1:-1", "entry cap must be >= 0"),
     ],
 )
 def test_semiring_too_large_exits_1_at_once(sid, message):
@@ -495,6 +514,10 @@ def test_gen_cycle_requires_L():
         # the two families that draw once per vertex pair bound n*n
         (("random", "--n", "999999", "--density", "0.000001"), "n 999999 exceeds the limit of 1000"),
         (("randsys", "--n", "999999", "--density", "0.000001"), "n 999999 exceeds the limit of 1000"),
+        (("cycle", "--n", "3", "--L", "0"), "cap L must be >= 1"),
+        (("random", "--n", "3", "--density", "0"), "density must be in (0, 1]"),
+        (("random", "--n", "3", "--density", "1.5"), "density must be in (0, 1]"),
+        (("random", "--n", "3", "--wmin", "9", "--wmax", "1"), "empty weight range"),
     ],
 )
 def test_gen_out_of_range_exits_1(tmp_path, args, message):
@@ -560,41 +583,6 @@ def test_ground_no_prune_keeps_universe(tc_file):
     res = run_cli("ground", str(tc_file), "--no-prune")
     assert res.returncode == 0
     assert "n 9" in res.stdout
-
-
-def test_timestamp_header_toggle(tmp_path, tc_file):
-    plain = run_cli("run", str(tc_file))
-    stamped = run_cli("run", str(tc_file), "--no-reproducible")
-    assert not plain.stdout.startswith("# generated")
-    assert stamped.stdout.startswith("# generated")
-
-
-def _parse_csv(text):
-    rows = list(csv.reader(text.splitlines()))
-    assert rows and all(len(r) == len(rows[0]) for r in rows)
-    return rows
-
-
-@pytest.mark.parametrize(
-    "command, parse",
-    [
-        (["run", "apsp.dl", "--format", "json"], json.loads),
-        (["run", "apsp.dl", "--format", "csv"], _parse_csv),
-        (["oracle", "m.txt", "--i", "0", "--j", "1", "--h", "3", "--format", "csv"], _parse_csv),
-        (["analyze", "m.txt"], lambda text: [json.loads(line) for line in text.splitlines()]),
-    ],
-)
-def test_unreproducible_data_output_still_parses(tmp_path, capsys, monkeypatch, command, parse):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "apsp.dl").write_text(APSP)
-    (tmp_path / "m.txt").write_text(save_system(gen_random_system(3, 0.6, semiring_from_id("trop"), 1)))
-    assert main(command) == 0
-    plain = capsys.readouterr()
-    assert main(command + ["--no-reproducible"]) == 0
-    stamped = capsys.readouterr()
-    assert stamped.out == plain.out
-    assert parse(stamped.out)
-    assert re.fullmatch(r"# generated \S+\n", stamped.err)
 
 
 @pytest.mark.parametrize(
@@ -690,6 +678,9 @@ REMOVED_FLAGS = [
     (("gen", "random", "--n", "3"), ("--format", "json")),
     (("semiring", "bool"), ("--budget", "10")),
     (("run", "p.dl"), ("--sem", "bool")),
+    (("analyze", "m.mat"), ("--workers", "2")),
+    (("run", "p.dl"), ("--no-reproducible",)),
+    (("gen", "cycle", "--n", "3", "--L", "2"), ("--reproducible",)),
 ]
 
 
@@ -705,7 +696,7 @@ def test_unread_flags_are_usage_errors(capsys, base, flag):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("analyze", "--workers", "0"), "--workers must be >= 1"),
+        (("analyze", "--cap", "0"), "cap must be >= 1"),
         (("oracle", "--i", "0", "--j", "0", "--h", "-1"), "--h must be >= 0"),
         (("oracle", "--i", "0", "--j", "0", "--h", "0", "--budget", "-1"), "--budget must be >= 1"),
         (("oracle", "--i", "0", "--j", "0", "--h", "0", "--budget", "0"), "--budget must be >= 1"),
@@ -720,6 +711,23 @@ def test_out_of_range_cli_values_exit_1(tmp_path, args, message):
     assert res.returncode == 1
     assert message in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "apsp.dl", "--cap", "0"], "cap must be >= 1"),
+        (["analyze"], "pass matrix files or --program"),
+        (["analyze", "--program", "square.dl"], "analysis needs a linear program"),
+    ],
+    ids=" ".join,
+)
+def test_unusable_run_and_analyze_inputs_exit_1(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    Path("apsp.dl").write_text(APSP)
+    Path("square.dl").write_text("@semiring trop\nT(X,Y) :- E(X,Y) + T(X,Z)*T(Z,Y).\nE(a,b) = 1.\n")
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("sid, weight", [("capped:9", "1"), ("trop_p:2", "[1]"), ("bool", "true")])
@@ -747,6 +755,7 @@ PARSER_EXIT_ARGVS = HELP_ARGVS + [
     ["gen", "cycle", "--n", "3"],
     ["gen", "nope", "--n", "3"],
     ["analyze", "--workers", "z"],
+    ["analyze", "--cap", "z"],
     ["oracle", "m", "--i", "x", "--j", "0", "--h", "1"],
 ]
 
@@ -827,7 +836,7 @@ def test_the_cached_parser_carries_nothing_between_calls(
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-COMMON_FLAGS = ["--out", "--reproducible", "--no-reproducible"]
+COMMON_FLAGS = ["--out"]
 
 
 def _help_flags(capsys, command):
@@ -847,9 +856,7 @@ def test_readme_flag_table_matches_the_parser(capsys):
         command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
         rows[command] = sorted(re.findall(r"`(--[\w-]+)", flags))
     assert list(rows) == list(_COMMANDS)
-    assert "Every subcommand also takes `--out PATH` and `--reproducible/--no-reproducible`" in (
-        " ".join(text.split())
-    )
+    assert "Every subcommand also takes `--out PATH`." in " ".join(text.split())
     for command, documented in rows.items():
         printed = _help_flags(capsys, command)
         assert printed[:2] == ["-h", "--help"], command
@@ -1003,17 +1010,47 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, mess
         (["run", "--semiring", "bool"], b"T(X) :- E(X).\nE(a\xff).\n", "line 2, col 4"),
         # the column counts bytes: '# ' and the two bytes of an e-acute come first
         (["analyze"], b"semiring bool\nn 1\n# \xc3\xa9\xff\n", "line 3, col 5"),
-        (["analyze", "--workers", "2"], b"semiring bool\nn 1\n# \xc3\xa9\xff\n", "line 3, col 5"),
+        # the column counts from the first byte after a byte-order mark
+        (["analyze"], b"\xef\xbb\xbfsemiring bool\nn 1\n# \xc3\xa9\xff\n", "line 3, col 5"),
         (["oracle", "--i", "0", "--j", "0", "--h", "1"], b"\xffsemiring bool\nn 1\n", "line 1, col 1"),
     ],
 )
 def test_invalid_utf8_exits_1_with_line(tmp_path, capsys, command, data, at):
     path = tmp_path / "input.txt"
     path.write_bytes(data)
-    # with --workers 2 the file is read in a worker process
-    files = [str(path)] * (2 if "--workers" in command else 1)
-    assert main(command[:1] + files + command[1:]) == 1
+    assert main(command[:1] + [str(path)] + command[1:]) == 1
     assert capsys.readouterr().err == f"error: {at}: invalid UTF-8 byte 0xff\n"
+
+
+# one input of each kind: a program, TSV facts, and a matrix file for analyze and oracle
+BOM_INPUTS = {
+    "p.dl": "T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n",
+    "f.tsv": "E\ta\tb\t1\nE\tb\tc\t2\n",
+    "m.mat": "semiring trop\nn 3\nA 0 1 1\nA 1 2 2\nb 0 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, marked",
+    [
+        (["run", "p.dl", "f.tsv", "--semiring", "trop"], "p.dl"),
+        (["run", "p.dl", "f.tsv", "--semiring", "trop"], "f.tsv"),
+        (["analyze", "m.mat"], "m.mat"),
+        (["oracle", "m.mat", "--i", "0", "--j", "2", "--h", "2"], "m.mat"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_a_byte_order_mark_leaves_the_output_unchanged(tmp_path, monkeypatch, capsys, argv, marked):
+    monkeypatch.chdir(tmp_path)
+    for name, text in BOM_INPUTS.items():
+        Path(name).write_text(text, encoding="utf-8")
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    Path(marked).write_bytes(b"\xef\xbb\xbf" + BOM_INPUTS[marked].encode("utf-8"))
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+    if argv[0] == "run":  # a marked first TSV row once read as the predicate "\ufeffE"
+        assert plain.out.startswith("T(a,b) = 1\nT(a,c) = 3\nT(b,c) = 2\n")
 
 
 @pytest.mark.parametrize(
