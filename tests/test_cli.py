@@ -1049,7 +1049,7 @@ def test_a_byte_order_mark_leaves_the_output_unchanged(tmp_path, monkeypatch, ca
     Path(marked).write_bytes(b"\xef\xbb\xbf" + BOM_INPUTS[marked].encode("utf-8"))
     assert main(argv) == 0
     assert capsys.readouterr() == plain
-    if argv[0] == "run":  # a marked first TSV row once read as the predicate "\ufeffE"
+    if argv[0] == "run":  # a mark kept in a TSV row would name the predicate "\ufeffE" and drop the fact
         assert plain.out.startswith("T(a,b) = 1\nT(a,c) = 3\nT(b,c) = 2\n")
 
 
