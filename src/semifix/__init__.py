@@ -50,7 +50,6 @@ from .frontend import (
     parse_program,
 )
 from .generators import (
-    BlockedGraph,
     InstanceSpec,
     gen_blocked_graph,
     gen_cycle_lowerbound,

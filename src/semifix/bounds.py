@@ -196,7 +196,6 @@ def analyze(
     bounds, degenerate = applicable_bounds(sys.n, p, L, chain, ordered)
     if cap is None:
         cap = min(bounds.values()) + 2 if bounds else engine.DEFAULT_EVAL_CAP
-        cap = max(cap, 1)
     report = BoundReport(
         instance_id=instance_id,
         semiring_id=s.id,

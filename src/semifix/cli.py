@@ -158,6 +158,10 @@ def cmd_analyze(args) -> int:
         raise InvalidParameter(f"--claimed-L must be >= 1, got {args.claimed_L}")
     opts = dict(cap=args.cap, claimed_p=args.claimed_p, claimed_L=args.claimed_L)
     if args.matrix_files:
+        given = [d for d in ("program", "facts", "semiring", "no_prune") if getattr(args, d) not in (None, False)]
+        if given:
+            names = ", ".join("--" + d.replace("_", "-") for d in given)
+            raise InvalidParameter(f"analyze with matrix files does not use {names}")
         reports = [
             bounds.analyze(engine.load_system(_read(path)), instance_id=path, **opts)
             for path in args.matrix_files
@@ -291,10 +295,8 @@ def cmd_gen(args) -> int:
         spec = generators.random_system_spec(args.n, args.density, s.id, args.seed)
     elif family == "blocked":
         s = semiring_from_id(args.semiring or "bool")
-        g = generators.gen_blocked_graph(args.n, s)
-        atoms = [("v", (str(k),)) for k in range(args.n)]
-        system = GroundedLinearSystem.from_matrix(s, g.matrix, [s.zero] * args.n, atoms)
-        spec = g.spec
+        system = generators.gen_blocked_graph(args.n, s)
+        spec = generators.blocked_spec(args.n, s.id)
     else:  # pragma: no cover - argparse restricts choices
         raise SemifixError(f"unknown family {family}")
     _emit(args, engine.save_system(system, header=spec.header_lines()))

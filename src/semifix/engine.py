@@ -134,31 +134,32 @@ def _kernel(s: Semiring) -> str:
     """The kernel of the linear rows and pushes on ``s``; no other code picks one.
 
     Every kernel skips each x[j] and b[i] that is zero, which is exact because
-    zero annihilates under mul and is the identity of add.
+    zero annihilates under mul and is the identity of add. A carrier that
+    declares ``idempotent_add`` and ``distributes`` pushes (``_pushes``) on
+    ``"int"`` or ``"object"``; every other carrier pulls its rows.
 
-    * ``"table"`` (a carrier with ``_tables``): add and mul are read from the
-      tables, and a row or push that meets a value outside them is redone on
+    * ``"table"`` (a pulling carrier with ``_tables``): add and mul are read
+      from the tables, and a row that meets a value outside them is redone on
       the object ops.
     * ``"int"`` (``trop``): a push runs min-plus on ints scaled by D, the LCM
       of the denominators of A and b (``_common_denominator``); each finite
       entry is scaled once per kernel (again for a b with new denominators),
-      and ``_unscaled`` divides the logged values by D. Rows call the object
-      ops.
+      and ``_unscaled`` divides the logged values by D.
     * ``"bag"`` (``trop_p``, and ``trop_p_fin`` without tables): a row gathers
       the entry sums of every product it needs (the pairs ``limits`` allows,
       saturated at the cap) and b[i]'s entries, sorts them once and keeps the
       p+1 smallest. That is exact: keeping the p+1 smallest commutes with
       multiset union, and saturation is monotone, so it commutes with the
       truncation that mul applies before it.
-    * ``"object"``: the semiring's add and mul, looked up when the row
+    * ``"object"``: the semiring's add and mul, looked up when the row or push
       function is made, so wrappers set on the instance (the benchmark's op
       counters) see every call; on ``trop`` and ``trop_p`` they see no call
       of a run.
     """
+    if s.idempotent_add and s.distributes:
+        return "int" if isinstance(s, TropSemiring) else "object"
     if _tables(s) is not None:
         return "table"
-    if isinstance(s, TropSemiring):
-        return "int"
     if isinstance(s, TropBagSemiring):
         return "bag"
     return "object"
@@ -285,7 +286,6 @@ def _pushes(s: Semiring, maps, kernel: str):
     for i, m in enumerate(maps):
         for j, v in m.items():
             cols[j][i] = v
-    tables = _tables(s) if kernel == "table" else None
     a_scale = _common_denominator(v for m in maps for v in m.values()) if kernel == "int" else None
 
     def scaled(columns, D):  # min and + commute with scaling by D > 0
@@ -308,23 +308,6 @@ def _pushes(s: Semiring, maps, kernel: str):
                         new[i] = a
             return new
 
-        if tables is not None:
-            add_t, mul_t = tables
-
-            def table_push(step, x):
-                new = {}
-                get = new.get
-                try:
-                    for c, xc in step:
-                        mul_c = mul_t[xc]  # mul commutes: mul_c[v] is mul(v, xc)
-                        for i, v in columns[c].items():
-                            if (a := add_t[acc := get(i, x[i])][mul_c[v]]) != acc:
-                                new[i] = a
-                except KeyError:
-                    return push(step, x)
-                return new
-
-            return table_push, 1
         if a_scale is None:
             return push, 1
         D = math.lcm(a_scale, _common_denominator(b))

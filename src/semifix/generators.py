@@ -63,43 +63,34 @@ class InstanceSpec:
         return (" ".join(items),)
 
 
-@dataclass(frozen=True)
-class BlockedGraph:
-    """Three-block digraph: B feeds a chain through C that fans out to D,
-    and D connects back to every vertex of B."""
-
-    matrix: Matrix
-    walk_source: int  # first chain vertex
-    walk_target: int  # second chain vertex
-    spec: InstanceSpec
-
-
-def gen_blocked_graph(n: int, semiring: Optional[Semiring] = None, label=None) -> BlockedGraph:
-    """The blocked digraph on n vertices (n divisible by 3).
+def gen_blocked_graph(n: int, semiring: Optional[Semiring] = None) -> GroundedLinearSystem:
+    """The blocked digraph on n vertices (n divisible by 3), with a zero b.
 
     Blocks are B = [0, n/3), C = [n/3, 2n/3), D = [2n/3, n). Every B vertex
     points at the chain entry n/3, the chain exit 2n/3 - 1 points at every D
-    vertex, every D vertex points at every B vertex, and C is a chain. Labels
-    default to the multiplicative identity.
+    vertex, every D vertex points at every B vertex, and C is a chain. Every
+    edge carries the multiplicative identity.
     """
     if n < 3 or n % 3:
         raise InvalidParameter("n must be a positive multiple of 3")
     _check_size(n)
     s = semiring or semiring_from_id("bool")
     third = n // 3
-    if label is None:
-        label = lambda u, v: s.one
     edges = []
     for b in range(third):
-        edges.append((b, third, label(b, third)))
+        edges.append((b, third, s.one))
     for tau in range(third, 2 * third - 1):
-        edges.append((tau, tau + 1, label(tau, tau + 1)))
+        edges.append((tau, tau + 1, s.one))
     for d in range(2 * third, n):
-        edges.append((2 * third - 1, d, label(2 * third - 1, d)))
+        edges.append((2 * third - 1, d, s.one))
         for b in range(third):
-            edges.append((d, b, label(d, b)))
-    spec = InstanceSpec("blocked", s.id, (("n", n),))
-    return BlockedGraph(Matrix(s, n, edges), third, third + 1, spec)
+            edges.append((d, b, s.one))
+    atoms = [("v", (str(k),)) for k in range(n)]
+    return GroundedLinearSystem.from_matrix(s, Matrix(s, n, edges), [s.zero] * n, atoms)
+
+
+def blocked_spec(n: int, semiring_id: str) -> InstanceSpec:
+    return InstanceSpec("blocked", semiring_id, (("n", n),))
 
 
 def gen_cycle_lowerbound(n: int, L: int) -> GroundedLinearSystem:

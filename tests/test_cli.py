@@ -551,6 +551,25 @@ def test_gen_flags_the_family_ignores_exit_1(tmp_path, args, names):
 
 
 @pytest.mark.parametrize(
+    "args, names",
+    [
+        (("--program", "p.dl", "--semiring", "bool"), "--program, --semiring"),
+        (("--facts", "missing.tsv"), "--facts"),  # never opened
+        (("--no-prune",), "--no-prune"),
+        (("--no-prune", "--semiring", "trop", "--facts", "f.tsv", "--program", "p.dl"),
+         "--program, --facts, --semiring, --no-prune"),
+    ],
+)
+def test_analyze_flags_matrix_files_ignore_exit_1(tmp_path, capsys, args, names):
+    mat, summary = tmp_path / "one.mat", tmp_path / "s.csv"
+    mat.write_text("semiring trop\nn 1\nA 0 0 1\nb 0 0\n")
+    assert main(["analyze", str(mat), *args, "--summary", str(summary)]) == 1
+    err = f"error: analyze with matrix files does not use {names}\n"
+    assert capsys.readouterr() == ("", err)
+    assert not summary.exists()
+
+
+@pytest.mark.parametrize(
     "family, defaults",
     [
         ("random", ("--density", "0.5", "--wmin", "1", "--wmax", "9", "--seed", "0", "--semiring", "trop")),
@@ -1100,7 +1119,7 @@ def test_tsv_fact_arity_errors_exit_1(tmp_path, capsys, facts, message):
 # each linear row kernel, by the name of the function a run calls
 KERNELS = {
     "trop": "int_push",
-    "bool": "table_push",
+    "bool": "push",
     "capped:4": "table_row",
     "trop_p:2": "bag_row",
     "trop_p_fin:3:3": "bag_row",  # 70 elements: too many for tables

@@ -849,7 +849,7 @@ def test_tabled_kernel_equals_the_object_path(monkeypatch, sid):
         assert tabled == plain, seed
 
 
-@pytest.mark.parametrize("sid", ["capped:4", "trop_p_fin:1:3", "bool"])
+@pytest.mark.parametrize("sid", ["capped:4", "trop_p_fin:1:3"])
 def test_inflationary_runs_on_tabled_carriers_call_no_object_op(monkeypatch, sid):
     s = semiring_from_id(sid)
     engine._tables(s), effective_stability(s), ordered_chain(s)  # warm the caches
@@ -902,6 +902,8 @@ def test_only_carriers_with_at_most_64_elements_get_tables():
 
 # the kernel of every carrier in ALL_IDS, and of carriers at the edge of a choice
 KERNEL_OF = {sid: "table" for sid in FINITE_IDS} | {
+    "bool": "object",  # bool, trivial and trop push
+    "trivial": "object",
     "trop": "int",
     "trop_p:1": "bag",
     "trop_p:2": "bag",
@@ -913,10 +915,25 @@ KERNEL_OF = {sid: "table" for sid in FINITE_IDS} | {
 }
 
 
+# the function a kernel build returns, by (pushes, kernel)
+KERNEL_FUNCTION = {
+    (True, "int"): "int_push",
+    (True, "object"): "push",
+    (False, "table"): "table_row",
+    (False, "bag"): "bag_row",
+    (False, "object"): "row",
+}
+
+
 @pytest.mark.parametrize("sid", KERNEL_OF)
 def test_kernel_picks_one_kernel_per_carrier(sid):
     s = BrokenMulSemiring() if sid == "broken" else semiring_from_id(sid)
-    assert engine._kernel(s) == KERNEL_OF[sid]
+    kernel = engine._kernel(s)
+    assert kernel == KERNEL_OF[sid]
+    # the build honours the answer: no answer falls through to another kernel
+    sys_ = gen_random_system(4, 0.5, s, seed=1)
+    readers, rows_for = engine._linear_rows(sys_.A)
+    assert rows_for(sys_.b)[0].__name__ == KERNEL_FUNCTION[readers is None, kernel]
 
 
 def test_rows_skip_zero_inputs_without_changing_the_trace(monkeypatch):

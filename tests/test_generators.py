@@ -21,8 +21,7 @@ from semifix.generators import cycle_lowerbound_spec, random_edge_instance
 
 def test_blocked_graph_minimum_size():
     g = gen_blocked_graph(3)
-    assert sorted((i, j) for i, j, _ in g.matrix.entries()) == [(0, 1), (1, 2), (2, 0)]
-    assert g.walk_source == 1 and g.walk_target == 2
+    assert sorted((i, j) for i, j, _ in g.A.entries()) == [(0, 1), (1, 2), (2, 0)]
 
 
 def test_blocked_graph_edge_counts():
@@ -30,10 +29,10 @@ def test_blocked_graph_edge_counts():
         g = gen_blocked_graph(n)
         third = n // 3
         expected = n + third * third - 1
-        assert sum(1 for _ in g.matrix.entries()) == expected
+        assert sum(1 for _ in g.A.entries()) == expected
         # cross-block fan-in and fan-out
         d_to_b = [
-            (i, j) for i, j, _ in g.matrix.entries() if i >= 2 * third and j < third
+            (i, j) for i, j, _ in g.A.entries() if i >= 2 * third and j < third
         ]
         assert len(d_to_b) == third * third
 
@@ -43,12 +42,6 @@ def test_blocked_graph_rejects_bad_n():
         gen_blocked_graph(4)
     with pytest.raises(InvalidParameter):
         gen_blocked_graph(0)
-
-
-def test_blocked_graph_custom_labels():
-    s = semiring_from_id("trop")
-    g = gen_blocked_graph(3, s, label=lambda u, v: s.weight(u + v))
-    assert g.matrix.get(1, 2) == s.weight(3)
 
 
 # ---------------------------------------------------------------------------
