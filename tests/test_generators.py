@@ -22,6 +22,7 @@ from semifix.generators import cycle_lowerbound_spec, random_edge_instance
 def test_blocked_graph_minimum_size():
     g = gen_blocked_graph(3)
     assert sorted((i, j) for i, j, _ in g.A.entries()) == [(0, 1), (1, 2), (2, 0)]
+    assert g.atom_labels() == ("v(0)", "v(1)", "v(2)") and g.b == (False,) * 3
 
 
 def test_blocked_graph_edge_counts():
