@@ -148,7 +148,6 @@ def applicable_bounds(
     p: Optional[int],
     L: Optional[int],
     chain: Optional[int],
-    ordered: Optional[bool],
 ) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Bounds to enforce plus bounds that are degenerate for these parameters.
 
@@ -173,7 +172,7 @@ def applicable_bounds(
             target = out if p >= 1 else degenerate
             target["bound_linear_pnlogL"] = bound_linear_pnlogL(n, p, L)
             target["bound_loose_npL"] = bound_loose_npL(n, p, L)
-    if ordered and chain is not None:
+    if chain is not None:
         out["bound_naturally_ordered"] = bound_naturally_ordered(n, chain)
     return out, degenerate
 
@@ -193,7 +192,7 @@ def analyze(
     """
     s = sys.semiring
     p, p_source, L, L_source, chain, ordered = _carrier_profile(s, claimed_p, claimed_L)
-    bounds, degenerate = applicable_bounds(sys.n, p, L, chain, ordered)
+    bounds, degenerate = applicable_bounds(sys.n, p, L, chain)
     if cap is None:
         cap = min(bounds.values()) + 2 if bounds else engine.DEFAULT_EVAL_CAP
     report = BoundReport(

@@ -297,8 +297,6 @@ def cmd_gen(args) -> int:
         s = semiring_from_id(args.semiring or "bool")
         system = generators.gen_blocked_graph(args.n, s)
         spec = generators.blocked_spec(args.n, s.id)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SemifixError(f"unknown family {family}")
     _emit(args, engine.save_system(system, header=spec.header_lines()))
     return 0
 

@@ -131,38 +131,37 @@ def _readers(n: int, rows: Iterable[Iterable[int]]) -> List[List[int]]:
 
 
 def _kernel(s: Semiring) -> str:
-    """The kernel of the linear rows and pushes on ``s``; no other code picks one.
+    """The name of the function that runs a linear step on ``s``; no other code picks one.
 
     Every kernel skips each x[j] and b[i] that is zero, which is exact because
     zero annihilates under mul and is the identity of add. A carrier that
-    declares ``idempotent_add`` and ``distributes`` pushes (``_pushes``) on
-    ``"int"`` or ``"object"``; every other carrier pulls its rows.
+    declares ``idempotent_add`` and ``distributes`` pushes (``_pushes``);
+    every other carrier pulls its rows.
 
-    * ``"table"`` (a pulling carrier with ``_tables``): add and mul are read
-      from the tables, and a row that meets a value outside them is redone on
-      the object ops.
-    * ``"int"`` (``trop``): a push runs min-plus on ints scaled by D, the LCM
-      of the denominators of A and b (``_common_denominator``); each finite
-      entry is scaled once per kernel (again for a b with new denominators),
-      and ``_unscaled`` divides the logged values by D.
-    * ``"bag"`` (``trop_p``, and ``trop_p_fin`` without tables): a row gathers
-      the entry sums of every product it needs (the pairs ``limits`` allows,
-      saturated at the cap) and b[i]'s entries, sorts them once and keeps the
-      p+1 smallest. That is exact: keeping the p+1 smallest commutes with
-      multiset union, and saturation is monotone, so it commutes with the
+    * ``"int_push"`` (``trop``): min-plus on ints scaled by D, the LCM of the
+      denominators of A and b (``_common_denominator``); each finite entry is
+      scaled once per kernel (again for a b with new denominators), and
+      ``_unscaled`` divides the logged values by D.
+    * ``"table_row"`` (a pulling carrier with ``_tables``): add and mul are
+      read from the tables; a row that meets a value outside them runs ``row``.
+    * ``"bag_row"`` (``trop_p``, and ``trop_p_fin`` without tables): a row
+      gathers the entry sums of every product it needs (the pairs ``limits``
+      allows, saturated at the cap) and b[i]'s entries, sorts them once and
+      keeps the p+1 smallest. That is exact: keeping the p+1 smallest commutes
+      with multiset union, and saturation is monotone, so it commutes with the
       truncation that mul applies before it.
-    * ``"object"``: the semiring's add and mul, looked up when the row or push
-      function is made, so wrappers set on the instance (the benchmark's op
-      counters) see every call; on ``trop`` and ``trop_p`` they see no call
-      of a run.
+    * ``"push"`` and ``"row"`` (on any carrier): the semiring's add and mul,
+      looked up when the function is made, so wrappers set on the instance
+      (the benchmark's op counters) see every call; on ``trop`` and ``trop_p``
+      they see no call of a run.
     """
     if s.idempotent_add and s.distributes:
-        return "int" if isinstance(s, TropSemiring) else "object"
+        return "int_push" if isinstance(s, TropSemiring) else "push"
     if _tables(s) is not None:
-        return "table"
+        return "table_row"
     if isinstance(s, TropBagSemiring):
-        return "bag"
-    return "object"
+        return "bag_row"
+    return "row"
 
 
 def _common_denominator(values) -> int:
@@ -173,24 +172,23 @@ def _common_denominator(values) -> int:
 def _linear_rows(A: Matrix, inflationary: bool = False):
     """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
 
-    ``rows_for(b)`` returns the row function of x <- Ax (+) b on the kernel of
-    ``_kernel``, and the scale D of the values it works on. A row folds
+    ``rows_for(b)`` returns the function ``_kernel`` names for x <- Ax (+) b,
+    and the scale D of the values it works on. A row folds
     ``add(acc, mul(A[i][j], x[j]))`` over its entries, as ``Matrix.matvec``
-    does, and ends with ``add(acc, b[i])``. A carrier that declares
-    ``idempotent_add`` and ``distributes`` gets no readers, and a push step
-    for its row function (``_pushes``). ``inflationary`` appends the term
-    ``(i, one)`` to row i (``_polynomial_rows`` the monomial ``(one, (i,))``),
-    so the row computes x (+) f(x) and reads its own column.
+    does, and ends with ``add(acc, b[i])``. A push kernel gets no readers and
+    a push step (``_pushes``). ``inflationary`` appends the term ``(i, one)``
+    to row i (``_polynomial_rows`` the monomial ``(one, (i,))``), so the row
+    computes x (+) f(x) and reads its own column.
     """
     s = A.semiring
     zero = s.zero
     maps = [A.row(i) for i in range(A.n)]  # dicts: a row reads each column once
     kernel = _kernel(s)
-    if s.idempotent_add and s.distributes:
+    if kernel in ("push", "int_push"):
         return None, _pushes(s, maps, kernel)
     rows = [tuple(m.items()) + ((i, s.one),) * inflationary for i, m in enumerate(maps)]
     readers = _readers(A.n, [m.keys() | {i} for i, m in enumerate(maps)] if inflationary else maps)
-    tables = _tables(s) if kernel == "table" else None
+    tables = _tables(s) if kernel == "table_row" else None
 
     def rows_for(b: Sequence):
         add, mul = s.add, s.mul
@@ -222,7 +220,7 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
 
         return table_row, 1
 
-    if kernel == "bag":
+    if kernel == "bag_row":
         limits, cap = s.limits, s.cap
         width = len(limits)
 
@@ -257,8 +255,6 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
                 if cap is not None:
                     sums = [e if e < cap else cap for e in sums]
                 sums += b_entries[i]
-                if not sums:
-                    return zero
                 sums.sort()
                 return (*sums[:width], *zero[len(sums):])
 
@@ -286,7 +282,7 @@ def _pushes(s: Semiring, maps, kernel: str):
     for i, m in enumerate(maps):
         for j, v in m.items():
             cols[j][i] = v
-    a_scale = _common_denominator(v for m in maps for v in m.values()) if kernel == "int" else None
+    a_scale = _common_denominator(v for m in maps for v in m.values()) if kernel == "int_push" else None
 
     def scaled(columns, D):  # min and + commute with scaling by D > 0
         if D == 1:

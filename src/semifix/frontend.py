@@ -559,12 +559,11 @@ def ground(
     db: EDBInstance,
     *,
     prune: bool = True,
-    force_polynomial: bool = False,
 ) -> Union[GroundedLinearSystem, GroundedPolynomialSystem]:
     """Instantiate the rules over the active domain.
 
-    Linear programs yield a GroundedLinearSystem unless ``force_polynomial``
-    asks for the monomial form. Ground atoms range over the active domain
+    Linear programs yield a GroundedLinearSystem, others a
+    GroundedPolynomialSystem. Ground atoms range over the active domain
     extended with constants named in rules (gdom), and are numbered, never
     listed: ``p(c_1..c_r)`` is p's first number plus ``Σ pos(c_i) * |gdom| **
     (r - i)`` for sorted positions pos and predicates in sorted order, its
@@ -577,7 +576,7 @@ def ground(
     than MAX_ATOMS raise GroundingError before anything is allocated.
     """
     s = db.semiring
-    linear = classify_linearity(program).linear and not force_polynomial
+    linear = classify_linearity(program).linear
     if not db.facts:
         if linear:
             return GroundedLinearSystem(s, (), Matrix(s, 0), (), 0)

@@ -30,7 +30,7 @@ def _check_size(n: int):
         raise InvalidParameter(f"n {n} exceeds the limit of {MAX_ATOMS} atoms")
 
 
-def _check_random(n: int, density: float, weight_range: Tuple[int, int]):
+def _check_random(n: int, density: float):
     if n < 0:
         raise InvalidParameter("n must be >= 0")
     # the random families draw one number per ordered vertex pair whatever the
@@ -39,11 +39,6 @@ def _check_random(n: int, density: float, weight_range: Tuple[int, int]):
         raise InvalidParameter(f"n {n} exceeds the limit of {isqrt(MAX_ATOMS)} for n*n pairs")
     if not 0 < density <= 1:
         raise InvalidParameter("density must be in (0, 1]")
-    lo, hi = weight_range
-    if lo > hi:
-        raise InvalidParameter("empty weight range")
-    if lo < 0:
-        raise InvalidParameter("weights must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,12 @@ def random_edge_instance(
     weight_range: Tuple[int, int] = (1, 9),
 ) -> EDBInstance:
     """A seeded random edge relation E over vertices v0..v{n-1}."""
-    _check_random(n, density, weight_range)
+    _check_random(n, density)
+    lo, hi = weight_range
+    if lo > hi:
+        raise InvalidParameter("empty weight range")
+    if lo < 0:
+        raise InvalidParameter("weights must be >= 0")
     rng = random.Random(seed)
     facts = {}
     for u in range(n):
@@ -177,15 +177,14 @@ def gen_random_system(
     density: float,
     semiring: Semiring,
     seed: int,
-    weight_range: Tuple[int, int] = (0, 9),
 ) -> GroundedLinearSystem:
     """A seeded random (A, b) pair with entries drawn from the carrier.
 
     Finite carriers draw uniformly among their nonzero elements; symbolic
-    carriers draw random elements, falling back to integer weights when the
-    draw is zero.
+    carriers draw random elements, falling back to an integer weight 0-9 when
+    the draw is zero.
     """
-    _check_random(n, density, weight_range)
+    _check_random(n, density)
     rng = random.Random(seed)
     carrier = semiring.elements()
     nonzero = None
@@ -197,7 +196,7 @@ def gen_random_system(
             return rng.choice(nonzero)
         e = semiring.random_element(rng)
         if e == semiring.zero:
-            e = semiring.weight(rng.randint(*weight_range))
+            e = semiring.weight(rng.randint(0, 9))
         return e
 
     entries = []

@@ -54,6 +54,40 @@ class BrokenMulSemiring(Semiring):
         return rng.choice((0, 1, 2))
 
 
+class GF2Semiring(Semiring):
+    """Negative control on {0,1}, the field GF(2): add is xor, mul is and.
+
+    Every semiring law holds, but 1 (+) 1 = 0: the power sums of 1 alternate
+    1, 0, 1, ..., so 1 is stable at no index, and 0 and 1 precede each other
+    in the additive preorder, so the carrier is not naturally ordered.
+    """
+
+    id = "gf2"
+    zero = 0
+    one = 1
+    distributes = True
+    _carrier = (0, 1)
+
+    def add(self, a, b):
+        return a ^ b
+
+    def mul(self, a, b):
+        return a & b
+
+    def parse(self, text):
+        return int(text)
+
+    def show(self, a):
+        return str(a)
+
+
+class UnlistedGF2Semiring(GF2Semiring):
+    """GF(2) without elements(), and with no stability index known."""
+
+    id = "gf2_unlisted"
+    _carrier = None
+
+
 def vec_add(semiring, u, v):
     """Entrywise sum of two vectors."""
     return tuple(semiring.add(a, b) for a, b in zip(u, v))

@@ -1,15 +1,20 @@
 """Reference helpers that only the tests use: the program parser on tokens
 alone, the matrix-file reader that splits every line, rendering a program back
-to source, all exact walk sums as matrices, a monomial system's degree,
-repeated sums and the natural order."""
+to source, all exact walk sums as matrices, the monomial form of a linear
+system, derivation-tree sums of a monomial system, a monomial system's
+degree, repeated sums and the natural order."""
 
+import itertools
+import math
 import re
+from functools import reduce
 from typing import Any, List, Optional, Tuple
 
 from semifix import Matrix
 from semifix.engine import _parse_label
 from semifix.errors import (
-    IndexOutOfRange, InvalidParameter, MalformedElement, MalformedLiteral, ParseError,
+    EnumerationBudgetExceeded, IndexOutOfRange, InvalidParameter, MalformedElement,
+    MalformedLiteral, ParseError,
 )
 from semifix.frontend import (
     MAX_ATOMS, Atom, Const, FactStmt, GroundedLinearSystem, GroundedPolynomialSystem, Product,
@@ -295,6 +300,42 @@ def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) 
     tables = walk_sums(A, range(A.n), max_h, budget)
     tables += [{}] * (max_h + 1 - len(tables))  # hop counts no walk reaches
     return [Matrix(A.semiring, A.n, ((i, j, v) for (i, j), v in t.items())) for t in tables]
+
+
+def as_monomial_system(sys: GroundedLinearSystem) -> GroundedPolynomialSystem:
+    """``sys`` as monomial rows: the terms (A[i][j], (j,)) and a nonzero
+    (b[i], ()) of row i, sorted by their columns, as ``ground`` orders them."""
+    s = sys.semiring
+    monomials = tuple(
+        tuple(sorted(
+            [(v, (j,)) for j, v in sys.A.row(i).items()] + [(bi, ())] * (bi != s.zero),
+            key=lambda m: m[1],
+        ))
+        for i, bi in enumerate(sys.b)
+    )
+    return GroundedPolynomialSystem(s, sys.atoms, monomials, sys.n_raw)
+
+
+def derivation_sums(psys: GroundedPolynomialSystem, k: int, budget: int) -> Tuple[Any, ...]:
+    """Entry i sums, over every derivation tree of height <= k rooted at atom
+    i, the product of the tree's monomial coefficients: a tree picks a
+    monomial of row i and one subtree per column, a repeated column once per
+    occurrence. Each tree's product is listed before any add, so over a
+    semiring this is x(k) of naive evaluation (Esparza, Kiefer and
+    Luttenberger, J. ACM 2010). More than ``budget`` trees of one height raise
+    EnumerationBudgetExceeded."""
+    s = psys.semiring
+    trees: List[List[Any]] = [[] for _ in psys.monomials]  # height 0: none
+    for _ in range(k):
+        count = sum(math.prod(len(trees[c]) for c in cols) for row in psys.monomials for _, cols in row)
+        if count > budget:
+            raise EnumerationBudgetExceeded(f"{count} derivation trees exceed the budget of {budget}")
+        trees = [
+            [reduce(s.mul, subtrees, coeff)
+             for coeff, cols in row for subtrees in itertools.product(*(trees[c] for c in cols))]
+            for row in psys.monomials
+        ]
+    return tuple(reduce(s.add, row, s.zero) for row in trees)
 
 
 def max_degree(system: GroundedPolynomialSystem) -> int:

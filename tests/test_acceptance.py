@@ -53,10 +53,13 @@ from semifix.generators import (
     gen_random_system,
     random_edge_instance,
 )
+from semifix.frontend import GroundedPolynomialSystem
 from semifix.matrix import Matrix as _Matrix
 
 from conftest import BrokenMulSemiring
-from reference import natural_order_leq, scalar_repeat, walk_sum_matrices
+from reference import (
+    as_monomial_system, derivation_sums, natural_order_leq, scalar_repeat, walk_sum_matrices,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -216,6 +219,53 @@ def test_walk_oracle_capped():
         f"{len(at_cap)} strictly divergent cells sit at the cap, "
         f"{len(strict)} diverge strictly"
     )
+
+
+def _derivation_pairs(sid):
+    """(seed, k, derivation-tree sums, naive state k) for 160 seeded monomial
+    systems of 1-3 atoms and degree <= 2, and k <= 4: 800 pairs."""
+    s = semiring_from_id(sid)
+    for seed in range(160):
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+
+        def coefficient():
+            v = s.random_element(rng)
+            return s.one if v == s.zero else v
+
+        monomials = tuple(
+            tuple(
+                (coefficient(), tuple(sorted(rng.randrange(n) for _ in range(rng.randint(0, 2)))))
+                for _ in range(rng.randint(0, 3))
+            )
+            for _ in range(n)
+        )
+        psys = GroundedPolynomialSystem(s, tuple((f"x{i}", ()) for i in range(n)), monomials, n)
+        states = naive_eval_general(psys, cap=4).states  # a converged run ends early
+        for k in range(5):
+            yield seed, k, derivation_sums(psys, k, 10_000), states[min(k, len(states) - 1)]
+
+
+@pytest.mark.parametrize("sid", ["bool", "trop", "trop_p:1", "trop_p_fin:2:2", "trop_p_fin:1:3"])
+def test_derivation_oracle_equivalence(sid):
+    mismatches = [p for p in _derivation_pairs(sid) if p[-2] != p[-1]]
+    report(f"derivation-tree oracle ({sid}, 800 pairs)", not mismatches)
+    assert not mismatches
+
+
+def test_derivation_oracle_capped():
+    """Naive iteration multiplies each coefficient into already-merged sums,
+    which over capped, as in test_walk_oracle_capped, never exceeds the sum
+    of the derivation trees; on every L >= 2 some states fall strictly short."""
+    short = {}
+    for sid in ("capped:2", "capped:3", "capped:5"):
+        s = semiring_from_id(sid)
+        pairs = list(_derivation_pairs(sid))
+        assert all(natural_order_leq(s, a, b) for *_, trees, naive in pairs for b, a in zip(trees, naive))
+        short[sid] = sum(trees != naive for *_, trees, naive in pairs)
+    ok = all(short.values())
+    report(f"derivation-tree oracle (capped, 800 pairs each): {short} short", ok)
+    assert ok, short
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +529,7 @@ def test_linear_and_general_engines_agree():
         density = rng.choice((0.3, 0.5, 0.8))
         db = random_edge_instance(n, density, s, seed=seed * 13 + 5)
         lin = ground(program, db)
-        poly = ground(program, db, force_polynomial=True)
+        poly = as_monomial_system(lin)
         assert poly.atoms == lin.atoms, seed
         tl = naive_eval_linear(lin)
         tg = naive_eval_general(poly)

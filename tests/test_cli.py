@@ -14,6 +14,7 @@ import pytest
 from semifix import (
     Matrix,
     build_edb,
+    cli,
     engine,
     ground,
     parse_program,
@@ -25,7 +26,7 @@ from semifix.cli import _COMMANDS, _json_dump, build_parser, main
 from semifix.frontend import program_fact_entries
 from semifix.generators import gen_random_system
 
-from conftest import ALL_IDS, brute_walk_sums, linear_step
+from conftest import ALL_IDS, GF2Semiring, brute_walk_sums, linear_step
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -399,6 +400,14 @@ def test_semiring_report():
     res3 = run_cli("semiring", "trop")
     assert res3.returncode == 0
     assert "0-stable (analytic)" in res3.stdout
+
+
+def test_semiring_report_without_stability_or_natural_order(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "semiring_from_id", lambda spec: GF2Semiring())
+    assert main(["semiring", "gf2"]) == 0
+    report = capsys.readouterr().out.splitlines()
+    assert report[0] == "semiring gf2"
+    assert report[-3:] == ["carrier size: 2", "stability: not reached within cap", "not naturally ordered"]
 
 
 def test_semiring_unknown_id():

@@ -28,7 +28,7 @@ from semifix import (
     walk_sum_upto,
 )
 from semifix.engine import MAX_ATOMS, column_run
-from semifix.errors import MalformedElement
+from semifix.errors import InvalidParameter, MalformedElement
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
 from semifix.semirings import (
     Semiring,
@@ -44,7 +44,10 @@ from semifix.generators import (
     random_edge_instance,
 )
 
-from conftest import ALL_IDS, FINITE_IDS, BrokenMulSemiring, linear_step, seeded_elements, vec_add
+from conftest import (
+    ALL_IDS, FINITE_IDS, BrokenMulSemiring, GF2Semiring, linear_step, seeded_elements, vec_add,
+)
+from reference import as_monomial_system
 
 
 def reachability(edges, n):
@@ -187,7 +190,7 @@ def test_linear_and_general_traces_identical():
         db = random_edge_instance(4, 0.5, s, seed=13)
         program = parse_program(LINEAR_PATH_PROGRAM)
         lin = ground(program, db)
-        poly = ground(program, db, force_polynomial=True)
+        poly = as_monomial_system(lin)
         tl = naive_eval_linear(lin)
         tg = naive_eval_general(poly)
         assert tl.states == tg.states
@@ -505,6 +508,12 @@ def test_naive_eval_memory_grows_with_atoms_plus_steps(n, L):
 # Power sums and matrix stability
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("k", [-1, -4])
+def test_power_sum_rejects_a_negative_k(k):
+    with pytest.raises(InvalidParameter, match="k must be >= 0"):
+        matrix_power_sum(Matrix(semiring_from_id("bool"), 2), k)
+
+
 def test_power_sum_zero_is_identity():
     s = semiring_from_id("bool")
     A = Matrix(s, 3, [(0, 1, True)])
@@ -664,7 +673,6 @@ def test_load_system_minimal():
 
 def test_load_system_rejects_bad_input():
     from semifix import ParseError
-    from semifix.errors import InvalidParameter
 
     with pytest.raises(ParseError):
         load_system("n 2\nA 0 1 true\n")  # entries before the semiring header
@@ -700,6 +708,24 @@ def test_default_cap_terminates_capped_one_by_one():
     trace = naive_eval_linear(sys_)
     assert not trace.capped
     assert trace.fixpoint == (6,)
+
+
+def test_default_cap_without_a_stability_index_or_a_chain():
+    # GF(2) is stable at no index and not naturally ordered, so no bound applies
+    assert engine._default_cap(GF2Semiring(), 3, None) == engine.DEFAULT_EVAL_CAP
+
+
+def test_matrix_rejects_bad_dimensions_and_entries():
+    s = semiring_from_id("bool")
+    with pytest.raises(InvalidParameter, match="matrix dimension must be >= 0"):
+        Matrix(s, -1)
+    with pytest.raises(InvalidParameter, match=r"entry \(0,2\) outside a 2x2 matrix"):
+        Matrix(s, 2, [(0, 2, True)])
+    for op in (Matrix.matmul, Matrix.add):
+        with pytest.raises(InvalidParameter, match="dimension mismatch"):
+            op(Matrix(s, 2), Matrix(s, 3))
+    assert Matrix.__eq__(Matrix(s, 0), ()) is NotImplemented
+    assert Matrix(s, 0) != ()
 
 
 @pytest.mark.parametrize("sid", ALL_IDS)
@@ -785,14 +811,15 @@ def test_trop_traces_do_not_depend_on_int_values(seed):
 
 TABLED_IDS = tuple(
     dict.fromkeys(
-        [sid for sid in ALL_IDS if semiring_from_id(sid).elements() is not None]
+        [sid for sid in ALL_IDS if engine._kernel(semiring_from_id(sid)) == "table_row"]
         + [f"capped:{L}" for L in range(2, 7)]
         + ["trop_p_fin:2:3"]
     )
 )
 
 
-@pytest.mark.parametrize("sid", TABLED_IDS)
+# _tables builds tables for the finite push carriers too, though no run reads them
+@pytest.mark.parametrize("sid", ("bool", "trivial") + TABLED_IDS)
 def test_tables_equal_the_object_ops_on_every_pair(sid):
     s = semiring_from_id(sid)
     add_t, mul_t = engine._tables(s)
@@ -830,7 +857,7 @@ def _kernel_results(A, b):
 def _object_results(monkeypatch, A, b):
     """The kernel callers' results on the object row: no tables, no bag kernel."""
     with monkeypatch.context() as m:
-        m.setattr(engine, "_kernel", lambda s: "object")
+        m.setattr(engine, "_kernel", lambda s: "row")
         return _kernel_results(A, b)
 
 
@@ -873,13 +900,11 @@ def test_tabled_kernel_equals_the_object_path_on_slow_cycles(monkeypatch, n, L):
     assert tabled[4] == n * L + n - 1  # the cycle's matrix index, not a capped run
 
 
-@pytest.mark.parametrize(
-    "sid, outside",
-    [("capped:4", 7), ("bool", 2), ("trop_p_fin:1:3", (5, INF))],
-)
+@pytest.mark.parametrize("sid, outside", [("capped:4", 7), ("trop_p_fin:1:3", (5, INF))])
 def test_values_outside_the_tables_take_the_object_path(monkeypatch, sid, outside):
     s = semiring_from_id(sid)
-    untabled = "bag" if isinstance(s, TropBagSemiring) else "object"
+    assert engine._kernel(s) == "table_row"
+    untabled = "bag_row" if isinstance(s, TropBagSemiring) else "row"
     A = Matrix(s, 3, [(0, 1, outside), (1, 2, s.one), (2, 0, s.one), (2, 2, s.one)])
     assert A.get(0, 1) == outside  # the constructor stores it as given
     for b in ([s.zero, s.zero, s.one], [outside, s.zero, s.one]):
@@ -901,45 +926,36 @@ def test_only_carriers_with_at_most_64_elements_get_tables():
 
 
 # the kernel of every carrier in ALL_IDS, and of carriers at the edge of a choice
-KERNEL_OF = {sid: "table" for sid in FINITE_IDS} | {
-    "bool": "object",  # bool, trivial and trop push
-    "trivial": "object",
-    "trop": "int",
-    "trop_p:1": "bag",
-    "trop_p:2": "bag",
-    "capped:62": "table",  # 64 elements, the most that get tables
-    "capped:63": "object",
-    "trop_p_fin:2:3": "table",
-    "trop_p_fin:3:3": "bag",  # 70 elements: a bag carrier too large for tables
-    "broken": "table",  # BrokenMulSemiring: finite, of no built-in class
-}
-
-
-# the function a kernel build returns, by (pushes, kernel)
-KERNEL_FUNCTION = {
-    (True, "int"): "int_push",
-    (True, "object"): "push",
-    (False, "table"): "table_row",
-    (False, "bag"): "bag_row",
-    (False, "object"): "row",
+KERNEL_OF = {sid: "table_row" for sid in FINITE_IDS} | {
+    "bool": "push",  # bool, trivial and trop push
+    "trivial": "push",
+    "trop": "int_push",
+    "trop_p:1": "bag_row",
+    "trop_p:2": "bag_row",
+    "capped:62": "table_row",  # 64 elements, the most that get tables
+    "capped:63": "row",
+    "trop_p_fin:2:3": "table_row",
+    "trop_p_fin:3:3": "bag_row",  # 70 elements: a bag carrier too large for tables
+    "broken": "table_row",  # BrokenMulSemiring: finite, of no built-in class
 }
 
 
 @pytest.mark.parametrize("sid", KERNEL_OF)
-def test_kernel_picks_one_kernel_per_carrier(sid):
+def test_kernel_picks_one_kernel_per_carrier(monkeypatch, sid):
     s = BrokenMulSemiring() if sid == "broken" else semiring_from_id(sid)
-    kernel = engine._kernel(s)
-    assert kernel == KERNEL_OF[sid]
-    # the build honours the answer: no answer falls through to another kernel
+    assert engine._kernel(s) == KERNEL_OF[sid]
+    # the build runs the function the answer names: none falls through to another
     sys_ = gen_random_system(4, 0.5, s, seed=1)
+    assert engine._linear_rows(sys_.A)[1](sys_.b)[0].__name__ == KERNEL_OF[sid]
+    monkeypatch.setattr(engine, "_kernel", lambda s: "row")  # the object row runs on every carrier
     readers, rows_for = engine._linear_rows(sys_.A)
-    assert rows_for(sys_.b)[0].__name__ == KERNEL_FUNCTION[readers is None, kernel]
+    assert readers is not None and rows_for(sys_.b)[0].__name__ == "row"
 
 
 def test_rows_skip_zero_inputs_without_changing_the_trace(monkeypatch):
     s = TropBagSemiring(2)  # a private instance, so counting wraps no shared carrier
     # the object row, which calls mul once per nonzero input
-    monkeypatch.setattr(engine, "_kernel", lambda s: "object")
+    monkeypatch.setattr(engine, "_kernel", lambda s: "row")
     calls = {"mul": 0, "zero_operand": 0}
     mul = s.mul
 
@@ -970,7 +986,7 @@ def test_rows_skip_zero_inputs_without_changing_the_trace(monkeypatch):
 @pytest.mark.parametrize("source", ["path program", "random system"])
 def test_bag_rows_skip_zero_inputs_and_sum_only_the_limited_pairs(monkeypatch, source):
     s = TropBagSemiring(2)  # a private instance, so counting wraps no shared carrier
-    assert engine._kernel(s) == "bag"
+    assert engine._kernel(s) == "bag_row"
     limits = s.limits
     sums = [0]
 
@@ -1026,7 +1042,7 @@ BAG_IDS = ("trop_p:1", "trop_p:2", "trop_p:3", "trop_p_fin:3:3")
 def _bag_and_object(monkeypatch, A, b):
     """The kernel callers' results on the bag kernel, then on the object row."""
     s = A.semiring
-    assert engine._kernel(s) == "bag"
+    assert engine._kernel(s) == "bag_row"
     return _kernel_results(A, b), _object_results(monkeypatch, A, b)
 
 
@@ -1127,10 +1143,10 @@ def _scale_of(A, b):
 
 
 def _scaled_and_object(monkeypatch, A, b):
-    """The kernel callers' results on scaled ints, then on the object path."""
+    """The kernel callers' results on scaled ints, then on the object push."""
     scaled = _kernel_results(A, b)
     with monkeypatch.context() as m:
-        m.setattr(engine, "_kernel", lambda s: "object")
+        m.setattr(engine, "_kernel", lambda s: "push")
         assert _scale_of(A, b) == 1
         return scaled, _kernel_results(A, b)
 
@@ -1190,7 +1206,7 @@ def test_scaled_trop_kernel_with_a_48_bit_scale(monkeypatch):
     assert scaled == plain
     report = bounds.reports_jsonl([bounds.analyze(sys_)])
     with monkeypatch.context() as m:
-        m.setattr(engine, "_kernel", lambda s: "object")
+        m.setattr(engine, "_kernel", lambda s: "push")
         assert bounds.reports_jsonl([bounds.analyze(sys_)]) == report
 
 
@@ -1235,7 +1251,7 @@ def test_scaled_column_runs_leave_no_blocks_behind():
 # ---------------------------------------------------------------------------
 
 # bool, trivial and trop (tests/test_semirings.py pins the declarations)
-PUSH_IDS = tuple(sid for sid in ALL_IDS if engine._linear_rows(Matrix(semiring_from_id(sid), 0))[0] is None)
+PUSH_IDS = tuple(sid for sid in ALL_IDS if engine._kernel(semiring_from_id(sid)).endswith("push"))
 
 
 def _push_systems(s):
@@ -1259,8 +1275,8 @@ def test_the_push_systems_have_fractions_and_inf_in_b():
 @pytest.mark.parametrize("sid", PUSH_IDS)
 def test_push_matches_full_recompute(monkeypatch, sid, inflationary, kernel):
     s = semiring_from_id(sid)
-    if kernel == "object":  # no tables, no ints: the push calls add and mul
-        monkeypatch.setattr(engine, "_kernel", lambda s: "object")
+    if kernel == "object":  # no ints: the push calls add and mul
+        monkeypatch.setattr(engine, "_kernel", lambda s: "push")
     for sys_ in _push_systems(s):
         for cap in (1, 2, 60):
             trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
@@ -1280,7 +1296,7 @@ def test_push_changes_the_rows_the_pull_loop_changes(monkeypatch, sid):
         runs += [column_run(sys_.A, j, cap) for j in range(sys_.n)]
         indices = [matrix_stability_index(sys_.A), matrix_stability_index(sys_.A, cap=2)]
         with monkeypatch.context() as m:
-            m.setattr(s, "idempotent_add", False)  # the pull loop
+            m.setattr(engine, "_kernel", lambda s: "row")  # the pull loop
             assert engine._linear_rows(sys_.A)[0] is not None
             pulled = [naive_eval_linear(sys_, cap=cap, inflationary=infl) for infl in (False, True)]
             pulled += [column_run(sys_.A, j, cap) for j in range(sys_.n)]
@@ -1292,7 +1308,7 @@ def test_push_changes_the_rows_the_pull_loop_changes(monkeypatch, sid):
 def test_a_push_folds_each_entry_of_the_changed_columns_once(monkeypatch, inflationary):
     s = TROP.__class__()  # a private instance, so counting wraps no shared carrier
     # the object push, which calls mul once per folded entry
-    monkeypatch.setattr(engine, "_kernel", lambda s: "object")
+    monkeypatch.setattr(engine, "_kernel", lambda s: "push")
     mul, calls = s.mul, [0]
 
     def counted_mul(a, b):

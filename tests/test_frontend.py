@@ -27,8 +27,8 @@ from semifix.frontend import (
 from semifix.generators import random_edge_instance
 from semifix.semirings import TropSemiring
 
-from conftest import ALL_IDS
-from reference import max_degree, print_program
+from conftest import ALL_IDS, GF2Semiring
+from reference import as_monomial_system, max_degree, print_program
 
 TC = "T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n"
 
@@ -313,6 +313,9 @@ def test_ground_empty_edb():
     trace = naive_eval_linear(sys_)
     assert trace.stability_index == 0
     assert trace.fixpoint == ()
+    psys = ground(parse_program("T(X,Y) :- E(X,Y) + T(X,Z)*T(Z,Y)."), build_edb(s, []))
+    assert isinstance(psys, GroundedPolynomialSystem) and psys.n == 0
+    assert naive_eval_general(psys).fixpoint == ()
 
 
 def test_ground_rejects_idb_fact():
@@ -377,10 +380,19 @@ def test_forced_polynomial_matches_linear_atoms():
     s = semiring_from_id("bool")
     db = build_edb(s, [("E", ("a", "b"), None), ("E", ("b", "c"), None)])
     lin = ground(parse_program(TC), db)
-    poly = ground(parse_program(TC), db, force_polynomial=True)
+    poly = as_monomial_system(lin)
     assert isinstance(poly, GroundedPolynomialSystem)
     assert poly.atoms == lin.atoms
     assert max_degree(poly) == 1
+
+
+def test_ground_deletes_a_term_that_sums_to_zero():
+    s = GF2Semiring()  # 1 (+) 1 = 0
+    db = build_edb(s, [("E", ("a",), "1"), ("F", ("a",), "1")])
+    program = parse_program("T(X) :- E(X) + F(X).")
+    full = ground(program, db, prune=False)
+    assert (full.atoms, full.b, list(full.A.entries())) == ((("T", ("a",)),), (0,), [])
+    assert ground(program, db).n == 0  # the atom can never leave zero
 
 
 def test_no_prune_keeps_full_universe():
@@ -612,13 +624,12 @@ def test_pruning_keeps_exactly_the_nonzero_atoms(ti, sid):
         # U(a) :- T(a,a)*T(a,a) waits on one distinct atom that occurs twice
         dbs.append(build_edb(s, [("E", ("a", "a"), None), ("E", ("a", "b"), None)]))
     for db in dbs:
-        for force_polynomial in (False, True):
-            full = ground(program, db, prune=False, force_polynomial=force_polynomial)
-            full_fix = _fixpoint(full)
-            nonzero = {a for a, v in zip(full.atoms, full_fix) if v != s.zero}
-            kept = ground(program, db, force_polynomial=force_polynomial)
-            assert set(kept.atoms) == nonzero
-            assert _fixpoint(kept) == tuple(full_fix[full.index[a]] for a in kept.atoms)
+        full = ground(program, db, prune=False)
+        full_fix = _fixpoint(full)
+        nonzero = {a for a, v in zip(full.atoms, full_fix) if v != s.zero}
+        kept = ground(program, db)
+        assert set(kept.atoms) == nonzero
+        assert _fixpoint(kept) == tuple(full_fix[full.index[a]] for a in kept.atoms)
     if PRUNE_PROGRAMS[ti] == REPEATED and sid != "trivial":
         assert ("U", ("a",)) in nonzero
 
@@ -627,7 +638,7 @@ def test_pruning_keeps_exactly_the_nonzero_atoms(ti, sid):
 # Join-driven grounding against the active-domain loop
 # ---------------------------------------------------------------------------
 
-def reference_ground(program, db, prune=True, force_polynomial=False):
+def reference_ground(program, db, prune=True):
     """(atoms, n_raw, A entries, b, monomials) from the nested active-domain loop.
 
     Every variable of a product, deduplicated, ranges over the active domain;
@@ -681,7 +692,7 @@ def reference_ground(program, db, prune=True, force_polynomial=False):
             kept |= more
     keep = sorted(kept)
     remap = {old: new for new, old in enumerate(keep)}
-    linear = classify_linearity(program).linear and not force_polynomial
+    linear = classify_linearity(program).linear
     a_entries, b, rows = [], [s.zero] * len(keep), [[] for _ in keep]
     for (i, cols), v in terms.items():
         if not all(c in remap for c in cols):
@@ -797,19 +808,16 @@ NUMBERING_PROGRAMS = (
 
 def _assert_ground_matches_reference(program, db):
     for prune in (False, True):
-        for force_polynomial in (False, True):
-            got = ground(program, db, prune=prune, force_polynomial=force_polynomial)
-            atoms, n_raw, a_entries, b, monomials = reference_ground(
-                program, db, prune, force_polynomial
-            )
-            assert got.atoms == atoms
-            assert got.n_raw == n_raw
-            if monomials is None:
-                assert isinstance(got, GroundedLinearSystem)
-                assert list(got.A.entries()) == a_entries
-                assert got.b == b
-            else:
-                assert got.monomials == monomials
+        got = ground(program, db, prune=prune)
+        atoms, n_raw, a_entries, b, monomials = reference_ground(program, db, prune)
+        assert got.atoms == atoms
+        assert got.n_raw == n_raw
+        if monomials is None:
+            assert isinstance(got, GroundedLinearSystem)
+            assert list(got.A.entries()) == a_entries
+            assert got.b == b
+        else:
+            assert got.monomials == monomials
 
 
 @pytest.mark.parametrize("sid", DIFF_IDS)
@@ -835,26 +843,11 @@ def test_ground_matches_active_domain_reference(sid):
     }
 
 
-def _as_monomials(system):
-    """The monomial rows of a linear system, in the order ground gives them."""
-    s = system.semiring
-    return tuple(
-        tuple(sorted(
-            [(v, (j,)) for j, v in system.A.row(i).items()] + [(bi, ())] * (bi != s.zero),
-            key=lambda m: m[1],
-        ))
-        for i, bi in enumerate(system.b)
-    )
-
-
 def _assert_linear_ground_is_exact(program, db):
     s = db.semiring
     for prune in (False, True):
         got = ground(program, db, prune=prune)
-        poly = ground(program, db, prune=prune, force_polynomial=True)
         assert isinstance(got, GroundedLinearSystem)
-        assert (got.atoms, got.n_raw) == (poly.atoms, poly.n_raw)
-        assert _as_monomials(got) == poly.monomials
         # the checked constructor rebuilds the same matrix: every index in
         # range, no entry equal to zero, no coordinate twice
         assert got.A == Matrix(s, got.n, list(got.A.entries()))

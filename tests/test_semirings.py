@@ -22,9 +22,9 @@ from semifix import (
 )
 from semifix import Matrix, engine, semirings
 from semifix.errors import InvalidParameter
-from semifix.semirings import _integral
+from semifix.semirings import _integral, effective_stability, ordered_chain
 
-from conftest import ALL_IDS, FINITE_IDS, BrokenMulSemiring, seeded_elements
+from conftest import ALL_IDS, FINITE_IDS, BrokenMulSemiring, GF2Semiring, UnlistedGF2Semiring, seeded_elements
 from reference import natural_order_leq, scalar_repeat
 
 
@@ -200,6 +200,12 @@ def test_element_stability_cap_exceeded_reports_bottom():
     assert len(r.sequence) == 3
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_element_stability_cap_below_one_is_rejected(cap):
+    with pytest.raises(InvalidParameter, match="cap must be >= 1"):
+        element_stability(semiring_from_id("bool"), True, cap=cap)
+
+
 def test_element_stability_consistent_under_larger_cap():
     s = semiring_from_id("capped:4")
     for u in s.elements():
@@ -225,6 +231,19 @@ def test_semiring_stability_finite_tropical_bags():
 def test_semiring_stability_needs_carrier():
     with pytest.raises(UnsupportedOperation):
         semiring_stability(semiring_from_id("trop"))
+
+
+def test_gf2_is_stable_at_no_index_and_not_naturally_ordered():
+    s = GF2Semiring()
+    assert check_axioms(s).all_passed
+    assert element_stability(s, 1, cap=4) == semirings.StabilityResult(None, (1, 0, 1, 0, 1, 0))
+    assert semiring_stability(s) == semirings.SemiringStability(None, 1)
+    assert effective_stability(s) == (None, "computed")
+    with pytest.raises(NotNaturallyOrdered, match="0 and 1 precede each other"):
+        longest_chain(s)
+    assert ordered_chain(s) is None
+    # a carrier that lists no elements and knows no index has no stability
+    assert effective_stability(UnlistedGF2Semiring()) == (None, "unknown")
 
 
 def test_scalar_repeat_examples():
@@ -397,7 +416,7 @@ def test_broken_semiring_fails_with_witness(broken_semiring):
 DECLARED = [semiring_from_id(sid) for sid in dict.fromkeys(ALL_IDS + tuple(f"capped:{L}" for L in range(1, 7)))]
 
 
-@pytest.mark.parametrize("s", DECLARED + [BrokenMulSemiring()], ids=lambda s: s.id)
+@pytest.mark.parametrize("s", DECLARED + [BrokenMulSemiring(), GF2Semiring()], ids=lambda s: s.id)
 def test_declared_laws_agree_with_the_axiom_check(s):
     report = check_axioms(s)
     assert s.distributes == {c.name: c.passed for c in report.checks}["distributes"]
@@ -447,6 +466,8 @@ def test_literal_parsing():
         c.parse("5")
     with pytest.raises(MalformedElement):
         semiring_from_id("bool").parse("yes")
+    with pytest.raises(MalformedElement, match="the only element is 0"):
+        semiring_from_id("trivial").parse("1")
 
 
 @pytest.mark.parametrize("sid, wrap", [("trop", "{}"), ("trop_p:1", "[{}]"), ("capped:4", "{}")])

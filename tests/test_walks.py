@@ -13,6 +13,7 @@ from semifix import (
     walk_sum_exact,
     walk_sum_upto,
 )
+from semifix.errors import InvalidParameter
 from semifix.generators import gen_random_system
 from semifix.walks import _walks, walk_sums
 
@@ -34,6 +35,11 @@ def test_walk_sum_h0_is_identity():
     assert walk_sum_exact(A, 0, 0, 0) is True
     assert walk_sum_exact(A, 0, 1, 0) is False
     assert walk_sum_upto(A, 2, 2, 0) is True
+
+
+def test_walk_sums_reject_a_negative_hop_count():
+    with pytest.raises(InvalidParameter, match="hop count must be >= 0"):
+        walk_sums(Matrix(semiring_from_id("bool"), 2), (0,), -1)
 
 
 def test_walk_sum_boolean_path():
