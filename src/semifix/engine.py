@@ -150,10 +150,10 @@ def _kernel(s: Semiring) -> str:
       keeps the p+1 smallest. That is exact: keeping the p+1 smallest commutes
       with multiset union, and saturation is monotone, so it commutes with the
       truncation that mul applies before it.
-    * ``"push"`` and ``"row"`` (on any carrier): the semiring's add and mul,
-      looked up when the function is made, so wrappers set on the instance
-      (the benchmark's op counters) see every call; on ``trop`` and ``trop_p``
-      they see no call of a run.
+    * ``"push"`` (the other pushing carriers) and ``"row"`` (the rest; exact
+      on every carrier): the semiring's add and mul, looked up when the
+      function is made, so wrappers set on the instance (the benchmark's op
+      counters) see every call; on ``trop`` and ``trop_p`` they see no call.
     """
     if s.idempotent_add and s.distributes:
         return "int_push" if isinstance(s, TropSemiring) else "push"
