@@ -1,7 +1,8 @@
 """Command-line surface: run, ground, analyze, oracle, semiring, gen.
 
-Exit codes: 0 success, 1 input or usage errors, 2 cap or budget exhausted,
-3 bound violation detected by analyze.
+Exit codes: 0 success, 1 input errors, 2 usage errors (argparse), iteration
+cap or walk budget exhausted, 3 bound violation detected by analyze (or an
+unequal oracle row).
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def cmd_run(args) -> int:
     program, db = _load_program_db(args)
     system = ground(program, db, prune=not args.no_prune)
     if isinstance(system, GroundedLinearSystem):
-        trace = engine.naive_eval_linear(system, cap=args.cap, inflationary=args.inflationary)
+        trace = engine.naive_eval_linear(system, cap=args.cap)
     else:
-        trace = engine.naive_eval_general(system, cap=args.cap, inflationary=args.inflationary)
+        trace = engine.naive_eval_general(system, cap=args.cap)
     s = system.semiring
     if args.format == "csv":
         _emit(args, engine.trace_csv(system, trace))
@@ -304,11 +305,6 @@ def cmd_gen(args) -> int:
 def _run_args(p: argparse.ArgumentParser):
     p.add_argument("program")
     p.add_argument("facts", nargs="?", help="optional TSV facts file")
-    p.add_argument(
-        "--inflationary",
-        action="store_true",
-        help="iterate x <- x (+) f(x) instead of x <- f(x)",
-    )
     p.add_argument("--format", choices=("human", "csv", "json"), default="human")
     _add_flags(p, "--semiring", "--cap", "--no-prune")
 

@@ -169,16 +169,14 @@ def _common_denominator(values) -> int:
     return math.lcm(*{v.denominator for v in values if type(v) is not int and v is not INF})
 
 
-def _linear_rows(A: Matrix, inflationary: bool = False):
+def _linear_rows(A: Matrix):
     """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
 
     ``rows_for(b)`` returns the function ``_kernel`` names for x <- Ax (+) b,
     and the scale D of the values it works on. A row folds
     ``add(acc, mul(A[i][j], x[j]))`` over its entries, as ``Matrix.matvec``
     does, and ends with ``add(acc, b[i])``. A push kernel gets no readers and
-    a push step (``_pushes``). ``inflationary`` appends the term ``(i, one)``
-    to row i (``_polynomial_rows`` the monomial ``(one, (i,))``), so the row
-    computes x (+) f(x) and reads its own column.
+    a push step (``_pushes``).
     """
     s = A.semiring
     zero = s.zero
@@ -186,8 +184,8 @@ def _linear_rows(A: Matrix, inflationary: bool = False):
     kernel = _kernel(s)
     if kernel in ("push", "int_push"):
         return None, _pushes(s, maps, kernel)
-    rows = [tuple(m.items()) + ((i, s.one),) * inflationary for i, m in enumerate(maps)]
-    readers = _readers(A.n, [m.keys() | {i} for i, m in enumerate(maps)] if inflationary else maps)
+    rows = [tuple(m.items()) for m in maps]
+    readers = _readers(A.n, maps)
     tables = _tables(s) if kernel == "table_row" else None
 
     def rows_for(b: Sequence):
@@ -274,8 +272,7 @@ def _pushes(s: Semiring, maps, kernel: str):
     column n, whose value one changes first. That is exact when add is
     idempotent and mul distributes: the iterates rise in the natural order,
     so x(q+1) = x(q) (+) f(x(q)), and each term of a column that did not
-    change is already in x(q). So x (+) f(x) has the same iterates, and
-    ``inflationary`` needs no term of its own.
+    change is already in x(q).
     """
     zero = s.zero
     cols: List[dict] = [{} for _ in maps]  # column j maps each row i with A[i][j] to it
@@ -325,11 +322,11 @@ def _pushes(s: Semiring, maps, kernel: str):
     return push_for
 
 
-def _polynomial_rows(psys: GroundedPolynomialSystem, inflationary: bool):
+def _polynomial_rows(psys: GroundedPolynomialSystem):
     """The rows that read each column of a monomial system, and the row function."""
     s = psys.semiring
     add, mul, zero = s.add, s.mul, s.zero
-    monomials = [tuple(r) + ((s.one, (i,)),) * inflationary for i, r in enumerate(psys.monomials)]
+    monomials = psys.monomials
 
     def row(i, x):
         acc = zero
@@ -440,33 +437,23 @@ def _unscaled(trace: IterationTrace, D: int, zero) -> IterationTrace:
     return IterationTrace(trace.start, tuple(changes), tuple(x), trace.stability_index, trace.capped)
 
 
-def naive_eval_linear(
-    sys: GroundedLinearSystem,
-    cap: Optional[int] = None,
-    *,
-    inflationary: bool = False,
-) -> IterationTrace:
+def naive_eval_linear(sys: GroundedLinearSystem, cap: Optional[int] = None) -> IterationTrace:
     """Iterate x <- Ax (+) b from the zero vector until adjacent states repeat.
 
     Stops at ``cap`` applications without convergence and flags the trace as
-    capped instead of raising. ``inflationary`` switches to x <- x (+) f(x).
+    capped instead of raising.
     """
     s = sys.semiring
-    readers, rows_for = _linear_rows(sys.A, inflationary)
+    readers, rows_for = _linear_rows(sys.A)
     row, D = rows_for(sys.b)
     # at x = 0 a row with a zero b entry returns zero itself; a push reads b itself
     first = readers and [i for i, v in enumerate(sys.b) if v is not s.zero]
     return _unscaled(_iterate(s, sys.n, readers, row, cap, first), D, s.zero)
 
 
-def naive_eval_general(
-    psys: GroundedPolynomialSystem,
-    cap: Optional[int] = None,
-    *,
-    inflationary: bool = False,
-) -> IterationTrace:
+def naive_eval_general(psys: GroundedPolynomialSystem, cap: Optional[int] = None) -> IterationTrace:
     """Same contract as naive_eval_linear, for monomial systems."""
-    readers, row = _polynomial_rows(psys, inflationary)
+    readers, row = _polynomial_rows(psys)
     return _iterate(psys.semiring, psys.n, readers, row, cap, range(psys.n))
 
 

@@ -5,6 +5,11 @@ graph whose edge u -> v carries the entry A[u, v]) once and folds their label
 products by hop count: the exact sums are the entries of the matrix powers,
 and their running sum over hop counts gives the power sums.
 ``walk_sum_exact`` and ``walk_sum_upto`` are views of that one fold.
+
+The budget is the one check on a query's size: it counts the walks the
+enumeration visits, and the walk past it raises EnumerationBudgetExceeded.
+Nothing is estimated up front, so a query over the budget spends the budget
+before it is refused, and its memory follows the budget, not h.
 """
 
 from __future__ import annotations
@@ -23,42 +28,6 @@ def check_endpoints(A: Matrix, i: int, j: int):
         raise InvalidParameter(f"endpoints ({i},{j}) outside a {A.n}-vertex graph")
 
 
-def _branching(A: Matrix) -> int:
-    # enumeration skips zero labels, so it branches at most max-out-degree ways per hop
-    return max((len(A.row(i)) for i in range(A.n)), default=0)
-
-
-def _chain_walks(A: Matrix, sources: Sequence[int], h: int) -> int:
-    """How many walks of at most h hops leave the sources when no vertex branches.
-
-    Each source then has one walk per hop until its chain of successors ends;
-    a chain still going after n hops is on a cycle and never ends.
-    """
-    total = 0
-    for v in sources:
-        hops, last = 0, min(h, A.n)
-        while hops < last and A.row(v):
-            v = next(iter(A.row(v)))
-            hops += 1
-        total += 1 + (h if hops == A.n else hops)
-    return total
-
-
-def _guard_budget(A: Matrix, h: int, budget: int, sources: Sequence[int]):
-    if h < 0:
-        raise InvalidParameter("hop count must be >= 0")
-    deg = _branching(A)
-    if deg <= 1:
-        walks = _chain_walks(A, sources, h)
-        if walks > budget:
-            raise EnumerationBudgetExceeded(f"{walks} walks exceed the budget of {budget}")
-    # for deg >= 2, deg ** h > budget once h >= budget.bit_length(), so the
-    # capped power gives the same verdict without building a huge integer
-    elif sources and len(sources) * deg ** min(h, budget.bit_length()) > budget:
-        walks = f"{deg}^{h}" if len(sources) == 1 else f"{len(sources)} x {deg}^{h}"
-        raise EnumerationBudgetExceeded(f"up to {walks} walks exceed the budget of {budget}")
-
-
 def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
     """Every walk of at most h hops from each source, as (source, hops, end, product).
 
@@ -75,7 +44,7 @@ def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
             hops, v, prod = stack.pop()
             visited += 1
             if visited > budget:
-                raise EnumerationBudgetExceeded(f"walk enumeration exceeded {budget}")
+                raise EnumerationBudgetExceeded(f"walk enumeration exceeded the budget of {budget}")
             yield i, hops, v, prod
             if hops < h:
                 row = A.row(v)
@@ -92,7 +61,8 @@ def walk_sums(
     their memory follows the walks, not h; a cell no walk reaches, like a
     table past the end, is absent and stands for zero.
     """
-    _guard_budget(A, h, budget, sources)
+    if h < 0:
+        raise InvalidParameter("hop count must be >= 0")
     s = A.semiring
     tables: List[Dict[Tuple[int, int], Any]] = []
     for i, hops, v, prod in _walks(A, sources, h, budget):

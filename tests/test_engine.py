@@ -45,7 +45,7 @@ from semifix.generators import (
 )
 
 from conftest import (
-    ALL_IDS, FINITE_IDS, BrokenMulSemiring, GF2Semiring, linear_step, seeded_elements, vec_add,
+    ALL_IDS, FINITE_IDS, BrokenMulSemiring, GF2Semiring, linear_step, seeded_elements,
 )
 from reference import as_monomial_system
 
@@ -147,13 +147,6 @@ def test_once_equal_always_equal():
         assert x == trace.fixpoint
 
 
-def test_inflationary_mode_converges_to_same_fixpoint():
-    db, sys_ = path_system("bool", 4, 0.5, seed=9)
-    plain = naive_eval_linear(sys_)
-    infl = naive_eval_linear(sys_, inflationary=True)
-    assert plain.fixpoint == infl.fixpoint
-
-
 def one_variable_system(s, u):
     from semifix.frontend import GroundedPolynomialSystem
 
@@ -201,14 +194,12 @@ def test_linear_and_general_traces_identical():
 # Change-driven iteration against a full recompute
 # ---------------------------------------------------------------------------
 
-def full_recompute(s, n, step, cap, inflationary):
+def full_recompute(s, n, step, cap):
     """Reference naive iteration: every row recomputed at every step."""
     x = (s.zero,) * n
     states = [x]
     for q in range(cap):
         nxt = step(x)
-        if inflationary:
-            nxt = vec_add(s, x, nxt)
         states.append(nxt)
         if nxt == x:
             return states, q, False
@@ -216,12 +207,12 @@ def full_recompute(s, n, step, cap, inflationary):
     return states, None, True
 
 
-def reference_linear(sys_, cap, inflationary):
+def reference_linear(sys_, cap):
     step = lambda x: linear_step(sys_, x)
-    return full_recompute(sys_.semiring, sys_.n, step, cap, inflationary)
+    return full_recompute(sys_.semiring, sys_.n, step, cap)
 
 
-def reference_general(psys, cap, inflationary):
+def reference_general(psys, cap):
     s = psys.semiring
 
     def step(x):
@@ -236,7 +227,7 @@ def reference_general(psys, cap, inflationary):
             out.append(acc)
         return tuple(out)
 
-    return full_recompute(s, psys.n, step, cap, inflationary)
+    return full_recompute(s, psys.n, step, cap)
 
 
 def assert_trace_matches(trace, reference):
@@ -287,33 +278,30 @@ def random_polynomial_system(s, n, seed):
 CHANGE_DRIVEN_IDS = ALL_IDS + ("capped:5", "capped:6")
 
 
-@pytest.mark.parametrize("inflationary", [False, True])
 @pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
-def test_change_driven_linear_matches_full_recompute(sid, inflationary):
+def test_change_driven_linear_matches_full_recompute(sid):
     s = semiring_from_id(sid)
     for seed in range(12):
         n = seed % 7  # n = 0 included
         sys_ = random_linear_system(s, n, seed)
         for cap in (60, 2):  # a cap of 2 is hit on most systems
-            trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
-            assert_trace_matches(trace, reference_linear(sys_, cap, inflationary))
+            trace = naive_eval_linear(sys_, cap=cap)
+            assert_trace_matches(trace, reference_linear(sys_, cap))
 
 
-@pytest.mark.parametrize("inflationary", [False, True])
 @pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
-def test_change_driven_general_matches_full_recompute(sid, inflationary):
+def test_change_driven_general_matches_full_recompute(sid):
     s = semiring_from_id(sid)
     for seed in range(12):
         n = seed % 6
         psys = random_polynomial_system(s, n, seed)
         for cap in (40, 2):
-            trace = naive_eval_general(psys, cap=cap, inflationary=inflationary)
-            assert_trace_matches(trace, reference_general(psys, cap, inflationary))
+            trace = naive_eval_general(psys, cap=cap)
+            assert_trace_matches(trace, reference_general(psys, cap))
 
 
-@pytest.mark.parametrize("inflationary", [False, True])
 @pytest.mark.parametrize("sid", ["bool", "trop", "capped:3", "trop_p:1"])
-def test_change_driven_repeated_atom_matches_full_recompute(sid, inflationary):
+def test_change_driven_repeated_atom_matches_full_recompute(sid):
     # U(a) reads T(a,a) twice in one monomial
     s = semiring_from_id(sid)
     program = parse_program(
@@ -325,8 +313,8 @@ def test_change_driven_repeated_atom_matches_full_recompute(sid, inflationary):
     ]
     psys = ground(program, build_edb(s, facts))
     assert any(cols[0] == cols[1] for row in psys.monomials for _, cols in row if len(cols) == 2)
-    trace = naive_eval_general(psys, cap=50, inflationary=inflationary)
-    assert_trace_matches(trace, reference_general(psys, 50, inflationary))
+    trace = naive_eval_general(psys, cap=50)
+    assert_trace_matches(trace, reference_general(psys, 50))
 
 
 @pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (5, 3), (8, 6)])
@@ -334,9 +322,9 @@ def test_change_driven_cycle_index(n, L):
     sys_ = gen_cycle_lowerbound(n, L)
     trace = naive_eval_linear(sys_)  # default cap
     assert trace.powersum_index == n * L + n - 1
-    assert_trace_matches(trace, reference_linear(sys_, n * L + n + 5, False))
+    assert_trace_matches(trace, reference_linear(sys_, n * L + n + 5))
     hit = naive_eval_linear(sys_, cap=n * L)
-    assert_trace_matches(hit, reference_linear(sys_, n * L, False))
+    assert_trace_matches(hit, reference_linear(sys_, n * L))
     assert hit.capped
 
 
@@ -369,36 +357,34 @@ def test_cycle_steps_of_one_change_match_full_recompute(n, L):
     for cap in (n * L + n + 5, n * L):  # converged, then capped
         trace = naive_eval_linear(sys_, cap=cap)
         assert all(len(step) == 1 for step in trace.changes[:n * L + n])
-        assert_log_matches(trace, reference_linear(sys_, cap, False))
+        assert_log_matches(trace, reference_linear(sys_, cap))
 
 
 @pytest.mark.parametrize("n, L", [(2, 2), (3, 4), (6, 3)])
-def test_inflationary_self_loops_read_their_column_once(n, L):
-    # row k reads column k through A[k][k] and through the inflationary term
+def test_self_loops_read_their_column_once(n, L):
+    # row k reads column k through A[k][k] on every other vertex
     sys_ = cycle_with_self_loops(n, L)
-    readers, _ = engine._linear_rows(sys_.A, inflationary=True)
+    readers, _ = engine._linear_rows(sys_.A)
     assert all(len(r) == len(set(r)) for r in readers)
-    assert all(k in readers[k] for k in range(n))
+    assert all((k in readers[k]) == (k % 2 == 0) for k in range(n))
     for cap in (200, 5):
-        for inflationary in (False, True):
-            trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
-            assert_log_matches(trace, reference_linear(sys_, cap, inflationary))
+        trace = naive_eval_linear(sys_, cap=cap)
+        assert_log_matches(trace, reference_linear(sys_, cap))
 
 
-@pytest.mark.parametrize("inflationary", [False, True])
 @pytest.mark.parametrize("sid", ["bool", "capped:3", "trop_p_fin:1:2", "trop_p:1"])
-def test_monomial_reading_one_column_twice(sid, inflationary):
+def test_monomial_reading_one_column_twice(sid):
     # row 0 is c + a * x0 * x0 and the only row that reads x0
     s = semiring_from_id(sid)
     rng = random.Random(5)
     c, a, d, e = (nonzero_element(s, rng) for _ in range(4))
     monomials = (((c, ()), (a, (0, 0))), ((d, ()), (e, (1,))))
     psys = GroundedPolynomialSystem(s, (("x0", ()), ("x1", ())), monomials, 2)
-    readers, _ = engine._polynomial_rows(psys, inflationary)
+    readers, _ = engine._polynomial_rows(psys)
     assert readers == [[0], [1]]
     for cap in (40, 1):
-        trace = naive_eval_general(psys, cap=cap, inflationary=inflationary)
-        assert_log_matches(trace, reference_general(psys, cap, inflationary))
+        trace = naive_eval_general(psys, cap=cap)
+        assert_log_matches(trace, reference_general(psys, cap))
 
 
 def test_cycle_runs_evaluate_one_row_per_step(monkeypatch):
@@ -444,7 +430,7 @@ def test_chain_steps_and_wide_steps_interleave():
     assert any(q - 1 in chained for q in wide)  # a chain runs into a wide step
     assert any(q - 2 in wide for q in chained)  # and a wide step into a chain
     for cap in range(1, len(changes) + 2):  # every cap, in a chain or not
-        assert_log_matches(naive_eval_linear(sys_, cap=cap), reference_linear(sys_, cap, False))
+        assert_log_matches(naive_eval_linear(sys_, cap=cap), reference_linear(sys_, cap))
 
 
 def reference_csv(system, states):
@@ -459,9 +445,8 @@ def reference_csv(system, states):
     return out.getvalue().encode()
 
 
-@pytest.mark.parametrize("inflationary", [False, True])
 @pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
-def test_change_log_and_trace_csv_match_full_recompute(sid, inflationary):
+def test_change_log_and_trace_csv_match_full_recompute(sid):
     s = semiring_from_id(sid)
     capped_seen = set()
     for seed in range(12):
@@ -472,8 +457,8 @@ def test_change_log_and_trace_csv_match_full_recompute(sid, inflationary):
         )
         for system, evaluate, reference in runs:
             for cap in (60, 2):  # a cap of 2 is hit on most systems
-                trace = evaluate(system, cap=cap, inflationary=inflationary)
-                states, _, capped = reference(system, cap, inflationary)
+                trace = evaluate(system, cap=cap)
+                states, _, capped = reference(system, cap)
                 capped_seen.add(capped)
                 assert trace_csv(system, trace).encode() == reference_csv(system, states)
                 assert "states" not in vars(trace)  # trace_csv replays the log
@@ -846,7 +831,6 @@ def _kernel_results(A, b):
     cap = 4 * A.n + 6
     return (
         _run_fields(naive_eval_linear(sys_, cap=cap)),
-        _run_fields(naive_eval_linear(sys_, cap=cap, inflationary=True)),
         [_run_fields(column_run(A, j, cap)) for j in range(A.n)],
         [list(matrix_power_sum(A, k).entries()) for k in (0, 1, 3)],
         matrix_stability_index(A),
@@ -877,7 +861,7 @@ def test_tabled_kernel_equals_the_object_path(monkeypatch, sid):
 
 
 @pytest.mark.parametrize("sid", ["capped:4", "trop_p_fin:1:3"])
-def test_inflationary_runs_on_tabled_carriers_call_no_object_op(monkeypatch, sid):
+def test_tabled_runs_call_no_object_op(monkeypatch, sid):
     s = semiring_from_id(sid)
     engine._tables(s), effective_stability(s), ordered_chain(s)  # warm the caches
     calls = []
@@ -885,7 +869,7 @@ def test_inflationary_runs_on_tabled_carriers_call_no_object_op(monkeypatch, sid
         real = getattr(s, op)
         monkeypatch.setattr(s, op, lambda a, b, op=op, real=real: calls.append(op) or real(a, b))
     traces = [
-        naive_eval_linear(gen_random_system(6, 0.4, s, seed), inflationary=True) for seed in range(8)
+        naive_eval_linear(gen_random_system(6, 0.4, s, seed)) for seed in range(8)
     ]
     assert not any(t.capped for t in traces)
     assert sum(t.wall_steps for t in traces) > 2 * len(traces)  # the runs did real work
@@ -897,7 +881,7 @@ def test_tabled_kernel_equals_the_object_path_on_slow_cycles(monkeypatch, n, L):
     sys_ = gen_cycle_lowerbound(n, L)
     tabled, plain = _tabled_and_object(monkeypatch, sys_.A, sys_.b)
     assert tabled == plain
-    assert tabled[4] == n * L + n - 1  # the cycle's matrix index, not a capped run
+    assert tabled[3] == n * L + n - 1  # the cycle's matrix index, not a capped run
 
 
 @pytest.mark.parametrize("sid, outside", [("capped:4", 7), ("trop_p_fin:1:3", (5, INF))])
@@ -922,7 +906,7 @@ def test_only_carriers_with_at_most_64_elements_get_tables():
     s = semiring_from_id("capped:63")
     for seed in range(4):
         sys_ = gen_random_system(6, 0.4, s, seed)
-        assert_trace_matches(naive_eval_linear(sys_, cap=80), reference_linear(sys_, 80, False))
+        assert_trace_matches(naive_eval_linear(sys_, cap=80), reference_linear(sys_, 80))
 
 
 # the kernel of every carrier in ALL_IDS, and of carriers at the edge of a choice
@@ -965,7 +949,7 @@ def test_rows_skip_zero_inputs_without_changing_the_trace(monkeypatch):
         return mul(a, b)
 
     sys_ = ground(parse_program(LINEAR_PATH_PROGRAM), random_edge_instance(8, 0.35, s, seed=3))
-    reference = reference_linear(sys_, 60, False)
+    reference = reference_linear(sys_, 60)
     s.mul = counted_mul
     trace = naive_eval_linear(sys_, cap=60)
     del s.mul
@@ -1001,7 +985,7 @@ def test_bag_rows_skip_zero_inputs_and_sum_only_the_limited_pairs(monkeypatch, s
         grounded = ground(parse_program(LINEAR_PATH_PROGRAM), random_edge_instance(8, 0.35, s, seed=3))
     else:  # bags of up to three entries
         grounded = gen_random_system(12, 0.2, s, seed=3)
-    reference = reference_linear(grounded, 60, False)
+    reference = reference_linear(grounded, 60)
     A = Matrix(s, grounded.n, [
         (i, j, tuple(e if e is INF else Counted(e) for e in v)) for i, j, v in grounded.A.entries()
     ])
@@ -1121,7 +1105,7 @@ def test_bag_runs_call_no_object_op(monkeypatch, sid):
     for op in ("add", "mul"):
         real = getattr(s, op)
         monkeypatch.setattr(s, op, lambda a, b, op=op, real=real: calls.append(op) or real(a, b))
-    traces = [naive_eval_linear(sys_, inflationary=infl) for sys_ in systems for infl in (0, 1)]
+    traces = [naive_eval_linear(sys_) for sys_ in systems]
     columns = [column_run(sys_.A, j, 40) for sys_ in systems for j in range(sys_.n)]
     indices = [matrix_stability_index(sys_.A) for sys_ in systems]
     assert not any(t.capped for t in traces + columns) and None not in indices
@@ -1217,7 +1201,7 @@ def test_trop_runs_call_no_object_op(monkeypatch):
     for op in ("add", "mul"):
         real = getattr(TROP, op)
         monkeypatch.setattr(TROP, op, lambda a, b, op=op, real=real: calls.append(op) or real(a, b))
-    traces = [naive_eval_linear(sys_, inflationary=infl) for sys_ in systems for infl in (0, 1)]
+    traces = [naive_eval_linear(sys_) for sys_ in systems]
     indices = [matrix_stability_index(sys_.A) for sys_ in systems]
     sums = [matrix_power_sum(sys_.A, 3) for sys_ in systems]
     assert not any(t.capped for t in traces) and None not in indices
@@ -1271,16 +1255,15 @@ def test_the_push_systems_have_fractions_and_inf_in_b():
 
 
 @pytest.mark.parametrize("kernel", ["own", "object"])
-@pytest.mark.parametrize("inflationary", [False, True])
 @pytest.mark.parametrize("sid", PUSH_IDS)
-def test_push_matches_full_recompute(monkeypatch, sid, inflationary, kernel):
+def test_push_matches_full_recompute(monkeypatch, sid, kernel):
     s = semiring_from_id(sid)
     if kernel == "object":  # no ints: the push calls add and mul
         monkeypatch.setattr(engine, "_kernel", lambda s: "push")
     for sys_ in _push_systems(s):
         for cap in (1, 2, 60):
-            trace = naive_eval_linear(sys_, cap=cap, inflationary=inflationary)
-            assert_log_matches(trace, reference_linear(sys_, cap, inflationary))
+            trace = naive_eval_linear(sys_, cap=cap)
+            assert_log_matches(trace, reference_linear(sys_, cap))
 
 
 def _rows_per_step(trace):
@@ -1292,20 +1275,19 @@ def test_push_changes_the_rows_the_pull_loop_changes(monkeypatch, sid):
     s = semiring_from_id(sid)
     for sys_ in _push_systems(s):
         cap = 4 * sys_.n + 6
-        runs = [naive_eval_linear(sys_, cap=cap, inflationary=infl) for infl in (False, True)]
+        runs = [naive_eval_linear(sys_, cap=cap)]
         runs += [column_run(sys_.A, j, cap) for j in range(sys_.n)]
         indices = [matrix_stability_index(sys_.A), matrix_stability_index(sys_.A, cap=2)]
         with monkeypatch.context() as m:
             m.setattr(engine, "_kernel", lambda s: "row")  # the pull loop
             assert engine._linear_rows(sys_.A)[0] is not None
-            pulled = [naive_eval_linear(sys_, cap=cap, inflationary=infl) for infl in (False, True)]
+            pulled = [naive_eval_linear(sys_, cap=cap)]
             pulled += [column_run(sys_.A, j, cap) for j in range(sys_.n)]
             assert indices == [matrix_stability_index(sys_.A), matrix_stability_index(sys_.A, cap=2)]
         assert list(map(_rows_per_step, runs)) == list(map(_rows_per_step, pulled))
 
 
-@pytest.mark.parametrize("inflationary", [False, True])
-def test_a_push_folds_each_entry_of_the_changed_columns_once(monkeypatch, inflationary):
+def test_a_push_folds_each_entry_of_the_changed_columns_once(monkeypatch):
     s = TROP.__class__()  # a private instance, so counting wraps no shared carrier
     # the object push, which calls mul once per folded entry
     monkeypatch.setattr(engine, "_kernel", lambda s: "push")
@@ -1319,7 +1301,7 @@ def test_a_push_folds_each_entry_of_the_changed_columns_once(monkeypatch, inflat
     for seed in range(6):
         sys_ = gen_random_system(8, 0.3, s, seed)
         calls[0] = 0
-        trace = naive_eval_linear(sys_, inflationary=inflationary)
+        trace = naive_eval_linear(sys_)
         assert not trace.capped and trace.wall_steps > 2
         column = [sum(j in sys_.A.row(i) for i in range(sys_.n)) for j in range(sys_.n)]
         # b is folded once, then each entry of each column that changed

@@ -78,55 +78,35 @@ def peak_bytes(call):
         tracemalloc.stop()
 
 
-def test_budget_guard_counts_the_walks_around_a_cycle_up_front():
-    # out-degree 1 gives h + 1 walks from a source on a cycle; the guard
-    # refuses them before walk_sums enumerates any
-    A = bool_matrix(3, [(0, 1), (1, 2), (2, 0)])
-
-    def refuse():
-        with pytest.raises(EnumerationBudgetExceeded, match="^100001 walks exceed the budget of 1000$"):
-            walk_sums(A, (0,), 10**5, budget=1000)
-
-    assert peak_bytes(refuse) < 100_000
-
-
-def test_budget_guard_refuses_branching_walks_without_their_power():
-    h = 10**7  # 2^h alone would take 1.25 MB
-    A = bool_matrix(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-
-    def refuse():
-        with pytest.raises(EnumerationBudgetExceeded, match=f"^up to 2 x 2\\^{h} walks exceed the budget of 1000$"):
-            walk_sums(A, (0, 1), h, budget=1000)
-
-    assert peak_bytes(refuse) < 100_000
-
-
-def test_budget_guard_counts_exactly_the_walks_a_chain_visits():
-    # every graph on 3 vertices in which no vertex branches: each vertex has
-    # no successor or one of the three
-    for succ in itertools.product((None, 0, 1, 2), repeat=3):
-        A = bool_matrix(3, [(u, v) for u, v in enumerate(succ) if v is not None])
-        for h in (0, 1, 2, 3, 4, 7, 50):
-            for src in ((0,), (1,), (2,), (0, 1, 2), (2, 2)):
-                visited = sum(1 for _ in _walks(A, src, h, float("inf")))
-                tables = walk_sums(A, src, h, budget=visited)
-                assert sum(map(len, tables)) <= visited
-                with pytest.raises(EnumerationBudgetExceeded, match=f"^{visited} walks exceed"):
-                    walk_sums(A, src, h, budget=visited - 1)
-
-
-def test_budget_guard_verdict_on_branching_walks():
-    # the guard refuses sources x deg^h > budget, with the power capped
+def test_budget_verdict_on_branching_walks():
+    # the budget counts the walks the enumeration visits, and nothing else
     A = bool_matrix(3, [(0, 1), (0, 2), (1, 0), (2, 2)])
     for h in range(12):
-        for budget in range(0, 300, 7):
-            for src in ((0,), (0, 1, 2)):
+        for src in ((0,), (0, 1, 2)):
+            visited = sum(1 for _ in _walks(A, src, h, float("inf")))
+            for budget in range(0, 300, 7):
                 try:
                     walk_sums(A, src, h, budget=budget)
                     refused = False
                 except EnumerationBudgetExceeded as exc:
-                    refused = str(exc).startswith("up to")
-                assert refused == (len(src) * 2**h > budget)
+                    assert str(exc) == f"walk enumeration exceeded the budget of {budget}"
+                    refused = True
+                assert refused == (visited > budget)
+
+
+def test_refused_walks_take_memory_by_the_budget_not_h():
+    A = bool_matrix(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+    def refuse(h, budget):
+        def call():
+            with pytest.raises(EnumerationBudgetExceeded):
+                walk_sums(A, (0, 1), h, budget=budget)
+        return peak_bytes(call)
+
+    refuse(2000, 1000)  # a first refusal also pays one-time allocations
+    deep, shallow = refuse(10**7, 1000), refuse(2000, 1000)
+    assert deep < 1.1 * shallow
+    assert refuse(10**7, 4000) > 2 * deep
 
 
 def test_walk_sum_upto_equals_sum_of_exacts():
