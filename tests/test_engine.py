@@ -275,26 +275,44 @@ def random_polynomial_system(s, n, seed):
     return GroundedPolynomialSystem(s, atoms, tuple(rows), n)
 
 
+def with_unit_diagonal(system):
+    """The system x = f(x) (+) x, whose naive iteration is x <- x (+) f(x):
+    A (+) I for a linear system, a monomial 1 * x_i added to row i otherwise.
+    Every row then reads its own column."""
+    s, n = system.semiring, system.n
+    if isinstance(system, GroundedLinearSystem):
+        A = Matrix(s, n, list(system.A.entries()) + [(i, i, s.one) for i in range(n)])
+        return GroundedLinearSystem.from_matrix(s, A, system.b, system.atoms)
+    rows = tuple(row + ((s.one, (i,)),) for i, row in enumerate(system.monomials))
+    return GroundedPolynomialSystem(s, system.atoms, rows, n)
+
+
 CHANGE_DRIVEN_IDS = ALL_IDS + ("capped:5", "capped:6")
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
-def test_change_driven_linear_matches_full_recompute(sid):
+def test_change_driven_linear_matches_full_recompute(sid, diagonal):
     s = semiring_from_id(sid)
     for seed in range(12):
         n = seed % 7  # n = 0 included
         sys_ = random_linear_system(s, n, seed)
+        if diagonal:
+            sys_ = with_unit_diagonal(sys_)
         for cap in (60, 2):  # a cap of 2 is hit on most systems
             trace = naive_eval_linear(sys_, cap=cap)
             assert_trace_matches(trace, reference_linear(sys_, cap))
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
-def test_change_driven_general_matches_full_recompute(sid):
+def test_change_driven_general_matches_full_recompute(sid, diagonal):
     s = semiring_from_id(sid)
     for seed in range(12):
         n = seed % 6
         psys = random_polynomial_system(s, n, seed)
+        if diagonal:
+            psys = with_unit_diagonal(psys)
         for cap in (40, 2):
             trace = naive_eval_general(psys, cap=cap)
             assert_trace_matches(trace, reference_general(psys, cap))
@@ -445,8 +463,9 @@ def reference_csv(system, states):
     return out.getvalue().encode()
 
 
+@pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize("sid", CHANGE_DRIVEN_IDS)
-def test_change_log_and_trace_csv_match_full_recompute(sid):
+def test_change_log_and_trace_csv_match_full_recompute(sid, diagonal):
     s = semiring_from_id(sid)
     capped_seen = set()
     for seed in range(12):
@@ -456,6 +475,8 @@ def test_change_log_and_trace_csv_match_full_recompute(sid):
             (random_polynomial_system(s, n, seed), naive_eval_general, reference_general),
         )
         for system, evaluate, reference in runs:
+            if diagonal:
+                system = with_unit_diagonal(system)
             for cap in (60, 2):  # a cap of 2 is hit on most systems
                 trace = evaluate(system, cap=cap)
                 states, _, capped = reference(system, cap)
