@@ -40,7 +40,8 @@ from .semirings import (
 # flags shared by several subcommands; each registers only those it reads
 _FLAGS = {
     "--semiring": dict(help="semiring id, e.g. bool, trop, trop_p:2, capped:4"),
-    "--cap": dict(type=int, help="iteration cap (default derives from bounds)"),
+    "--cap": dict(type=int, help=f"iteration cap (default: run {engine.DEFAULT_EVAL_CAP:,}; analyze the "
+                  f"smallest enforced bound + 2, or {engine.DEFAULT_EVAL_CAP:,} when none applies)"),
     "--seed": dict(type=int, default=0, help="seed for randomized work"),
     "--no-prune": dict(action="store_true", help="keep unproductive ground atoms"),
 }

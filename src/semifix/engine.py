@@ -48,8 +48,6 @@ from .semirings import (
     TropBagSemiring,
     TropSemiring,
     _integral,
-    effective_stability,
-    ordered_chain,
     semiring_from_id,
 )
 
@@ -340,28 +338,11 @@ def _polynomial_rows(psys: GroundedPolynomialSystem):
     return _readers(psys.n, ({c for _, cols in r for c in cols} for r in monomials)), row
 
 
-def _default_cap(semiring: Semiring, n: int, cap: Optional[int]) -> int:
-    """``cap`` checked to be >= 1, or the default cap when it is None."""
-    if cap is not None:
-        if cap < 1:
-            raise InvalidParameter("cap must be >= 1")
-        return cap
-    if n == 0:
-        return 1
-    p, _src = effective_stability(semiring)
-    chain = ordered_chain(semiring)
-    if p is None and chain is None:
-        return DEFAULT_EVAL_CAP
-    candidates = []
-    if p is not None:
-        # cubic step bound counting all n^2 edges (self-loops included),
-        # plus one detection step
-        candidates.append(n * n * n * (p + 2) + n)
-    if chain is not None:
-        # per-coordinate strict growth is limited by the chain even when
-        # multiplication fails to distribute (monotone iteration suffices)
-        candidates.append(n * chain + 2)
-    return max(candidates)
+def _default_cap(cap: Optional[int]) -> int:
+    """``cap`` checked to be >= 1, or ``DEFAULT_EVAL_CAP`` on every carrier when it is None."""
+    if cap is not None and cap < 1:
+        raise InvalidParameter("cap must be >= 1")
+    return DEFAULT_EVAL_CAP if cap is None else cap
 
 
 def _iterate(semiring, n, readers, row, cap, dirty: Collection[int]) -> IterationTrace:
@@ -386,7 +367,7 @@ def _iterate(semiring, n, readers, row, cap, dirty: Collection[int]) -> Iteratio
     a chain, run in an inner loop that calls ``row`` directly and builds no
     step before it is logged.
     """
-    cap = _default_cap(semiring, n, cap)
+    cap = _default_cap(cap)
     start = (semiring.zero,) * n
     x = list(start)
     log = []
@@ -492,7 +473,7 @@ def matrix_stability_index(A: Matrix, cap: Optional[int] = None) -> Optional[int
     A repeated column stays fixed, so k is the largest power-sum index of the
     column runs; S(cap+1) is trace state cap+2, which sets the run cap.
     """
-    cap = _default_cap(A.semiring, A.n, cap)
+    cap = _default_cap(cap)
     k, kernel = 0, _linear_rows(A)
     for j in range(A.n):
         run, _ = _scaled_column_run(A, j, cap + 2, kernel)  # reads no value

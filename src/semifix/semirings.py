@@ -145,7 +145,7 @@ class Semiring:
     one: Any = None
     known_stability: Optional[int] = None
     # declared laws (no run checks them): mul distributes over add, add(a, a)
-    # == a; with both, linear steps run as pushes (``engine._linear_rows``)
+    # == a; with both, linear steps run as pushes (``engine._kernel``)
     distributes: bool = False
     idempotent_add: bool = False
     _carrier: Optional[Tuple[Any, ...]] = None

@@ -24,6 +24,7 @@ from semifix import (
     parse_program,
     save_system,
     semiring_from_id,
+    semirings,
     trace_csv,
     walk_sum_upto,
 )
@@ -31,6 +32,7 @@ from semifix.engine import MAX_ATOMS, column_run
 from semifix.errors import InvalidParameter, MalformedElement
 from semifix.frontend import GroundedLinearSystem, GroundedPolynomialSystem
 from semifix.semirings import (
+    FiniteTropBagSemiring,
     Semiring,
     TropBagSemiring,
     effective_stability,
@@ -496,8 +498,6 @@ def test_change_log_and_trace_csv_match_full_recompute(sid, diagonal):
 @pytest.mark.parametrize("n, L", [(60, 40), (100, 40)])
 def test_naive_eval_memory_grows_with_atoms_plus_steps(n, L):
     sys_ = gen_cycle_lowerbound(n, L)
-    effective_stability(sys_.semiring)  # fill the carrier-profile caches the
-    ordered_chain(sys_.semiring)  # default cap reads, outside the measurement
     tracemalloc.start()
     try:
         trace = naive_eval_linear(sys_)
@@ -716,9 +716,81 @@ def test_default_cap_terminates_capped_one_by_one():
     assert trace.fixpoint == (6,)
 
 
-def test_default_cap_without_a_stability_index_or_a_chain():
-    # GF(2) is stable at no index and not naturally ordered, so no bound applies
-    assert engine._default_cap(GF2Semiring(), 3, None) == engine.DEFAULT_EVAL_CAP
+BUILT_IN_IDS = tuple(dict.fromkeys(ALL_IDS + tuple(f"capped:{L}" for L in range(2, 7))))
+
+
+# GF(2) is stable at no index and not naturally ordered, so no bound applies to it
+@pytest.mark.parametrize(
+    "s", [semiring_from_id(sid) for sid in BUILT_IN_IDS] + [GF2Semiring()], ids=lambda s: s.id
+)
+def test_an_unset_cap_is_the_default_eval_cap(monkeypatch, s):
+    resolved = []
+    real = engine._default_cap
+
+    def recording(cap):
+        used = real(cap)
+        if cap is None:
+            resolved.append(used)
+        return used
+
+    monkeypatch.setattr(engine, "_default_cap", recording)
+    # x0 <- x1, x1 <- 1 converges on every carrier, GF(2) included
+    sys_ = GroundedLinearSystem.from_matrix(
+        s, Matrix(s, 2, [(0, 1, s.one)]), [s.zero, s.one], [("x", ()), ("y", ())]
+    )
+    assert not naive_eval_linear(sys_).capped
+    assert not naive_eval_general(as_monomial_system(sys_)).capped
+    assert matrix_stability_index(sys_.A) is not None
+    assert resolved == [engine.DEFAULT_EVAL_CAP] * 3
+
+
+def _derived_cap(s, n):
+    """The default cap the engine once derived from the carrier's p and chain."""
+    if n == 0:
+        return 1
+    p, _src = effective_stability(s)
+    chain = ordered_chain(s)
+    if p is None and chain is None:
+        return engine.DEFAULT_EVAL_CAP
+    candidates = []
+    if p is not None:
+        candidates.append(n * n * n * (p + 2) + n)
+    if chain is not None:
+        candidates.append(n * chain + 2)
+    return max(candidates)
+
+
+@pytest.mark.parametrize("sid", BUILT_IN_IDS)
+def test_default_cap_runs_equal_the_runs_at_the_derived_cap(sid):
+    s = semiring_from_id(sid)
+    for seed in range(12):
+        sys_ = random_linear_system(s, seed % 7, seed)  # n = 0 included
+        cap = _derived_cap(s, sys_.n)
+        trace = naive_eval_linear(sys_)
+        assert not trace.capped, seed
+        assert trace == naive_eval_linear(sys_, cap=cap), seed
+        index = matrix_stability_index(sys_.A)
+        assert index is not None and index == matrix_stability_index(sys_.A, cap=cap), seed
+
+
+def test_runs_compute_no_p_or_chain(monkeypatch):
+    # a fresh 4,095-element carrier: its profile caches are cold, and
+    # longest_chain alone would take seconds on it
+    s = FiniteTropBagSemiring(1, 88)
+
+    def refuse(*_):
+        raise AssertionError("a run computed the carrier's p or chain")
+
+    monkeypatch.setattr(semirings, "semiring_stability", refuse)
+    monkeypatch.setattr(semirings, "longest_chain", refuse)
+    w = s.weight(1)
+    sys_ = GroundedLinearSystem.from_matrix(
+        s, Matrix(s, 2, [(0, 1, w), (1, 0, w)]), [s.one, s.zero], [("x", ()), ("y", ())]
+    )
+    assert naive_eval_linear(sys_).stability_index is not None
+    assert naive_eval_general(as_monomial_system(sys_)).stability_index is not None
+    assert column_run(sys_.A, 0, 1000).stability_index is not None
+    assert matrix_stability_index(sys_.A) is not None
 
 
 def test_matrix_rejects_bad_dimensions_and_entries():
@@ -884,7 +956,7 @@ def test_tabled_kernel_equals_the_object_path(monkeypatch, sid):
 @pytest.mark.parametrize("sid", ["capped:4", "trop_p_fin:1:3"])
 def test_tabled_runs_call_no_object_op(monkeypatch, sid):
     s = semiring_from_id(sid)
-    engine._tables(s), effective_stability(s), ordered_chain(s)  # warm the caches
+    engine._tables(s)  # warm the cache
     calls = []
     for op in ("add", "mul"):
         real = getattr(s, op)
@@ -1120,7 +1192,6 @@ def test_a_value_of_another_shape_takes_the_object_row_which_rejects_it(a_value,
 @pytest.mark.parametrize("sid", BAG_IDS)
 def test_bag_runs_call_no_object_op(monkeypatch, sid):
     s = semiring_from_id(sid)
-    effective_stability(s), ordered_chain(s)  # warm the caches
     systems = [gen_random_system(6, 0.4, s, seed) for seed in range(6)]
     calls = []
     for op in ("add", "mul"):
@@ -1216,7 +1287,6 @@ def test_scaled_trop_kernel_with_a_48_bit_scale(monkeypatch):
 
 
 def test_trop_runs_call_no_object_op(monkeypatch):
-    effective_stability(TROP), ordered_chain(TROP)  # warm the caches
     systems = [gen_random_system(6, 0.4, TROP, seed) for seed in range(8)]
     calls = []
     for op in ("add", "mul"):
