@@ -173,17 +173,17 @@ def _linear_rows(A: Matrix):
     ``rows_for(b)`` returns the function ``_kernel`` names for x <- Ax (+) b,
     and the scale D of the values it works on. A row folds
     ``add(acc, mul(A[i][j], x[j]))`` over its entries, as ``Matrix.matvec``
-    does, and ends with ``add(acc, b[i])``. A push kernel gets no readers and
+    does, and ends with ``add(acc, b[i])``. The readers of column j are the
+    rows of ``A.columns()[j]``, each once. A push kernel gets no readers and
     a push step (``_pushes``).
     """
     s = A.semiring
     zero = s.zero
-    maps = [A.row(i) for i in range(A.n)]  # dicts: a row reads each column once
+    readers = A.columns()
     kernel = _kernel(s)
     if kernel in ("push", "int_push"):
-        return None, _pushes(s, maps, kernel)
-    rows = [tuple(m.items()) for m in maps]
-    readers = _readers(A.n, maps)
+        return None, _pushes(s, readers, kernel)
+    rows = [tuple(A.row(i).items()) for i in range(A.n)]
     tables = _tables(s) if kernel == "table_row" else None
 
     def rows_for(b: Sequence):
@@ -226,12 +226,13 @@ def _linear_rows(A: Matrix):
 
         if not bags(v for r in rows for _, v in r):
             return readers, rows_for
-        # each coefficient as its finite entries, each with the number of
-        # leading entries of x[j] that mul sums it with
-        pair_rows = [
-            tuple([(j, tuple([(u, k) for u, k in zip(v, limits) if u is not INF])) for j, v in r])
-            for r in rows
-        ]
+        # each distinct coefficient as its finite entries, each with the
+        # number of leading entries of x[j] that mul sums it with
+        finite = {
+            v: tuple([(u, k) for u, k in zip(v, limits) if u is not INF])
+            for v in {v for r in rows for _, v in r}
+        }
+        pair_rows = [tuple([(j, finite[v]) for j, v in r]) for r in rows]
 
         def bag_rows_for(b: Sequence):
             if not bags(b):
@@ -260,8 +261,10 @@ def _linear_rows(A: Matrix):
     return readers, rows_for
 
 
-def _pushes(s: Semiring, maps, kernel: str):
+def _pushes(s: Semiring, cols: List[dict], kernel: str):
     """``push_for(b)``: the push step of x <- Ax (+) b on ``kernel``, and its scale D.
+
+    ``cols`` is ``A.columns()``, which the kernel reads and never changes.
 
     ``push(step, x)`` takes the (column, value) pairs that changed in the last
     step, already in x, and folds each entry A[i][c] of those columns into
@@ -273,11 +276,7 @@ def _pushes(s: Semiring, maps, kernel: str):
     change is already in x(q).
     """
     zero = s.zero
-    cols: List[dict] = [{} for _ in maps]  # column j maps each row i with A[i][j] to it
-    for i, m in enumerate(maps):
-        for j, v in m.items():
-            cols[j][i] = v
-    a_scale = _common_denominator(v for m in maps for v in m.values()) if kernel == "int_push" else None
+    a_scale = _common_denominator(v for c in cols for v in c.values()) if kernel == "int_push" else None
 
     def scaled(columns, D):  # min and + commute with scaling by D > 0
         if D == 1:

@@ -577,11 +577,6 @@ def ground(
     """
     s = db.semiring
     linear = classify_linearity(program).linear
-    if not db.facts:
-        if linear:
-            return GroundedLinearSystem(s, (), Matrix(s, 0), (), 0)
-        return GroundedPolynomialSystem(s, (), (), 0)
-
     idb = set(program.idb_predicates())
     for (pred, args) in db.facts:
         if pred in idb:
@@ -600,7 +595,7 @@ def ground(
     body_atoms = [(a.pred, a) for r in program.rules for p in r.body for a in p.atoms]
     for pred, atom in sorted(dict(reversed(body_atoms)).items()):
         at = atom.pos or (None, None)
-        if pred not in idb and pred not in by_pred:
+        if pred not in idb and pred not in by_pred and db.facts:
             raise GroundingError(f"unknown predicate {pred} in rule body (no facts, no rules)", *at)
         if pred in by_pred and len(by_pred[pred][0][0]) != len(atom.args):
             raise GroundingError(f"predicate {pred} used with inconsistent arity", *at)
@@ -631,9 +626,10 @@ def ground(
                 free_w[t.name] += w
         return c, tuple(bound_w.items()), tuple(free_w.values())
 
-    # one entry per (head index, sorted derived-atom indices...): no derived
-    # atom is a constant term (b), one a linear term (A), more a monomial
-    entries: Dict[Tuple[int, ...], Any] = {}
+    # the terms grouped by their derived atoms, each group {head: coefficient}:
+    # key () holds the constant terms (b), an atom c the linear terms that
+    # read it (column c of A), and a sorted tuple of atoms a longer monomial's
+    groups: Dict[Any, Dict[int, Any]] = {}
     zero, one, add = s.zero, s.one, s.add
     adom_codes = [code[c] for c in adom]  # the values free variables take
 
@@ -643,12 +639,12 @@ def ground(
             # variables no EDB atom binds range over the active domain
             slot: Dict[str, int] = {}
             steps = [
-                _join_step(a, by_pred[a.pred], slot, code) for a in prod.atoms if a.pred not in idb
+                _join_step(a, by_pred.get(a.pred, ()), slot, code)
+                for a in prod.atoms if a.pred not in idb
             ]
             names = dict.fromkeys(rule.head.variables() + prod.variables())
             free = [v for v in names if v not in slot]
             forms = [form(a, slot, free) for a in (rule.head, *prod.atoms) if a.pred in idb]
-            monomial = len(forms) > 2
             # per form, what each assignment of the free variables adds to its number
             assignments = list(itertools.product(adom_codes, repeat=len(free)))
             shifts = [[sum(map(operator.mul, fw, rest)) for rest in assignments] for *_, fw in forms]
@@ -660,15 +656,23 @@ def ground(
                     for k, w in terms:
                         c += w * bound[k]
                     columns.append(map(c.__add__, shift))
-                for key in zip(*columns):
-                    if monomial:
-                        key = (key[0], *sorted(key[1:]))
-                    # a first term is stored as it is: add(O, v) == v on every carrier
-                    entries[key] = add(entries[key], coeff) if key in entries else coeff
+                if len(columns) != 2:  # a constant term or a longer monomial
+                    head, *atoms = columns
+                    columns = head, map(tuple, map(sorted, zip(*atoms))) if atoms else itertools.repeat(())
+                for h, key in zip(*columns):
+                    group = groups.get(key)
+                    # a first term is stored as it is, and a sum equal to O is
+                    # dropped: add(O, v) == v on every carrier
+                    if group is None:
+                        groups[key] = {h: coeff}
+                    elif h not in group:
+                        group[h] = coeff
+                    elif (v := add(group[h], coeff)) == zero:
+                        del group[h]
+                    else:
+                        group[h] = v
 
-    for key in [k for k, v in entries.items() if v == zero]:
-        del entries[key]
-    keep = _productive(entries) if prune else range(n_raw)
+    keep = _productive(groups) if prune else range(n_raw)
     remap = {old: new for new, old in enumerate(keep)}
 
     # keep is ascending, so each predicate's kept atoms are one run of it,
@@ -679,22 +683,28 @@ def ground(
         columns = [[gdom[(k - c) // w % radix] for k in run] for w in place]
         decoded += zip(itertools.repeat(pred), zip(*columns) if place else [()] * len(run))
     atoms = tuple(decoded)
-    # a term whose derived atoms are all kept has a kept head; each key is
-    # distinct and its value nonzero, so the rows need no further check
+    # a term whose derived atoms are all kept has a kept head, each (head,
+    # group) is distinct and no value is zero, so the rows need no further check
+    b = [zero] * len(keep)
+    for h, v in groups.get((), {}).items():
+        b[remap[h]] = v
     if linear:
+        # in one pass, each column's rows ascending and each row's columns too
         a_rows: List[Dict[int, Any]] = [{} for _ in keep]
-        b = [zero] * len(keep)
-        for key, v in entries.items():
-            if len(key) == 1:
-                b[remap[key[0]]] = v
-            elif (j := remap.get(key[1])) is not None:
-                a_rows[remap[key[0]]][j] = v
-        return GroundedLinearSystem(s, atoms, Matrix._from_rows(s, a_rows), tuple(b), n_raw)
-    rows: List[List[Monomial]] = [[] for _ in keep]
-    for (i, *cols), v in entries.items():
-        kept_cols = tuple(map(remap.get, cols))
-        if None not in kept_cols:
-            rows[remap[i]].append((v, kept_cols))
+        a_cols: List[Dict[int, Any]] = [{} for _ in keep]
+        for j, c in enumerate(keep):
+            if group := groups.get(c):
+                col = a_cols[j]
+                for h in sorted(group):
+                    i = remap[h]
+                    col[i] = a_rows[i][j] = group[h]
+        return GroundedLinearSystem(s, atoms, Matrix._from_rows(s, a_rows, a_cols), tuple(b), n_raw)
+    rows: List[List[Monomial]] = [[] if v is zero else [(v, ())] for v in b]
+    for key, group in groups.items():
+        cols = tuple(map(remap.get, key if type(key) is tuple else (key,)))
+        if cols and None not in cols:  # not b's group, and every atom kept
+            for h, v in group.items():
+                rows[remap[h]].append((v, cols))
     monomials = tuple(tuple(sorted(row, key=lambda m: m[1])) for row in rows)
     return GroundedPolynomialSystem(s, atoms, monomials, n_raw)
 
@@ -768,42 +778,32 @@ def _join(steps, one, mul) -> Iterator[Tuple[tuple, Any]]:
             k -= 1
 
 
-def _productive(keys: Iterable[Tuple[int, ...]]) -> List[int]:
-    """Atoms that can reach a nonzero value, ascending, from distinct term keys.
+def _productive(groups: Mapping[Any, Mapping[int, Any]]) -> List[int]:
+    """Atoms that can reach a nonzero value, ascending, from ``ground``'s term groups.
 
-    A term ``(head, derived atoms...)`` with one distinct derived atom makes
-    its head productive once that atom is; a term with more counts down the
-    atoms it still waits on.
+    A head is productive once one of its terms has all its derived atoms
+    productive. A constant term's head is at once, a linear term's once
+    its column is (the group of that atom is read as it is), and a longer
+    monomial's group counts down the distinct atoms it still waits on.
     """
-    feeds: Dict[int, List[int]] = defaultdict(list)  # atom -> heads of its one-atom terms
-    waiting: Dict[int, List[int]] = defaultdict(list)  # atom -> the longer terms waiting on it
-    heads: List[int] = []
+    waiting: Dict[int, List[int]] = defaultdict(list)  # atom -> the monomial groups waiting on it
     missing: List[int] = []
-    work: List[int] = []
-    for key in keys:
-        if len(key) == 2:  # a linear term, the common case
-            feeds[key[1]].append(key[0])
-            continue
-        need = set(key[1:])
-        if not need:
-            work.append(key[0])
-        elif len(need) == 1:
-            feeds[key[1]].append(key[0])
-        else:
-            for c in need:
-                waiting[c].append(len(heads))
-            heads.append(key[0])
-            missing.append(len(need))
-    productive = set(work)
+    monomials = [key for key in groups if type(key) is tuple and key]
+    for t, key in enumerate(monomials):
+        need = set(key)
+        for c in need:
+            waiting[c].append(t)
+        missing.append(len(need))
+    productive: set = set()
+    work = [groups.get((), {})]  # groups whose heads are productive
     while work:
-        i = work.pop()
-        ready = feeds.pop(i, [])
-        for t in waiting.get(i, ()):
-            missing[t] -= 1
-            if not missing[t]:
-                ready.append(heads[t])
-        for h in ready:
+        for h in work.pop():
             if h not in productive:
                 productive.add(h)
-                work.append(h)
+                if h in groups:
+                    work.append(groups[h])
+                for t in waiting.get(h, ()):
+                    missing[t] -= 1
+                    if not missing[t]:
+                        work.append(groups[monomials[t]])
     return sorted(productive)

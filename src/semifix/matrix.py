@@ -14,10 +14,12 @@ class Matrix:
     Only nonzero entries are stored; an absent entry means the semiring zero.
     The constructor, which builds every matrix but the grounder's, checks
     each index, adds duplicate coordinates left to right and drops a sum
-    equal to zero.
+    equal to zero. ``columns()`` is the same entries by column: the grounder
+    hands it over with the rows, and any other matrix transposes its rows on
+    first use and keeps the result.
     """
 
-    __slots__ = ("semiring", "n", "_rows")
+    __slots__ = ("semiring", "n", "_rows", "_cols")
 
     def __init__(self, semiring: Semiring, n: int, entries: Iterable[Tuple[int, int, Any]] = ()):
         if n < 0:
@@ -36,14 +38,17 @@ class Matrix:
                 row.pop(j, None)
             else:
                 row[j] = v
-        self._rows = rows
+        self._rows, self._cols = rows, None
 
     @classmethod
-    def _from_rows(cls, semiring: Semiring, rows: List[Dict[int, Any]]) -> "Matrix":
-        """A matrix over ``rows`` as given, unchecked: the caller built each
-        row's columns in range, each once, with no value equal to zero."""
+    def _from_rows(
+        cls, semiring: Semiring, rows: List[Dict[int, Any]], cols: List[Dict[int, Any]]
+    ) -> "Matrix":
+        """A matrix over ``rows`` and their transpose ``cols`` as given,
+        unchecked: the caller built each row's columns in range, each once,
+        with no value equal to zero, and each column's rows in ascending order."""
         m = cls.__new__(cls)
-        m.semiring, m.n, m._rows = semiring, len(rows), rows
+        m.semiring, m.n, m._rows, m._cols = semiring, len(rows), rows, cols
         return m
 
     @classmethod
@@ -55,6 +60,12 @@ class Matrix:
 
     def row(self, i: int) -> Dict[int, Any]:
         return self._rows[i]
+
+    def columns(self) -> List[Dict[int, Any]]:
+        """Column j as ``{i: A[i][j]}`` over its nonzero entries, rows ascending."""
+        if self._cols is None:
+            self._cols = _transpose(self._rows)
+        return self._cols
 
     def entries(self) -> Iterator[Tuple[int, int, Any]]:
         """Nonzero entries in row-major sorted order."""
@@ -106,3 +117,11 @@ class Matrix:
         nnz = sum(len(r) for r in self._rows)
         return f"<{self.n}x{self.n} matrix over {self.semiring.id}, {nnz} nonzero>"
 
+
+
+def _transpose(rows: List[Dict[int, Any]]) -> List[Dict[int, Any]]:
+    cols: List[Dict[int, Any]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols

@@ -1,8 +1,8 @@
 """Reference helpers that only the tests use: the program parser on tokens
 alone, the matrix-file reader that splits every line, rendering a program back
-to source, all exact walk sums as matrices, the monomial form of a linear
-system, derivation-tree sums of a monomial system, a monomial system's
-degree, repeated sums and the natural order."""
+to source, all exact walk sums as matrices, a matrix's columns read from its
+rows, the monomial form of a linear system, derivation-tree sums of a monomial
+system, a monomial system's degree, repeated sums and the natural order."""
 
 import itertools
 import math
@@ -300,6 +300,17 @@ def walk_sum_matrices(A: Matrix, max_h: int, budget: int = DEFAULT_WALK_BUDGET) 
     tables = walk_sums(A, range(A.n), max_h, budget)
     tables += [{}] * (max_h + 1 - len(tables))  # hop counts no walk reaches
     return [Matrix(A.semiring, A.n, ((i, j, v) for (i, j), v in t.items())) for t in tables]
+
+
+def assert_columns_are_the_rows_transposed(A: Matrix) -> None:
+    """``A.columns()`` holds each entry of the rows once, each column's rows
+    ascending, and is kept after its first use."""
+    want: List[dict] = [{} for _ in range(A.n)]
+    for i, j, v in A.entries():  # row-major, so each column's rows ascend
+        want[j][i] = v
+    cols = A.columns()
+    assert [list(c.items()) for c in cols] == [list(c.items()) for c in want]
+    assert A.columns() is cols
 
 
 def as_monomial_system(sys: GroundedLinearSystem) -> GroundedPolynomialSystem:

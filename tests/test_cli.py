@@ -17,6 +17,7 @@ from semifix import (
     cli,
     engine,
     ground,
+    matrix,
     parse_program,
     save_system,
     semiring_from_id,
@@ -236,6 +237,14 @@ def test_ground_empty_facts(tmp_path):
     assert "n 0" in res.stdout
 
 
+def test_ground_without_facts_keeps_the_rule_constants(tmp_path):
+    path = tmp_path / "p.dl"
+    path.write_text("T(a) :- T(a).\n")
+    res = run_cli("ground", str(path), "--semiring", "bool", "--no-prune")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout == "semiring bool\nn 1\n# atom 0 T(a)\nA 0 0 true\n"
+
+
 def test_analyze_matrix_file(tmp_path):
     mat = tmp_path / "cyc.mat"
     run_cli("gen", "cycle", "--n", "3", "--L", "4", "--out", str(mat))
@@ -399,6 +408,23 @@ def test_oracle_enumerates_walks_once(tmp_path, capsys, monkeypatch, max_h):
     assert len(capsys.readouterr().out.splitlines()) == max_h + 2
 
 
+def test_kernel_builds_transpose_a_matrix_at_most_once(tmp_path, capsys, monkeypatch, tc_file):
+    transposed, built = [], []
+    transpose, linear_rows = matrix._transpose, engine._linear_rows
+    monkeypatch.setattr(matrix, "_transpose", lambda rows: transposed.append(1) or transpose(rows))
+    monkeypatch.setattr(engine, "_linear_rows", lambda A: built.append(1) or linear_rows(A))
+    # a grounded system brings its columns along
+    assert main(["run", str(tc_file)]) == 0
+    assert (len(transposed), len(built)) == (0, 1)
+    # a matrix file's columns are transposed once, for the vector run and the matrix index
+    mat = tmp_path / "r.mat"
+    mat.write_text(save_system(gen_random_system(5, 0.5, semiring_from_id("trop"), seed=4)))
+    built.clear()
+    assert main(["analyze", str(mat)]) == 0
+    assert (len(transposed), len(built)) == (1, 2)
+    capsys.readouterr()
+
+
 def test_semiring_report():
     res = run_cli("semiring", "capped:4")
     assert "stability: 3-stable (witness 1)" in res.stdout
@@ -458,6 +484,37 @@ def test_semiring_too_large_exits_1_at_once(sid, message):
 WIDE_PROGRAM = "@semiring trop\nT(X,Y,Z) :- E(X,Y)*E(Y,Z).\n" + "".join(
     f"E(v{k},v{(k + 1) % 400}) = {k % 7 + 1}.\n" for k in range(400)
 )
+
+
+@pytest.mark.parametrize(
+    "command, files",
+    [
+        # the 2-vertex cycle at the largest cap: 2,732 steps
+        (
+            ["run", "c.dl"],
+            {"c.dl": "@semiring capped:4094\nT(Y) :- S(Y) + T(X)*E(X,Y).\n"
+                     "S(a) = 0.\nE(a,b) = 3.\nE(b,a) = 0.\n"},
+        ),
+        # its matrix, whose analyze reports bounds that do not apply (exit 3)
+        (["analyze", "c.mat"], {"c.mat": "semiring capped:4094\nn 2\nA 0 1 1\nA 1 0 0\nb 0 0\n"}),
+        # a cap far above the steps a converging run takes
+        (["run", "tc.dl", "--cap", "1000000000"], {"tc.dl": TC_BOOL}),
+    ],
+)
+def test_extreme_legal_values_run_within_the_memory_limit(tmp_path, command, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    res = subprocess.run(
+        [sys.executable, "-m", "semifix", *command],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=_limit_memory,
+        timeout=60,
+    )
+    assert res.returncode in (0, 1, 2, 3)
+    assert "MemoryError" not in res.stderr and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("command", ["run", "ground"])

@@ -41,7 +41,9 @@ from semifix.semirings import (
 )
 from semifix.generators import (
     LINEAR_PATH_PROGRAM,
+    gen_blocked_graph,
     gen_cycle_lowerbound,
+    gen_random_digraph,
     gen_random_system,
     random_edge_instance,
 )
@@ -49,7 +51,7 @@ from semifix.generators import (
 from conftest import (
     ALL_IDS, FINITE_IDS, BrokenMulSemiring, GF2Semiring, linear_step, seeded_elements,
 )
-from reference import as_monomial_system
+from reference import as_monomial_system, assert_columns_are_the_rows_transposed
 
 
 def reachability(edges, n):
@@ -804,6 +806,38 @@ def test_matrix_rejects_bad_dimensions_and_entries():
             op(Matrix(s, 2), Matrix(s, 3))
     assert Matrix.__eq__(Matrix(s, 0), ()) is NotImplemented
     assert Matrix(s, 0) != ()
+
+
+@pytest.mark.parametrize(
+    "s", [semiring_from_id(sid) for sid in ALL_IDS + ("capped:5",)] + [GF2Semiring()],
+    ids=lambda s: s.id,
+)
+def test_constructor_columns_are_the_rows_transposed(s):
+    rng = random.Random(f"columns/{s.id}")
+    pool = list(s.elements() or seeded_elements(s, 30, seed=3)) + [s.zero]
+    for n in (0, 1, 2, 6):
+        # repeated coordinates, zero values, and on gf2 repeats that sum to zero
+        entries = [(rng.randrange(n), rng.randrange(n), rng.choice(pool)) for _ in range(4 * n)]
+        assert_columns_are_the_rows_transposed(Matrix(s, n, entries + entries[::2]))
+    cancelled = Matrix(s, 2, [(0, 1, s.one), (1, 0, s.one), (0, 1, s.one)])
+    assert_columns_are_the_rows_transposed(cancelled)
+    if s.one != s.zero == s.add(s.one, s.one):  # gf2
+        assert cancelled.columns() == [{1: s.one}, {}]
+
+
+@pytest.mark.parametrize("sid", ALL_IDS + ("capped:5",))
+def test_loaded_and_generated_columns_are_the_rows_transposed(sid):
+    s = semiring_from_id(sid)
+    systems = [gen_random_system(7, 0.4, s, seed) for seed in range(3)]
+    systems += [
+        gen_random_digraph(6, 0.4, (1, 9), s, seed, prune=prune)
+        for seed in range(2) for prune in (False, True)
+    ]
+    systems.append(gen_blocked_graph(6, s))
+    if sid.startswith("capped:"):
+        systems.append(gen_cycle_lowerbound(4, int(sid.split(":")[1])))
+    for sys_ in systems + [load_system(save_system(sys_)) for sys_ in systems]:
+        assert_columns_are_the_rows_transposed(sys_.A)
 
 
 @pytest.mark.parametrize("sid", ALL_IDS)

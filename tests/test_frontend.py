@@ -27,8 +27,10 @@ from semifix.frontend import (
 from semifix.generators import random_edge_instance
 from semifix.semirings import TropSemiring
 
-from conftest import ALL_IDS, GF2Semiring
-from reference import as_monomial_system, max_degree, print_program
+from conftest import ALL_IDS, GF2Semiring, seeded_elements
+from reference import (
+    as_monomial_system, assert_columns_are_the_rows_transposed, max_degree, print_program,
+)
 
 TC = "T(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n"
 
@@ -393,6 +395,58 @@ def test_ground_deletes_a_term_that_sums_to_zero():
     full = ground(program, db, prune=False)
     assert (full.atoms, full.b, list(full.A.entries())) == ((("T", ("a",)),), (0,), [])
     assert ground(program, db).n == 0  # the atom can never leave zero
+
+
+def test_ground_deletes_a_linear_term_that_sums_to_zero():
+    s = GF2Semiring()
+    # T(a) reads T(b) through E(a,b) and through F(a,b): 1 (+) 1 = 0
+    db = build_edb(s, [("E", ("a", "b"), "1"), ("F", ("a", "b"), "1"), ("G", ("b",), "1")])
+    program = parse_program("T(X) :- T(Y)*E(X,Y) + T(Y)*F(X,Y) + G(X).")
+    full = ground(program, db, prune=False)
+    assert (full.atoms, full.b, list(full.A.entries())) == (
+        (("T", ("a",)), ("T", ("b",))), (0, 1), []
+    )
+    assert full.A.columns() == [{}, {}]
+    pruned = ground(program, db)  # nothing else feeds T(a)
+    assert (pruned.atoms, pruned.b, list(pruned.A.entries())) == ((("T", ("b",)),), (1,), [])
+
+
+def test_ground_empty_edb_keeps_the_rule_constants():
+    s = semiring_from_id("bool")
+    # E has no facts, so it joins nothing; with no fact at all that is no error
+    program = parse_program("T(a) :- E(a) + T(a).")
+    full = ground(program, build_edb(s, []), prune=False)
+    assert (full.atoms, full.n_raw, list(full.A.entries()), full.b) == (
+        (("T", ("a",)),), 1, [(0, 0, True)], (False,)
+    )
+    assert ground(program, build_edb(s, [])).n == 0
+    with pytest.raises(GroundingError, match="unknown predicate E in rule body"):
+        ground(program, build_edb(s, [("F", ("b",), None)]))
+
+
+@pytest.mark.parametrize(
+    "s", [semiring_from_id(sid) for sid in ALL_IDS + ("capped:5",)] + [GF2Semiring()],
+    ids=lambda s: s.id,
+)
+def test_grounded_columns_are_the_rows_transposed_and_run_like_rebuilt_ones(s):
+    rng = random.Random(f"columns/{s.id}")
+    texts = [_random_program(rng, linear=True) for _ in range(10)] + [TC, NUMBERING_PROGRAMS[1]]
+    inputs = [(parse_program(text), _random_facts(rng, s)) for text in texts]
+    # path systems, whose columns gather rows in the order the edges come
+    pool = [e for e in s.elements() or seeded_elements(s, 20) if e != s.zero] or [s.one]
+    for _ in range(4):
+        edges = [(f"v{u}", f"v{v}") for u in range(10) for v in range(10) if rng.random() < 0.25]
+        rng.shuffle(edges)
+        facts = [("E", e, s.show(rng.choice(pool))) for e in edges]
+        inputs.append((parse_program(TC), build_edb(s, facts)))
+    for program, db in inputs:
+        for prune in (False, True):
+            got = ground(program, db, prune=prune)
+            assert_columns_are_the_rows_transposed(got.A)
+            A = Matrix(s, got.n, got.A.entries())
+            rebuilt = GroundedLinearSystem.from_matrix(s, A, got.b, got.atoms)
+            for cap in (2, 60):  # the logs, the order of each step included
+                assert naive_eval_linear(got, cap).changes == naive_eval_linear(rebuilt, cap).changes
 
 
 def test_no_prune_keeps_full_universe():
