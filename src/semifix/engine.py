@@ -179,10 +179,11 @@ def _linear_rows(A: Matrix):
     """
     s = A.semiring
     zero = s.zero
-    readers = A.columns()
     kernel = _kernel(s)
     if kernel in ("push", "int_push"):
-        return None, _pushes(s, readers, kernel)
+        return None, _pushes(s, A.columns(), kernel)
+    # tuples, which a chain step unpacks faster than dicts
+    readers = list(map(tuple, A.columns()))
     rows = [tuple(A.row(i).items()) for i in range(A.n)]
     tables = _tables(s) if kernel == "table_row" else None
 
@@ -355,7 +356,7 @@ def _iterate(semiring, n, readers, row, cap, dirty: Collection[int]) -> Iteratio
     zero at x = 0 (a linear row only if its b entry is not zero, since every
     row kernel skips zero inputs and returns ``zero`` itself). After that row
     i is recomputed only when a column it reads changed in the previous step
-    (``readers[c]`` lists each row that reads column c once). A row whose
+    (``readers[c]`` holds each row that reads column c once). A row whose
     columns all equal their previous values would recompute the value it
     already holds, because ``==`` is a congruence for add and mul; neither
     idempotence nor distributivity is needed, so every state and index equals
