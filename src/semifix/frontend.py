@@ -658,7 +658,8 @@ def ground(
                     columns.append(map(c.__add__, shift))
                 if len(columns) != 2:  # a constant term or a longer monomial
                     head, *atoms = columns
-                    columns = head, map(tuple, map(sorted, zip(*atoms))) if atoms else itertools.repeat(())
+                    keys = map(tuple, map(sorted, zip(*atoms))) if atoms else itertools.repeat(())
+                    columns = head, keys
                 for h, key in zip(*columns):
                     group = groups.get(key)
                     # a first term is stored as it is, and a sum equal to O is

@@ -118,8 +118,8 @@ class Matrix:
         return f"<{self.n}x{self.n} matrix over {self.semiring.id}, {nnz} nonzero>"
 
 
-
 def _transpose(rows: List[Dict[int, Any]]) -> List[Dict[int, Any]]:
+    """Column j of ``rows`` as ``{i: rows[i][j]}``, rows ascending."""
     cols: List[Dict[int, Any]] = [{} for _ in rows]
     for i, row in enumerate(rows):
         for j, v in row.items():
