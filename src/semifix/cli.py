@@ -219,11 +219,26 @@ def cmd_oracle(args) -> int:
 
     if args.format == "csv":
         _emit(args, lambda out: csv.writer(out, lineterminator="\n").writerows(rows()))
-    else:
-        table = list(rows())
-        widths = [max(len(str(r[k])) for r in table) for k in range(6)]
-        lines = ["  ".join(str(c).ljust(w) for c, w in zip(r, widths)) for r in table]
-        _emit(args, "\n".join(lines) + "\n")
+    else:  # padded columns, kept as runs [first h, last h, cells] of rows whose cells repeat
+        table = rows()
+        header, runs = next(table), []
+        for h, *cells in table:
+            if runs and runs[-1][2] == cells:
+                runs[-1][1] = h
+            else:
+                runs.append([h, h, cells])
+        widths = [len(str(max_h))] + [max(map(len, c)) for c in zip(header[1:], *(r[2] for r in runs))]
+
+        def after_h(cells):  # a line's padded cells after its h column
+            return "".join("  " + c.ljust(w) for c, w in zip(cells, widths[1:])) + "\n"
+
+        def write(out):
+            out.write("h".ljust(widths[0]) + after_h(header[1:]))
+            for first, last, cells in runs:
+                tail = after_h(cells)
+                out.writelines(str(h).ljust(widths[0]) + tail for h in range(first, last + 1))
+
+        _emit(args, write)
     return 0 if all_equal else 3
 
 

@@ -74,12 +74,18 @@ class Matrix:
                 yield i, j, row[j]
 
     def matvec(self, x: Sequence) -> tuple:
+        """A x, each row folded in its stored order. An input that is the
+        zero object itself is skipped, as zero annihilates under mul and is the
+        identity of add; a zero equal to it but not the same object is folded."""
         s = self.semiring
+        add, mul, zero = s.add, s.mul, s.zero
         out = []
         for row in self._rows:
-            acc = s.zero
+            acc = zero
             for j, v in row.items():
-                acc = s.add(acc, s.mul(v, x[j]))
+                xj = x[j]
+                if xj is not zero:
+                    acc = add(acc, mul(v, xj))
             out.append(acc)
         return tuple(out)
 

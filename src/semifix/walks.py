@@ -35,8 +35,12 @@ def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
     the products in a fixed order; zero-labeled edges are not stored, so no
     walk takes one. Every visited walk counts against one budget shared by all
     sources. The explicit stack leaves h unbounded by the recursion limit.
+    A vertex's out-edges are read and sorted the first time a walk leaves it,
+    once per enumeration, so that memory follows the vertices visited.
     """
     s = A.semiring
+    mul = s.mul
+    out_edges: Dict[int, List[Tuple[int, Any]]] = {}  # descending, so pops ascend
     visited = 0
     for i in sources:
         stack = [(0, i, s.one)]
@@ -47,8 +51,11 @@ def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
                 raise EnumerationBudgetExceeded(f"walk enumeration exceeded the budget of {budget}")
             yield i, hops, v, prod
             if hops < h:
-                row = A.row(v)
-                stack.extend((hops + 1, w, s.mul(prod, row[w])) for w in sorted(row, reverse=True))
+                edges = out_edges.get(v)
+                if edges is None:
+                    edges = out_edges[v] = sorted(A.row(v).items(), reverse=True)
+                hops += 1
+                stack += [(hops, w, mul(prod, a)) for w, a in edges]
 
 
 def walk_sums(
@@ -63,13 +70,13 @@ def walk_sums(
     """
     if h < 0:
         raise InvalidParameter("hop count must be >= 0")
-    s = A.semiring
+    add, zero = A.semiring.add, A.semiring.zero
     tables: List[Dict[Tuple[int, int], Any]] = []
     for i, hops, v, prod in _walks(A, sources, h, budget):
         if hops == len(tables):  # preorder reaches hop g + 1 only after hop g
             tables.append({})
         table = tables[hops]
-        table[i, v] = s.add(table.get((i, v), s.zero), prod)
+        table[i, v] = add(table.get((i, v), zero), prod)
     return tables
 
 

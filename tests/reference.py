@@ -1,8 +1,10 @@
 """Reference helpers that only the tests use: the program parser on tokens
 alone, the matrix-file reader that splits every line, rendering a program back
 to source, all exact walk sums as matrices, a matrix's columns read from its
-rows, the monomial form of a linear system, derivation-tree sums of a monomial
-system, a monomial system's degree, repeated sums and the natural order."""
+rows, a matrix-vector fold that skips nothing, the walk enumerator that sorts
+on every visit, the oracle's human format over every row, the monomial form of
+a linear system, derivation-tree sums of a monomial system, a monomial
+system's degree, repeated sums and the natural order."""
 
 import itertools
 import math
@@ -311,6 +313,46 @@ def assert_columns_are_the_rows_transposed(A: Matrix) -> None:
     cols = A.columns()
     assert [list(c.items()) for c in cols] == [list(c.items()) for c in want]
     assert A.columns() is cols
+
+
+def reference_matvec(A: Matrix, x) -> tuple:
+    """A x, each row folded over every stored entry in its stored order, with
+    no input skipped: the reference for ``Matrix.matvec`` and naive iteration."""
+    s = A.semiring
+    out = []
+    for i in range(A.n):
+        acc = s.zero
+        for j, v in A.row(i).items():
+            acc = s.add(acc, s.mul(v, x[j]))
+        out.append(acc)
+    return tuple(out)
+
+
+def reference_walks(A: Matrix, sources, h: int, budget):
+    """``walks._walks`` as it was before it sorted each vertex's out-edges
+    once per enumeration: the row is read and sorted every time a walk leaves
+    its vertex. ``_walks`` must yield the same walks and refuse the same one."""
+    s = A.semiring
+    visited = 0
+    for i in sources:
+        stack = [(0, i, s.one)]
+        while stack:
+            hops, v, prod = stack.pop()
+            visited += 1
+            if visited > budget:
+                raise EnumerationBudgetExceeded(f"walk enumeration exceeded the budget of {budget}")
+            yield i, hops, v, prod
+            if hops < h:
+                row = A.row(v)
+                stack.extend((hops + 1, w, s.mul(prod, row[w])) for w in sorted(row, reverse=True))
+
+
+def pad_rows(table: List[List[str]]) -> str:
+    """The oracle's human format as it was before it kept runs of repeated
+    rows: every row held, each column padded to its longest cell."""
+    widths = [max(len(str(r[k])) for r in table) for k in range(6)]
+    lines = ["  ".join(str(c).ljust(w) for c, w in zip(r, widths)) for r in table]
+    return "\n".join(lines) + "\n"
 
 
 def as_monomial_system(sys: GroundedLinearSystem) -> GroundedPolynomialSystem:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import itertools
 import json
 import os
 import random
@@ -28,6 +29,7 @@ from semifix.frontend import program_fact_entries
 from semifix.generators import gen_random_system
 
 from conftest import ALL_IDS, GF2Semiring, brute_walk_sums, linear_step
+from reference import pad_rows
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -406,6 +408,26 @@ def test_oracle_enumerates_walks_once(tmp_path, capsys, monkeypatch, max_h):
     assert main(["oracle", str(mat), "--i", "0", "--j", "3", "--h", str(max_h)]) == 0
     assert calls == [max_h]
     assert len(capsys.readouterr().out.splitlines()) == max_h + 2
+
+
+@pytest.mark.parametrize("sid", ORACLE_WALK_IDS)
+def test_oracle_human_format_pads_the_csv_rows(tmp_path, capsys, sid):
+    s, codes = semiring_from_id(sid), set()
+    for n, seed in ((1, 0), (2, 6), (3, 0)):
+        mat = tmp_path / f"{n}.mat"
+        mat.write_text(save_system(gen_random_system(n, 0.5, s, seed=seed)))
+        for i, j, h in itertools.product(range(n), range(n), (0, 4, 12)):
+            argv = ["oracle", str(mat), "--i", str(i), "--j", str(j), "--h", str(h)]
+            code = main([*argv, "--format", "csv"])
+            table = list(csv.reader(capsys.readouterr().out.splitlines()))
+            assert main(argv) == code
+            assert capsys.readouterr().out == pad_rows(table)
+            codes.add(code)
+    # capped addition does not distribute, so some rows read UNEQUAL
+    assert codes == ({0, 3} if sid.startswith("capped") else {0})
+    assert main([*argv, "--out", str(tmp_path / "human.txt")]) == code
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "human.txt").read_text() == pad_rows(table)
 
 
 def test_kernel_builds_transpose_a_matrix_at_most_once(tmp_path, capsys, monkeypatch, tc_file):
@@ -1260,3 +1282,28 @@ def test_oracle_csv_memory_follows_the_walks_not_h(tmp_path):
         return int(res.stderr)
 
     assert peak_kib(10**6) < 1.5 * peak_kib(1000)
+
+
+def test_oracle_human_memory_follows_the_walks_not_h(tmp_path):
+    # one vertex, no edge: one run of equal rows, whatever h
+    mat = tmp_path / "one.mat"
+    mat.write_text("semiring trop\nn 1\n")
+    code = (
+        "import resource, sys; from semifix.cli import main; rc = main(sys.argv[1:]); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); sys.exit(rc)"
+    )
+
+    def peak_kib(h):
+        res = subprocess.run(
+            [sys.executable, "-c", code, "oracle", str(mat), "--i", "0", "--j", "0", "--h", str(h)],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            preexec_fn=_limit_memory,
+            timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        return int(res.stderr)
+
+    assert peak_kib(10**6) < 1.1 * peak_kib(1000)

@@ -51,7 +51,7 @@ from semifix.generators import (
 from conftest import (
     ALL_IDS, FINITE_IDS, BrokenMulSemiring, GF2Semiring, linear_step, seeded_elements,
 )
-from reference import as_monomial_system, assert_columns_are_the_rows_transposed
+from reference import as_monomial_system, assert_columns_are_the_rows_transposed, reference_matvec
 
 
 def reachability(edges, n):
@@ -865,6 +865,34 @@ def test_matrix_add_matches_constructor_merge(sid):
         merged = a.add(b)
         assert merged == reference
         assert list(merged.entries()) == list(reference.entries())
+
+
+@pytest.mark.parametrize(
+    "s",
+    [semiring_from_id(sid) for sid in CHANGE_DRIVEN_IDS] + [GF2Semiring(), BrokenMulSemiring()],
+    ids=lambda s: s.id,
+)
+def test_matvec_equals_the_fold_that_skips_nothing(s):
+    rng = random.Random(f"matvec/{s.id}")
+    pool = [v for v in s.elements() or seeded_elements(s, 30, seed=4) if v != s.zero] or [s.one]
+    zeros = [s.zero]
+    if isinstance(s.zero, tuple):  # a bag: a zero equal to s.zero, not the same object
+        zeros.append(tuple(list(s.zero)))
+        assert zeros[1] == s.zero and zeros[1] is not s.zero
+    calls, mul = [], s.mul
+    s.mul = lambda a, b: calls.append(1) or mul(a, b)  # as the benchmark's tracer counts
+    try:
+        for n in (0, 1, 3, 6):
+            for _ in range(10):
+                A = Matrix(s, n, [(rng.randrange(n), rng.randrange(n), rng.choice(pool)) for _ in range(2 * n)])
+                x = tuple(rng.choice(zeros if rng.random() < 0.5 else pool) for _ in range(n))
+                calls.clear()
+                got = A.matvec(x)
+                # a mul for each entry whose input is not the zero object itself
+                assert len(calls) == sum(x[j] is not s.zero for i in range(n) for j in A.row(i))
+                assert got == reference_matvec(A, x)
+    finally:
+        del s.mul
 
 
 class _Mod4(Semiring):

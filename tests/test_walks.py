@@ -1,5 +1,8 @@
 import itertools
+import math
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 
@@ -18,7 +21,7 @@ from semifix.generators import gen_random_system
 from semifix.walks import _walks, walk_sums
 
 from conftest import ALL_IDS, brute_walk_sums
-from reference import walk_sum_matrices
+from reference import reference_walks, walk_sum_matrices
 
 
 def bool_matrix(n, edges):
@@ -188,3 +191,40 @@ def test_walk_sums_beyond_the_recursion_limit():
     tables = walk_sum_matrices(A, h)
     assert tables[h].get(0, 0) == Fraction(h)
     assert tables[h - 1].get(0, 2) == Fraction(h - 1)
+
+
+def descending_matrix(s, n, seed):
+    """A random matrix whose rows store their entries in descending column order."""
+    rng = random.Random(seed)
+    pool = [v for v in s.elements() or [s.weight(k) for k in range(1, 10)] if v != s.zero] or [s.one]
+    entries = [(i, j, rng.choice(pool)) for i in range(n) for j in reversed(range(n)) if rng.random() < 0.6]
+    return Matrix(s, n, entries)
+
+
+def refused_at(walks):
+    """The walks yielded before the enumeration refused the next one."""
+    seen = []
+    with pytest.raises(EnumerationBudgetExceeded):
+        for w in walks:
+            seen.append(w)
+    return seen
+
+
+@pytest.mark.parametrize("sid", ALL_IDS + ("capped:5",))
+def test_walks_keep_the_order_and_budget_of_sorting_on_every_visit(sid, monkeypatch):
+    s = semiring_from_id(sid)
+    reads = Counter()
+    row = Matrix.row
+    monkeypatch.setattr(Matrix, "row", lambda A, v: reads.update((v,)) or row(A, v))
+    for seed, n in enumerate((1, 3, 5)):
+        A = descending_matrix(s, n, seed)
+        assert all(list(A.row(v)) == sorted(A.row(v), reverse=True) for v in range(n))
+        for src, h in itertools.product(((0,), (n - 1, 0), tuple(range(n))), (0, 1, 3, 5)):
+            want = list(reference_walks(A, src, h, math.inf))
+            reads.clear()
+            got = list(_walks(A, src, h, math.inf))
+            assert got == want
+            # each vertex a walk leaves is read once per enumeration, and no other
+            assert reads == Counter({v for _, hops, v, _ in want if hops < h})
+            budget = len(want) // 2
+            assert refused_at(_walks(A, src, h, budget)) == refused_at(reference_walks(A, src, h, budget))
