@@ -42,7 +42,7 @@ from typing import (
 )
 
 from .errors import GroundingError, MalformedElement, MalformedLiteral, ParseError
-from .matrix import Matrix
+from .matrix import Matrix, _transpose
 from .semirings import Semiring
 
 GroundAtom = Tuple[str, Tuple[str, ...]]
@@ -445,14 +445,17 @@ def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
     facts: Dict[GroundAtom, Any] = {}
     positions: Dict[GroundAtom, Tuple] = {}
     arity: Dict[str, int] = {}
+    values = {None: semiring.one}  # literal text -> element, so each distinct text is parsed once
     for pred, args, literal, *pos in entries:
         at = pos[0] if pos and pos[0] is not None else (None, None)
-        try:
-            value = semiring.one if literal is None else semiring.parse(literal)
-        except MalformedElement as exc:
-            if at[0] is None:
-                raise
-            raise MalformedLiteral(str(exc), *at) from None
+        if literal not in values:
+            try:
+                values[literal] = semiring.parse(literal)
+            except MalformedElement as exc:
+                if at[0] is None:
+                    raise
+                raise MalformedLiteral(str(exc), *at) from None
+        value = values[literal]
         if arity.setdefault(pred, len(args)) != len(args):
             raise GroundingError(f"predicate {pred} used with inconsistent arity in facts", *at)
         key = (pred, tuple(args))
@@ -475,19 +478,27 @@ def tsv_fact_entries(text: str) -> List[FactEntry]:
     """``build_edb`` entries from TSV rows ``predicate <tab> arg1..argk <tab> literal``.
 
     Each entry carries its row's line, so a malformed literal names it.
+    Blank columns after the literal are ignored; one before it is an error.
     """
     entries: List[FactEntry] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        cols = [c.strip() for c in raw.split("\t") if c.strip()]
+        fields = raw.split("\t")
+        cols = [c.strip() for c in fields]
+        while not cols[-1]:
+            cols.pop()
         if len(cols) < 3:
             raise ParseError(
                 "expected tab-separated columns: predicate, args..., literal",
                 lineno,
                 1,
             )
+        if "" in cols:  # the first empty one starts after k fields and k tabs
+            k = cols.index("")
+            col = sum(map(len, fields[:k])) + k + 1
+            raise ParseError("empty column before the literal", lineno, col)
         entries.append((cols[0], tuple(cols[1:-1]), cols[-1], (lineno, 1)))
     return entries
 
@@ -648,19 +659,27 @@ def ground(
             # per form, what each assignment of the free variables adds to its number
             assignments = list(itertools.product(adom_codes, repeat=len(free)))
             shifts = [[sum(map(operator.mul, fw, rest)) for rest in assignments] for *_, fw in forms]
+            # a linear term's head and column are the binding's two bases plus
+            # one pair of shifts, as plain ints
+            pairs = list(zip(*shifts)) if len(forms) == 2 else None
             for bound, coeff in _join(steps, one, s.mul):
                 if coeff == zero:
                     continue
-                columns = []
-                for (c, terms, _), shift in zip(forms, shifts):
-                    for k, w in terms:
+                bases = []
+                for c, weights, _ in forms:
+                    for k, w in weights:
                         c += w * bound[k]
-                    columns.append(map(c.__add__, shift))
-                if len(columns) != 2:  # a constant term or a longer monomial
-                    head, *atoms = columns
+                    bases.append(c)
+                if pairs is None:  # a constant term or a longer monomial
+                    head, *atoms = [map(c.__add__, shift) for c, shift in zip(bases, shifts)]
                     keys = map(tuple, map(sorted, zip(*atoms))) if atoms else itertools.repeat(())
-                    columns = head, keys
-                for h, key in zip(*columns):
+                    # whole heads and keys: 0 + h is h and () + key is key
+                    bases, terms = (0, ()), zip(head, keys)
+                else:
+                    terms = pairs
+                hc, cc = bases
+                for hs, cs in terms:
+                    h, key = hc + hs, cc + cs
                     group = groups.get(key)
                     # a first term is stored as it is, and a sum equal to O is
                     # dropped: add(O, v) == v on every carrier
@@ -690,16 +709,13 @@ def ground(
     for h, v in groups.get((), {}).items():
         b[remap[h]] = v
     if linear:
-        # in one pass, each column's rows ascending and each row's columns too
+        # each row's columns ascending, then each column's rows by transposing them
         a_rows: List[Dict[int, Any]] = [{} for _ in keep]
-        a_cols: List[Dict[int, Any]] = [{} for _ in keep]
         for j, c in enumerate(keep):
-            if group := groups.get(c):
-                col = a_cols[j]
-                for h in sorted(group):
-                    i = remap[h]
-                    col[i] = a_rows[i][j] = group[h]
-        return GroundedLinearSystem(s, atoms, Matrix._from_rows(s, a_rows, a_cols), tuple(b), n_raw)
+            for h, v in groups.get(c, {}).items():
+                a_rows[remap[h]][j] = v
+        A = Matrix._from_rows(s, a_rows, _transpose(a_rows))
+        return GroundedLinearSystem(s, atoms, A, tuple(b), n_raw)
     rows: List[List[Monomial]] = [[] if v is zero else [(v, ())] for v in b]
     for key, group in groups.items():
         cols = tuple(map(remap.get, key if type(key) is tuple else (key,)))
@@ -733,6 +749,8 @@ def _join_step(atom: Atom, facts: Sequence, slot: Dict[str, int], code: Mapping[
             first[t.name] = p
     for name in first:
         slot[name] = len(slot)
+    if not (fixed or key_pos or same):  # each fact's arguments are its new values
+        return (), {(): facts}
     new_pos = tuple(first.values())
     index: Dict[tuple, List[Tuple[tuple, Any]]] = {}
     if fixed or same:
@@ -751,8 +769,9 @@ def _join(steps, one, mul) -> Iterator[Tuple[tuple, Any]]:
     """Each binding that finds a fact for every step, with its coefficient.
 
     Depth first in body order, one pending iterator per step, so no list of
-    partial bindings is built; the coefficient is ``mul(one, v1)``, then
-    ``mul(., v2)`` and so on.
+    partial bindings is built; the coefficient is the first fact value
+    ``v1`` itself, then ``mul(v1, v2)`` and so on: one is the identity of mul
+    on every carrier, so ``mul(one, v1)`` would equal ``v1``.
     """
     depth = len(steps)
     if not depth:
@@ -768,7 +787,7 @@ def _join(steps, one, mul) -> Iterator[Tuple[tuple, Any]]:
     k = 0
     while k >= 0:
         for new, v in pending[k]:
-            bound, c = prefix[k] + new, mul(coeff[k], v)
+            bound, c = prefix[k] + new, mul(coeff[k], v) if k else v
             if k == depth - 1:
                 yield bound, c
                 continue

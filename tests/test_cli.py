@@ -27,6 +27,7 @@ from semifix import (
 from semifix.cli import _COMMANDS, _json_dump, build_parser, main
 from semifix.frontend import program_fact_entries
 from semifix.generators import gen_random_system
+from semifix.semirings import TropSemiring
 
 from conftest import ALL_IDS, GF2Semiring, brute_walk_sums, linear_step
 from reference import pad_rows
@@ -408,6 +409,28 @@ def test_oracle_enumerates_walks_once(tmp_path, capsys, monkeypatch, max_h):
     assert main(["oracle", str(mat), "--i", "0", "--j", "3", "--h", str(max_h)]) == 0
     assert calls == [max_h]
     assert len(capsys.readouterr().out.splitlines()) == max_h + 2
+
+
+def test_oracle_stops_multiplying_a_column_of_zeros(tmp_path, capsys, monkeypatch):
+    # one vertex and no edge: from h = 1 on, column 0 of A^h is the zero object
+    mat = tmp_path / "one.mat"
+    mat.write_text("semiring trop\nn 1\n")
+    calls = {"matvec": 0, "show": 0}
+    matvec, show = Matrix.matvec, TropSemiring.show
+
+    def counting(name, f):
+        def wrapper(*a):
+            calls[name] += 1
+            return f(*a)
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "matvec", counting("matvec", matvec))
+    monkeypatch.setattr(TropSemiring, "show", counting("show", show))
+    assert main(["oracle", str(mat), "--i", "0", "--j", "0", "--h", "1000", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1:] == ["0,0,0,0,0,equal"] + [f"{h},inf,inf,0,0,equal" for h in range(1, 1001)]
+    # one product, and a row is shown again only when a cell's value object changes
+    assert calls == {"matvec": 1, "show": 8}
 
 
 @pytest.mark.parametrize("sid", ORACLE_WALK_IDS)
@@ -1099,10 +1122,17 @@ MALFORMED_PROGRAMS = [
 ]
 
 
+# TSV facts, read with a program that takes them
+MALFORMED_FACTS = [
+    ("E\ta\tb\t1\nE\ta\t\tb\t1\n", "line 2, col 5: empty column before the literal"),
+]
+
+
 @pytest.mark.parametrize(
     "command, text, message",
     [("analyze", t, m) for t, m in MALFORMED_MATRIX_FILES]
-    + [("run", t, m) for t, m in MALFORMED_PROGRAMS],
+    + [("run", t, m) for t, m in MALFORMED_PROGRAMS]
+    + [("facts", t, m) for t, m in MALFORMED_FACTS],
 )
 def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, message):
     path = tmp_path / "input.txt"
@@ -1110,6 +1140,9 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, mess
     # --semiring overrides a directive, so it is passed only to programs without one
     flag = command == "run" and "@semiring" not in text
     argv = [command, str(path)] + (["--semiring", "trop"] if flag else [])
+    if command == "facts":
+        (tmp_path / "p.dl").write_text("@semiring trop\nT(X,Y) :- E(X,Y).\n")
+        argv = ["run", str(tmp_path / "p.dl"), str(path)]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"

@@ -274,6 +274,53 @@ def test_facts_tsv():
         parse_facts_tsv(s, "E a b 3\n")
 
 
+@pytest.mark.parametrize(
+    "row, col",
+    [
+        ("E\ta\t\tb\t1", 5),  # an empty argument
+        ("E\ta\t \tb\t1", 5),  # a blank one
+        ("E\ta\tb\t\t1", 7),  # an empty column just before the literal
+        ("\tE\ta\tb\t1", 1),  # no predicate
+    ],
+)
+def test_tsv_empty_column_before_the_literal_raises_at_it(row, col):
+    s = semiring_from_id("trop")
+    with pytest.raises(ParseError) as err:
+        parse_facts_tsv(s, f"E\ta\tb\t1\n{row}\n")
+    assert str(err.value) == f"line 2, col {col}: empty column before the literal"
+
+
+@pytest.mark.parametrize("row", ["E\ta\tb\t1\t", "E\ta\tb\t1\t \t", "E\ta\tb\t1  \r"])
+def test_tsv_blank_columns_after_the_literal_are_ignored(row):
+    s = semiring_from_id("trop")
+    assert parse_facts_tsv(s, row + "\n").facts == {("E", ("a", "b")): 1}
+
+
+def test_build_edb_parses_each_distinct_literal_once():
+    s = TropSemiring()  # a private instance, so counting wraps no shared carrier
+    parsed = []
+    parse = s.parse
+    s.parse = lambda text: parsed.append(text) or parse(text)
+    entries = [
+        ("E", ("a", "b"), "3", (1, 1)), ("E", ("b", "c"), "3", (2, 1)),
+        ("E", ("a", "b"), "1/2", (3, 1)), ("E", ("c", "d"), None, (4, 1)),
+        ("E", ("d", "a"), "1/2", (5, 1)),
+    ]
+    with pytest.warns(UserWarning) as record:
+        db = build_edb(s, entries)
+    assert parsed == ["3", "1/2"]
+    assert [str(w.message) for w in record] == [
+        "line 3, col 1: duplicate fact for E(a,b); values combined additively"
+    ]
+    assert db.facts == {
+        ("E", ("a", "b")): s.parse("1/2"), ("E", ("b", "c")): 3,
+        ("E", ("c", "d")): 0, ("E", ("d", "a")): s.parse("1/2"),
+    }
+    # a repeated bad literal raises at its first line
+    with pytest.raises(MalformedLiteral, match="^line 2, col 1: "):
+        parse_facts_tsv(s, "E\ta\tb\t1\nE\tb\tc\tx\nE\tc\td\tx\n")
+
+
 # ---------------------------------------------------------------------------
 # Grounding
 # ---------------------------------------------------------------------------
@@ -839,6 +886,15 @@ def _features(program):
                 seen.add("two free variables")
             if sum(a.pred in idb for a in prod.atoms) > 1:
                 seen.add("nonlinear")
+            derived = [a for a in prod.atoms if a.pred in idb]
+            free = set(prod.variables()) - edb_vars
+            if len(derived) == 1 and free:
+                seen.add("linear product with a free variable")
+                if any(
+                    [t == Var(v) for t in rule.head.args] != [t == Var(v) for t in derived[0].args]
+                    for v in free
+                ):
+                    seen.add("head and derived atom place a free variable differently")
     return seen
 
 
@@ -894,6 +950,8 @@ def test_ground_matches_active_domain_reference(sid):
         "repeated variable in an EDB atom", "variable only in derived atoms",
         "repeated head variable", "nonlinear", "two free variables",
         "head constant outside the active domain", "arity-3 derived predicate",
+        "linear product with a free variable",
+        "head and derived atom place a free variable differently",
     }
 
 
@@ -925,6 +983,9 @@ def test_linear_ground_equals_its_monomials_and_the_checked_matrix(sid):
             assert len(list(ground(parse_program(TC), db).A.entries())) > 10
 
 
+DAG_EDGES = [("a", "b", "3"), ("b", "c", "4"), ("a", "c", "9"), ("c", "d", "1")]
+
+
 def test_distinct_term_keys_are_stored_without_add():
     # a first term is stored as it is; add(O, v) == v makes that exact
     s = TropSemiring()  # a private instance, so counting wraps no shared carrier
@@ -937,8 +998,7 @@ def test_distinct_term_keys_are_stored_without_add():
 
     # the path program over a DAG: each (T(x,y), T(x,z)) term comes from one
     # edge z -> y, and each T(x,y) constant term from the edge x -> y
-    edges = [("a", "b", "3"), ("b", "c", "4"), ("a", "c", "9"), ("c", "d", "1")]
-    db = build_edb(s, [("E", (u, v), w) for u, v, w in edges])
+    db = build_edb(s, [("E", (u, v), w) for u, v, w in DAG_EDGES])
     for text, adds in ((TC, 0), ("U(X) :- E(X,Y).\n", 1)):  # U(a) sums two edges
         program = parse_program(text)
         expected = reference_ground(program, db)
@@ -948,6 +1008,25 @@ def test_distinct_term_keys_are_stored_without_add():
         assert calls == {"add": adds}
         assert (got.atoms, got.n_raw, list(got.A.entries()), got.b) == expected[:4]
         calls["add"] = 0
+
+
+def test_a_binding_multiplies_only_the_facts_after_its_first():
+    # the first coefficient is the first fact value; mul(one, v) == v makes that exact
+    s = TropSemiring()  # a private instance, so counting wraps no shared carrier
+    calls = []
+    mul = s.mul
+    db = build_edb(s, [("E", (u, v), w) for u, v, w in DAG_EDGES])
+    # the path program joins one EDB atom per product; the two-edge walks
+    # a-b-c, a-c-d and b-c-d are the bindings of E(X,Y)*E(Y,Z)
+    for text, muls in ((TC, 0), ("U(X,Z) :- E(X,Y)*E(Y,Z).\n", 3)):
+        program = parse_program(text)
+        expected = reference_ground(program, db)
+        s.mul = lambda a, b: calls.append((a, b)) or mul(a, b)
+        got = ground(program, db)
+        del s.mul
+        assert len(calls) == muls
+        assert (got.atoms, got.n_raw, list(got.A.entries()), got.b) == expected[:4]
+        calls.clear()
 
 
 def test_no_prune_over_the_atom_limit_raises_before_allocating():
