@@ -16,7 +16,8 @@ capitalized arguments are variables, lowercase identifiers and numbers are
 constants. A fact without ``= literal`` carries the multiplicative identity
 (``true`` under bool). Variables that occur in a body but not in the head are
 summed over the active domain. Facts may also come from a separate TSV file
-with columns ``predicate, arg1..argk, literal``.
+with columns ``predicate, arg1..argk, literal``, whose predicate is a name and
+arguments names or numbers, capitalized ones included.
 
 Grounding binds each body product's variables by joining its EDB atoms with
 the facts (a variable no EDB atom binds ranges over the active domain) and
@@ -474,14 +475,33 @@ def program_fact_entries(program: Program) -> List[FactEntry]:
     return [(f.pred, f.args, f.literal, f.pos) for f in program.facts]
 
 
+# A TSV row of ASCII names and numbers with no blank around a field, in one
+# match; blanks may follow the literal, a printable ASCII text. Groups:
+# predicate, the tab-separated arguments, literal. Every other row is split
+# and checked field by field.
+_TSV_ARG = rf"(?:[A-Za-z_]\w*|{_NUM})"
+_TSV_ROW = re.compile(
+    rf"([A-Za-z_]\w*)\t({_TSV_ARG}(?:\t{_TSV_ARG})*)\t([!-~](?:[ !-~]*[!-~])?)[ \t\r]*",
+    re.ASCII,
+)
+
+
 def tsv_fact_entries(text: str) -> List[FactEntry]:
     """``build_edb`` entries from TSV rows ``predicate <tab> arg1..argk <tab> literal``.
 
-    Each entry carries its row's line, so a malformed literal names it.
-    Blank columns after the literal are ignored; one before it is an error.
+    Each entry carries its row's line, so a malformed literal names it. The
+    predicate is a name and each argument a name or a number, as a program
+    writes them (capitalized names included); any other text, or an empty
+    column before the literal, raises at the column where its field starts.
+    Blank columns after the literal are ignored.
     """
     entries: List[FactEntry] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        m = _TSV_ROW.fullmatch(raw)
+        if m is not None:
+            pred, args, literal = m.groups()
+            entries.append((pred, tuple(args.split("\t")), literal, (lineno, 1)))
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -495,10 +515,19 @@ def tsv_fact_entries(text: str) -> List[FactEntry]:
                 lineno,
                 1,
             )
-        if "" in cols:  # the first empty one starts after k fields and k tabs
-            k = cols.index("")
-            col = sum(map(len, fields[:k])) + k + 1
-            raise ParseError("empty column before the literal", lineno, col)
+        col = 1  # where field k starts: after k fields and k tabs
+        for k, c in enumerate(cols[:-1]):
+            if not c:
+                raise ParseError("empty column before the literal", lineno, col)
+            # one token, as _line_tokens reads it: a NAME starts with a letter or _
+            token = _TOKEN.fullmatch(c)
+            kind = token and token.lastgroup
+            name = kind == "NAME" and (c[0].isalpha() or c[0] == "_")
+            if k == 0 and not name:
+                raise ParseError(f"predicate {c!r} is not a name", lineno, col)
+            if not name and kind != "NUMBER":
+                raise ParseError(f"argument {c!r} is not a name or a number", lineno, col)
+            col += len(fields[k]) + 1
         entries.append((cols[0], tuple(cols[1:-1]), cols[-1], (lineno, 1)))
     return entries
 

@@ -1149,6 +1149,42 @@ def test_malformed_input_exits_1_with_line(tmp_path, capsys, command, text, mess
     assert "Traceback" not in err
 
 
+
+PATH_RULES = "@semiring trop\nT(X,Y) :- E(X,Y) + T(X,Z)*E(Z,Y).\n"
+
+
+@pytest.mark.parametrize(
+    "commands, program, facts, message",
+    [
+        # a blank or a comma inside an argument would read as more arguments
+        (["run"], PATH_RULES, "E\ta b\tc\t1\nE\tc\td\t2\n",
+         "line 1, col 3: argument 'a b' is not a name or a number"),
+        (["run"], PATH_RULES, "E\ta\tc\t1\nE\tc\td,e\t2\n",
+         "line 2, col 5: argument 'd,e' is not a name or a number"),
+        # a label no program could write, and ground would save it
+        (["run", "ground"], "@semiring trop\nT(X) :- E(X).\n", "E\ta)\t1\n",
+         "line 1, col 3: argument 'a)' is not a name or a number"),
+        # blamed on the TSV line, not on a rule that reads the predicate
+        (["run"], PATH_RULES, "E x\ta\tb\t1\n", "line 1, col 1: predicate 'E x' is not a name"),
+    ],
+)
+def test_tsv_fields_that_no_program_can_write_exit_1(tmp_path, capsys, commands, program, facts, message):
+    (tmp_path / "p.dl").write_text(program)
+    (tmp_path / "f.tsv").write_text(facts)
+    for command in commands:
+        assert main([command, str(tmp_path / "p.dl"), str(tmp_path / "f.tsv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+
+def test_tsv_capitalized_and_padded_names_are_still_read(tmp_path, capsys):
+    (tmp_path / "p.dl").write_text(PATH_RULES)
+    (tmp_path / "f.tsv").write_text("E\tA\tb1\t1\nE\t b1 \t7\t2\n")
+    assert main(["run", str(tmp_path / "p.dl"), str(tmp_path / "f.tsv")]) == 0
+    out = capsys.readouterr().out
+    assert "T(A,7) = 3" in out and "T(b1,7) = 2" in out
+
 @pytest.mark.parametrize(
     "command, data, at",
     [

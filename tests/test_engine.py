@@ -1064,6 +1064,139 @@ def test_only_carriers_with_at_most_64_elements_get_tables():
         assert_trace_matches(naive_eval_linear(sys_, cap=80), reference_linear(sys_, 80))
 
 
+@pytest.mark.parametrize("sid, outside", [("capped:4", 7), ("trop_p_fin:1:3", (5, INF))])
+def test_values_outside_the_tables_take_the_object_path_around_a_chain(monkeypatch, sid, outside):
+    # a one-entry cycle; row 1 reads column 2 through the off-table weight,
+    # and with b[1] = outside a chain step reads an off-table value
+    s = semiring_from_id(sid)
+    A = Matrix(s, 3, [(0, 1, s.one), (1, 2, outside), (2, 0, s.one)])
+    for b in ([s.one, s.zero, s.zero], [s.zero, outside, s.zero]):
+        tabled, plain = _tabled_and_object(monkeypatch, A, b)
+        assert tabled == plain
+
+
+# ---------------------------------------------------------------------------
+# Composed tables for chain steps
+# ---------------------------------------------------------------------------
+
+
+class LeakyZeroSemiring(Semiring):
+    """Negative control on Z/3 with one leak, 2 * 0 = 1: zero does not annihilate 2.
+
+    Rows skip a zero input, so a one-entry row with coefficient 2 maps zero to
+    zero; a table composed from add and mul alone would map it to 1.
+    """
+
+    id = "leaky"
+    zero = 0
+    one = 1
+    _carrier = (0, 1, 2)
+
+    def add(self, a, b):
+        return (a + b) % 3
+
+    def mul(self, a, b):
+        return 1 if (a, b) == (2, 0) else a * b % 3
+
+    def parse(self, text):
+        return int(text)
+
+    def show(self, a):
+        return str(a)
+
+
+def one_entry_cycle(s, weights, b):
+    """Row k reads column k + 1 alone, with weight ``weights[k]``."""
+    n = len(weights)
+    A = Matrix(s, n, [(k, (k + 1) % n, w) for k, w in enumerate(weights)])
+    return GroundedLinearSystem.from_matrix(s, A, b, [(f"x{k}", ()) for k in range(n)])
+
+
+def _chain_cases():
+    cases = {f"capped:{L}": gen_cycle_lowerbound(3, L) for L in (2, 3, 4, 5, 6, 62)}
+    for sid in ("trop_p_fin:1:3", "trop_p_fin:2:3"):
+        s = semiring_from_id(sid)
+        rng = random.Random(sid)
+        weights = [nonzero_element(s, rng) for _ in range(5)]
+        # rows 0 and 2 keep the row function: their b entries are not zero
+        b = [s.one, s.zero, nonzero_element(s, rng), s.zero, s.zero]
+        cases[sid] = one_entry_cycle(s, weights, b)
+    cases["broken"] = one_entry_cycle(BrokenMulSemiring(), [1, 1, 2], [2, 0, 1])
+    cases["gf2"] = one_entry_cycle(GF2Semiring(), [1, 1, 1], [1, 0, 1])  # values return to zero
+    # x0 goes 1, 0, 1, ...: row 1 reads zero through coefficient 2
+    cases["leaky"] = one_entry_cycle(LeakyZeroSemiring(), [1, 2], [1, 0])
+    return cases
+
+
+CHAIN_CASES = _chain_cases()
+
+
+def _runs_at(sys_, cap):
+    """naive_eval_linear and every column run at ``cap``, in comparable form."""
+    return (
+        _run_fields(naive_eval_linear(sys_, cap=cap)),
+        [_run_fields(column_run(sys_.A, j, cap)) for j in range(sys_.n)],
+    )
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_composed_chain_equals_the_object_row(monkeypatch, case):
+    sys_ = CHAIN_CASES[case]
+    assert engine._kernel(sys_.semiring) == "table_row"
+    tabled, plain = _tabled_and_object(monkeypatch, sys_.A, sys_.b)
+    assert tabled == plain
+    steps = naive_eval_linear(sys_, cap=200).wall_steps
+    caps = range(1, steps + 2)  # every cap, in a chain or at its end
+    tabled = [_runs_at(sys_, cap) for cap in caps]
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_kernel", lambda s: "row")
+        assert tabled == [_runs_at(sys_, cap) for cap in caps]
+
+
+def test_composed_tables_keep_the_zero_skip():
+    # every coefficient of a lawful carrier gets a table; the leaky 2 gets none
+    s = LeakyZeroSemiring()
+    assert sorted(engine._composed(s)) == [0, 1]
+    assert engine._composed(GF2Semiring()) == {0: {0: 0, 1: 0}, 1: {0: 0, 1: 1}}
+    s = semiring_from_id("capped:62")
+    composed = engine._composed(s)
+    assert len(composed) == 64 and sum(map(len, composed.values())) == 64 * 64
+    assert all(composed[a][s.zero] is s.zero for a in composed)
+
+
+def table_row_calls(run):
+    """The rows of the ``table_row`` calls that ``run()`` makes, and its result."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "table_row":
+            calls.append(frame.f_locals["i"])
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+@pytest.mark.parametrize("n, L", [(5, 3), (7, 5), (4, 62)])
+def test_chain_steps_on_tables_call_no_row_function(n, L):
+    sys_ = gen_cycle_lowerbound(n, L)  # row k reads column k + 1; b[0] is one
+    calls, trace = table_row_calls(lambda: naive_eval_linear(sys_))
+    assert trace.stability_index == n * L + n
+    # step 1, and each step that reaches row 0, whose b entry is not zero;
+    # every other step reads a composed table
+    changed = [i for step in trace.changes[:-1] for i, _ in step]
+    assert calls == [0] * (1 + changed.count(1))
+    assert len(calls) < trace.wall_steps // n + 2
+    for j in range(n):
+        calls, run = table_row_calls(lambda: column_run(sys_.A, j, 4 * n * L))
+        assert not run.capped
+        changed = [i for step in run.changes[:-1] for i, _ in step]
+        assert calls == [j] * (1 + changed.count((j + 1) % n))
+
+
 # the kernel of every carrier in ALL_IDS, and of carriers at the edge of a choice
 KERNEL_OF = {sid: "table_row" for sid in FINITE_IDS} | {
     "bool": "push",  # bool, trivial and trop push

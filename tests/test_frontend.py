@@ -23,6 +23,7 @@ from semifix import (
 from semifix.errors import MalformedLiteral
 from semifix.frontend import (
     Atom, Const, FactStmt, Product, Program, Rule, Var, program_fact_entries, tokenize,
+    tsv_fact_entries,
 )
 from semifix.generators import random_edge_instance
 from semifix.semirings import TropSemiring
@@ -294,6 +295,45 @@ def test_tsv_empty_column_before_the_literal_raises_at_it(row, col):
 def test_tsv_blank_columns_after_the_literal_are_ignored(row):
     s = semiring_from_id("trop")
     assert parse_facts_tsv(s, row + "\n").facts == {("E", ("a", "b")): 1}
+
+
+def _lexer_reads(text):
+    """The kind of the one token ``tokenize`` reads all of ``text`` as, or None."""
+    try:
+        tokens = tokenize(text)[:-1]  # without EOF
+    except ParseError:
+        return None
+    return tokens[0][0] if len(tokens) == 1 and tokens[0][1] == text else None
+
+
+TSV_FIELDS = [
+    "a", "_x", "B2", "Abc", "v1_2", "\u00e9t\u00e9", "12", "1.5", "\u0661\u0662",
+    "a b", "a)", "d,e", "1a", "1.", ".5", "-1", "x.y", "a%", "\u00bd", "e\u0301", "a#b", "'a'",
+]
+
+
+@pytest.mark.parametrize("field", TSV_FIELDS)
+def test_tsv_fields_are_the_program_lexers_names_and_numbers(field):
+    # a predicate is one NAME token (a VAR or an IDENT), an argument one NAME or NUMBER
+    kind = _lexer_reads(field)
+    name, value = kind in ("VAR", "IDENT"), kind in ("VAR", "IDENT", "NUMBER")
+    if name:
+        assert tsv_fact_entries(f"{field}\ta\t1") == [(field, ("a",), "1", (1, 1))]
+    else:
+        with pytest.raises(ParseError, match="^line 1, col 1: predicate .* is not a name$"):
+            tsv_fact_entries(f"{field}\ta\t1")
+    for row in (f"E\t{field}\t1", f"E\t {field} \t1"):  # one match, then the split path
+        if value:
+            assert tsv_fact_entries(row) == [("E", (field,), "1", (1, 1))]
+        else:
+            with pytest.raises(ParseError, match="^line 1, col 3: argument .* is not a name or a number$"):
+                tsv_fact_entries(row)
+
+
+def test_tsv_fields_check_every_row():
+    text = "E\ta\tb\t1\nE\tb\tc d\t2\n"
+    with pytest.raises(ParseError, match=r"^line 2, col 5: argument 'c d' is not a name or a number$"):
+        tsv_fact_entries(text)
 
 
 def test_build_edb_parses_each_distinct_literal_once():
