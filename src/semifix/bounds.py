@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from . import engine
 from .errors import InvalidParameter
 from .frontend import GroundedLinearSystem
-from .semirings import Semiring, effective_stability, ordered_chain
+from .semirings import effective_stability, ordered_chain
 
 
 # the least legal value of each bound parameter
@@ -130,19 +130,6 @@ BOUND_COLUMNS = (
 )
 
 
-def _carrier_profile(s: Semiring, claimed_p: Optional[int], claimed_L: Optional[int]):
-    carrier = s.elements()
-    if carrier is not None:
-        p, p_source = effective_stability(s)
-        chain = ordered_chain(s)
-        p_source = p_source if p is not None else None
-        return p, p_source, len(carrier), "computed", chain, chain is not None
-    # symbolic carriers contribute bounds only through claimed parameters
-    p_source = None if claimed_p is None else "claimed"
-    L_source = None if claimed_L is None else "claimed"
-    return claimed_p, p_source, claimed_L, L_source, None, None
-
-
 def applicable_bounds(
     n: int,
     p: Optional[int],
@@ -191,25 +178,21 @@ def analyze(
     to either observe convergence or certify a bound violation.
     """
     s = sys.semiring
-    p, p_source, L, L_source, chain, ordered = _carrier_profile(s, claimed_p, claimed_L)
-    bounds, degenerate = applicable_bounds(sys.n, p, L, chain)
+    report = BoundReport(instance_id, s.id, sys.n, sys.n_raw)
+    carrier = s.elements()
+    if carrier is not None:
+        p, p_source = effective_stability(s)
+        report.p, report.p_source = p, p_source if p is not None else None
+        report.L, report.L_source = len(carrier), "computed"
+        report.chain = ordered_chain(s)
+        report.naturally_ordered = report.chain is not None
+    else:  # symbolic carriers contribute bounds only through claimed parameters
+        report.p, report.p_source = claimed_p, None if claimed_p is None else "claimed"
+        report.L, report.L_source = claimed_L, None if claimed_L is None else "claimed"
+    bounds, report.degenerate_bounds = applicable_bounds(sys.n, report.p, report.L, report.chain)
     if cap is None:
         cap = min(bounds.values()) + 2 if bounds else engine.DEFAULT_EVAL_CAP
-    report = BoundReport(
-        instance_id=instance_id,
-        semiring_id=s.id,
-        n=sys.n,
-        n_raw=sys.n_raw,
-        p=p,
-        p_source=p_source,
-        L=L,
-        L_source=L_source,
-        chain=chain,
-        naturally_ordered=ordered,
-        cap=cap,
-        bounds=bounds,
-        degenerate_bounds=degenerate,
-    )
+    report.cap, report.bounds = cap, bounds
     trace = engine.naive_eval_linear(sys, cap=cap)
     report.trace_index = trace.stability_index
     report.measured_index = trace.powersum_index

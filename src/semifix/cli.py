@@ -94,6 +94,12 @@ def _load_program_db(args):
     return program, build_edb(semiring, entries)
 
 
+def _refuse_unread(form: str, names: List[str]):
+    """Refuse the flags (argparse dests) that this form of a command never reads."""
+    if names:
+        raise InvalidParameter(f"{form} does not use " + ", ".join("--" + d.replace("_", "-") for d in names))
+
+
 def _json_dump(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` for str "atoms" and
     scalar fields, on json's C encoder, which any indent turns off: the atoms'
@@ -163,9 +169,7 @@ def cmd_analyze(args) -> int:
     opts = dict(cap=args.cap, claimed_p=args.claimed_p, claimed_L=args.claimed_L)
     if args.matrix_files:
         given = [d for d in ("program", "facts", "semiring", "no_prune") if getattr(args, d) not in (None, False)]
-        if given:
-            names = ", ".join("--" + d.replace("_", "-") for d in given)
-            raise InvalidParameter(f"analyze with matrix files does not use {names}")
+        _refuse_unread("analyze with matrix files", given)
         reports = [
             bounds.analyze(engine.load_system(_read(path)), instance_id=path, **opts)
             for path in args.matrix_files
@@ -297,10 +301,7 @@ _GEN_READS = {
 def cmd_gen(args) -> int:
     family = args.family
     given = {d: v for d in _GEN_DEFAULTS if (v := getattr(args, d)) is not None}  # None: left out
-    ignored = [d for d in given if d not in _GEN_READS[family]]
-    if ignored:
-        names = ", ".join("--" + d.replace("_", "-") for d in ignored)
-        raise InvalidParameter(f"gen {family} does not use {names}")
+    _refuse_unread(f"gen {family}", [d for d in given if d not in _GEN_READS[family]])
     vars(args).update(_GEN_DEFAULTS, **given)
     if family == "cycle":
         system = generators.gen_cycle_lowerbound(args.n, args.L)

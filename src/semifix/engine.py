@@ -25,20 +25,23 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Any, Collection, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import IndexOutOfRange, InvalidParameter, MalformedElement, MalformedLiteral, ParseError
+from .errors import IndexOutOfRange, InvalidParameter, ParseError
 from .frontend import (
     MAX_ATOMS,
     GroundAtom,
     GroundedLinearSystem,
     GroundedPolynomialSystem,
     GroundedSystem,
+    _literals,
 )
 from .matrix import Matrix
 from .semirings import (
@@ -192,11 +195,17 @@ def _common_denominator(values) -> int:
     return math.lcm(*{v.denominator for v in values if type(v) is not int and v is not INF})
 
 
-def _linear_rows(A: Matrix):
-    """The rows that read each column of x <- Ax (+) b, and ``rows_for(b)``.
+def _support(b: Sequence, zero) -> List[int]:
+    """The positions of b's entries that are not ``zero`` itself, in one C-level scan."""
+    return list(itertools.compress(range(len(b)), map(operator.is_not, b, itertools.repeat(zero))))
 
-    ``rows_for(b)`` returns the function ``_kernel`` names for x <- Ax (+) b,
-    and the scale D of the values it works on. A row folds
+
+def _linear_rows(A: Matrix):
+    """The rows that read each column of x <- Ax (+) b, and ``rows_for(b, support)``.
+
+    ``rows_for(b, support)``, with ``support`` the positions of b's entries
+    that are not zero itself (``_support``), returns the function ``_kernel``
+    names for x <- Ax (+) b, and the scale D of the values it works on. A row folds
     ``add(acc, mul(A[i][j], x[j]))`` over its entries, as ``Matrix.matvec``
     does, and ends with ``add(acc, b[i])``. The readers of column j are the
     rows of ``A.columns()[j]``, each once. A push kernel gets no readers and
@@ -223,7 +232,7 @@ def _linear_rows(A: Matrix):
         composed = _composed(s)
         chain = [composed.get(r[0][1]) if len(r) == 1 else None for r in rows]
 
-    def rows_for(b: Sequence):
+    def rows_for(b: Sequence, support: Sequence[int]):
         add, mul = s.add, s.mul
 
         def row(i, x):
@@ -271,10 +280,12 @@ def _linear_rows(A: Matrix):
         }
         pair_rows = [tuple([(j, finite[v]) for j, v in r]) for r in rows]
 
-        def bag_rows_for(b: Sequence):
-            if not bags(b):
-                return rows_for(b)
-            b_entries = [[e for e in bi if e is not INF] for bi in b]
+        def bag_rows_for(b: Sequence, support: Sequence[int]):
+            if not bags(map(b.__getitem__, support)):  # zero itself is a bag
+                return rows_for(b, support)
+            b_entries = [()] * len(b)
+            for i in support:
+                b_entries[i] = [e for e in b[i] if e is not INF]
 
             def bag_row(i, x):
                 sums = []
@@ -299,7 +310,7 @@ def _linear_rows(A: Matrix):
 
 
 def _pushes(s: Semiring, cols: List[dict], kernel: str):
-    """``push_for(b)``: the push step of x <- Ax (+) b on ``kernel``, and its scale D.
+    """``push_for(b, support)``: the push step of x <- Ax (+) b on ``kernel``, and its scale D.
 
     ``cols`` is ``A.columns()``, which the kernel reads and never changes.
 
@@ -322,9 +333,9 @@ def _pushes(s: Semiring, cols: List[dict], kernel: str):
 
     a_cols = scaled(cols, a_scale or 1)
 
-    def push_for(b: Sequence):
+    def push_for(b: Sequence, support: Sequence[int]):
         add, mul = s.add, s.mul
-        columns = cols + [{i: v for i, v in enumerate(b) if v is not zero}]
+        columns = cols + [{i: b[i] for i in support}]
 
         def push(step, x):
             new = {}
@@ -337,7 +348,7 @@ def _pushes(s: Semiring, cols: List[dict], kernel: str):
 
         if a_scale is None:
             return push, 1
-        D = math.lcm(a_scale, _common_denominator(b))
+        D = math.lcm(a_scale, _common_denominator(columns[-1].values()))
         int_columns = (a_cols if D == a_scale else scaled(cols, D)) + scaled(columns[-1:], D)
 
         def int_push(step, x):
@@ -478,10 +489,11 @@ def naive_eval_linear(sys: GroundedLinearSystem, cap: Optional[int] = None) -> I
     """
     s = sys.semiring
     readers, rows_for = _linear_rows(sys.A)
-    row, D = rows_for(sys.b)
-    # at x = 0 a row with a zero b entry returns zero itself; a push reads b itself
-    first = readers and [i for i, v in enumerate(sys.b) if v is not s.zero]
-    return _unscaled(_iterate(s, sys.n, readers, row, cap, first), D, s.zero)
+    # b's support is also step 1's rows: at x = 0 a row with a zero b entry
+    # returns zero itself (a push reads b itself)
+    support = _support(sys.b, s.zero)
+    row, D = rows_for(sys.b, support)
+    return _unscaled(_iterate(s, sys.n, readers, row, cap, support), D, s.zero)
 
 
 def naive_eval_general(psys: GroundedPolynomialSystem, cap: Optional[int] = None) -> IterationTrace:
@@ -494,7 +506,9 @@ def _scaled_column_run(A: Matrix, j: int, cap: int, kernel) -> Tuple[IterationTr
     """``column_run`` on the kernel's own values, and their scale D."""
     s, n = A.semiring, A.n
     readers, rows_for = kernel
-    row, D = rows_for([s.one if i == j else s.zero for i in range(n)])
+    e_j = [s.zero] * n
+    e_j[j] = s.one
+    row, D = rows_for(e_j, (j,))
     return _iterate(s, n, readers, row, cap, (j,)), D
 
 
@@ -591,16 +605,7 @@ def load_system(text: str) -> GroundedLinearSystem:
     entries: List[Tuple[int, int, Any]] = []
     b_entries: List[Tuple[int, Any]] = []
     labels: dict = {}
-    values: dict = {}  # literal text -> element, so each distinct text is parsed once
-
-    def element(literal: str, lineno: int):
-        if literal not in values:
-            try:
-                values[literal] = semiring.parse(literal)
-            except MalformedElement as exc:
-                raise MalformedLiteral(str(exc), lineno, 1) from None
-        return values[literal]
-
+    values: dict = {}  # the literal memo, made when the semiring header is read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _DATA_LINE.fullmatch(raw)
         if m is not None:
@@ -609,11 +614,12 @@ def load_system(text: str) -> GroundedLinearSystem:
                 labels[int(atom)] = label
                 continue
             j = int(j)
-            if i is None and j < size:
-                b_entries.append((j, element(literal, lineno)))
-                continue
-            if i is not None and int(i) < size and j < size:
-                entries.append((int(i), j, element(literal, lineno)))
+            if j < size and (i is None or int(i) < size):
+                value = values[literal] if literal in values else parse(literal, (lineno, 1))
+                if i is None:
+                    b_entries.append((j, value))
+                else:
+                    entries.append((int(i), j, value))
                 continue
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -632,6 +638,7 @@ def load_system(text: str) -> GroundedLinearSystem:
                 semiring = semiring_from_id(fields[0])
             except InvalidParameter as e:
                 raise ParseError(str(e), lineno, 1) from None
+            values, parse = _literals(semiring)
         elif key == "n":
             n = _parse_int(fields[0], "n", lineno)
             if n < 0:
@@ -645,7 +652,8 @@ def load_system(text: str) -> GroundedLinearSystem:
             bad = [k for k in idx if not 0 <= k < n]
             if bad:
                 raise IndexOutOfRange(f"{key} index {bad[0]} outside 0..{n - 1}", lineno, 1)
-            value = element(fields[-1], lineno)
+            literal = fields[-1]
+            value = values[literal] if literal in values else parse(literal, (lineno, 1))
             if key == "A":
                 entries.append((idx[0], idx[1], value))
             else:

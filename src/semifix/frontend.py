@@ -436,6 +436,24 @@ class EDBInstance:
 FactEntry = Tuple[Any, ...]
 
 
+def _literals(semiring: Semiring):
+    """A memo of literal text -> element (None reads as one), and ``parse(literal, at)``,
+    which fills it once per distinct text. A malformed text raises MalformedLiteral at
+    ``at`` = (line, col), or the semiring's MalformedElement when the line is None."""
+    values = {None: semiring.one}
+
+    def parse(literal: str, at: Tuple):
+        try:
+            value = values[literal] = semiring.parse(literal)
+        except MalformedElement as exc:
+            if at[0] is None:
+                raise
+            raise MalformedLiteral(str(exc), *at) from None
+        return value
+
+    return values, parse
+
+
 def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
     """Build an EDB instance; duplicate ground atoms are combined additively.
 
@@ -446,17 +464,10 @@ def build_edb(semiring: Semiring, entries: Iterable[FactEntry]) -> EDBInstance:
     facts: Dict[GroundAtom, Any] = {}
     positions: Dict[GroundAtom, Tuple] = {}
     arity: Dict[str, int] = {}
-    values = {None: semiring.one}  # literal text -> element, so each distinct text is parsed once
+    values, parse = _literals(semiring)
     for pred, args, literal, *pos in entries:
         at = pos[0] if pos and pos[0] is not None else (None, None)
-        if literal not in values:
-            try:
-                values[literal] = semiring.parse(literal)
-            except MalformedElement as exc:
-                if at[0] is None:
-                    raise
-                raise MalformedLiteral(str(exc), *at) from None
-        value = values[literal]
+        value = values[literal] if literal in values else parse(literal, at)
         if arity.setdefault(pred, len(args)) != len(args):
             raise GroundingError(f"predicate {pred} used with inconsistent arity in facts", *at)
         key = (pred, tuple(args))

@@ -182,7 +182,6 @@ class BoolSemiring(Semiring):
     id = "bool"
     zero = False
     one = True
-    known_stability = 0
     distributes = idempotent_add = True
     _carrier = (False, True)
 

@@ -15,7 +15,7 @@ before it is refused, and its memory follows the budget, not h.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .errors import EnumerationBudgetExceeded, InvalidParameter
 from .matrix import Matrix
@@ -28,19 +28,25 @@ def check_endpoints(A: Matrix, i: int, j: int):
         raise InvalidParameter(f"endpoints ({i},{j}) outside a {A.n}-vertex graph")
 
 
-def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
-    """Every walk of at most h hops from each source, as (source, hops, end, product).
+def walk_sums(
+    A: Matrix, sources: Sequence[int], h: int, budget: int = DEFAULT_WALK_BUDGET
+) -> List[Dict[Tuple[int, int], Any]]:
+    """Exact walk sums by hop count: tables[g][(i, v)] sums the g-hop walks from i to v.
 
-    Depth-first preorder with successors in ascending order, so callers fold
-    the products in a fixed order; zero-labeled edges are not stored, so no
-    walk takes one. Every visited walk counts against one budget shared by all
-    sources. The explicit stack leaves h unbounded by the recursion limit.
-    A vertex's out-edges are read and sorted the first time a walk leaves it,
-    once per enumeration, so that memory follows the vertices visited.
+    One depth-first enumeration from the given sources, successors ascending,
+    folds each cell in walk preorder; zero-labeled edges are not stored, so no
+    walk takes one. All sources share one budget, the explicit stack leaves h
+    unbounded by the recursion limit, and a vertex's out-edges are sorted once,
+    the first time a walk leaves it. The tables end at the deepest hop count a
+    walk reaches, so their memory follows the walks, not h; a cell no walk
+    reaches, like a table past the end, is absent and stands for zero.
     """
+    if h < 0:
+        raise InvalidParameter("hop count must be >= 0")
     s = A.semiring
-    mul = s.mul
+    add, mul, zero = s.add, s.mul, s.zero
     out_edges: Dict[int, List[Tuple[int, Any]]] = {}  # descending, so pops ascend
+    tables: List[Dict[Tuple[int, int], Any]] = []
     visited = 0
     for i in sources:
         stack = [(0, i, s.one)]
@@ -49,34 +55,16 @@ def _walks(A: Matrix, sources: Iterable[int], h: int, budget: int):
             visited += 1
             if visited > budget:
                 raise EnumerationBudgetExceeded(f"walk enumeration exceeded the budget of {budget}")
-            yield i, hops, v, prod
+            if hops == len(tables):  # preorder reaches hop g + 1 only after hop g
+                tables.append({})
+            table = tables[hops]
+            table[i, v] = add(table.get((i, v), zero), prod)
             if hops < h:
                 edges = out_edges.get(v)
                 if edges is None:
                     edges = out_edges[v] = sorted(A.row(v).items(), reverse=True)
                 hops += 1
                 stack += [(hops, w, mul(prod, a)) for w, a in edges]
-
-
-def walk_sums(
-    A: Matrix, sources: Sequence[int], h: int, budget: int = DEFAULT_WALK_BUDGET
-) -> List[Dict[Tuple[int, int], Any]]:
-    """Exact walk sums by hop count: tables[g][(i, v)] sums the g-hop walks from i to v.
-
-    One enumeration from the given sources up to h hops, each cell folded in
-    walk preorder. The tables end at the deepest hop count a walk reaches, so
-    their memory follows the walks, not h; a cell no walk reaches, like a
-    table past the end, is absent and stands for zero.
-    """
-    if h < 0:
-        raise InvalidParameter("hop count must be >= 0")
-    add, zero = A.semiring.add, A.semiring.zero
-    tables: List[Dict[Tuple[int, int], Any]] = []
-    for i, hops, v, prod in _walks(A, sources, h, budget):
-        if hops == len(tables):  # preorder reaches hop g + 1 only after hop g
-            tables.append({})
-        table = tables[hops]
-        table[i, v] = add(table.get((i, v), zero), prod)
     return tables
 
 

@@ -329,9 +329,10 @@ def reference_matvec(A: Matrix, x) -> tuple:
 
 
 def reference_walks(A: Matrix, sources, h: int, budget):
-    """``walks._walks`` as it was before it sorted each vertex's out-edges
-    once per enumeration: the row is read and sorted every time a walk leaves
-    its vertex. ``_walks`` must yield the same walks and refuse the same one."""
+    """Every walk of at most h hops from each source, as (source, hops, end,
+    product), in the order ``walks.walk_sums`` visits and folds them: depth-first
+    preorder, successors ascending. The row is read and sorted every time a walk
+    leaves its vertex, and the walk past the budget is refused."""
     s = A.semiring
     visited = 0
     for i in sources:

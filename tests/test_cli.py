@@ -399,13 +399,13 @@ def test_oracle_enumerates_walks_once(tmp_path, capsys, monkeypatch, max_h):
     mat = tmp_path / "r.mat"
     mat.write_text(save_system(gen_random_system(4, 0.6, semiring_from_id("trop"), seed=2)))
     calls = []
-    enumerate_walks = walks._walks
+    walk_sums = walks.walk_sums
 
     def counting(*a, **kw):
         calls.append(a[2])
-        return enumerate_walks(*a, **kw)
+        return walk_sums(*a, **kw)
 
-    monkeypatch.setattr(walks, "_walks", counting)
+    monkeypatch.setattr(walks, "walk_sums", counting)
     assert main(["oracle", str(mat), "--i", "0", "--j", "3", "--h", str(max_h)]) == 0
     assert calls == [max_h]
     assert len(capsys.readouterr().out.splitlines()) == max_h + 2
@@ -1298,7 +1298,7 @@ def test_run_reaches_each_linear_kernel_and_equals_full_recompute(tmp_path, caps
     )
     program = parse_program(text)
     system = ground(program, build_edb(s, program_fact_entries(program)))
-    assert engine._linear_rows(system.A)[1](system.b)[0].__name__ == KERNELS[sid]
+    assert engine._linear_rows(system.A)[1](system.b, engine._support(system.b, s.zero))[0].__name__ == KERNELS[sid]
     x, index = (s.zero,) * system.n, 0
     while (nxt := linear_step(system, x)) != x:
         x, index = nxt, index + 1

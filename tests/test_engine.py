@@ -1218,10 +1218,10 @@ def test_kernel_picks_one_kernel_per_carrier(monkeypatch, sid):
     assert engine._kernel(s) == KERNEL_OF[sid]
     # the build runs the function the answer names: none falls through to another
     sys_ = gen_random_system(4, 0.5, s, seed=1)
-    assert engine._linear_rows(sys_.A)[1](sys_.b)[0].__name__ == KERNEL_OF[sid]
+    assert engine._linear_rows(sys_.A)[1](sys_.b, engine._support(sys_.b, s.zero))[0].__name__ == KERNEL_OF[sid]
     monkeypatch.setattr(engine, "_kernel", lambda s: "row")  # the object row runs on every carrier
     readers, rows_for = engine._linear_rows(sys_.A)
-    assert readers is not None and rows_for(sys_.b)[0].__name__ == "row"
+    assert readers is not None and rows_for(sys_.b, engine._support(sys_.b, s.zero))[0].__name__ == "row"
 
 
 def test_rows_skip_zero_inputs_without_changing_the_trace(monkeypatch):
@@ -1410,7 +1410,7 @@ TROP = semiring_from_id("trop")
 def _scale_of(A, b):
     """The scale D the trop kernel runs the vector run of (A, b) on."""
     _, rows_for = engine._linear_rows(A)
-    return rows_for(b)[1]
+    return rows_for(b, engine._support(b, A.semiring.zero))[1]
 
 
 def _scaled_and_object(monkeypatch, A, b):

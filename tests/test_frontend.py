@@ -291,7 +291,10 @@ def test_tsv_empty_column_before_the_literal_raises_at_it(row, col):
     assert str(err.value) == f"line 2, col {col}: empty column before the literal"
 
 
-@pytest.mark.parametrize("row", ["E\ta\tb\t1\t", "E\ta\tb\t1\t \t", "E\ta\tb\t1  \r"])
+# the padded rows miss _TSV_ROW, so they take the split path that drops trailing blank columns
+@pytest.mark.parametrize(
+    "row", ["E\ta\tb\t1\t", "E\ta\tb\t1\t \t", "E\ta\tb\t1  \r", "E \ta\tb\t1\t\t", " E\ta\tb\t1\t \t"]
+)
 def test_tsv_blank_columns_after_the_literal_are_ignored(row):
     s = semiring_from_id("trop")
     assert parse_facts_tsv(s, row + "\n").facts == {("E", ("a", "b")): 1}

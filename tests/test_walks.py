@@ -18,7 +18,7 @@ from semifix import (
 )
 from semifix.errors import InvalidParameter
 from semifix.generators import gen_random_system
-from semifix.walks import _walks, walk_sums
+from semifix.walks import walk_sums
 
 from conftest import ALL_IDS, brute_walk_sums
 from reference import reference_walks, walk_sum_matrices
@@ -86,7 +86,7 @@ def test_budget_verdict_on_branching_walks():
     A = bool_matrix(3, [(0, 1), (0, 2), (1, 0), (2, 2)])
     for h in range(12):
         for src in ((0,), (0, 1, 2)):
-            visited = sum(1 for _ in _walks(A, src, h, float("inf")))
+            visited = sum(1 for _ in reference_walks(A, src, h, float("inf")))
             for budget in range(0, 300, 7):
                 try:
                     walk_sums(A, src, h, budget=budget)
@@ -201,30 +201,41 @@ def descending_matrix(s, n, seed):
     return Matrix(s, n, entries)
 
 
-def refused_at(walks):
-    """The walks yielded before the enumeration refused the next one."""
-    seen = []
-    with pytest.raises(EnumerationBudgetExceeded):
-        for w in walks:
-            seen.append(w)
-    return seen
+def folds(s, walks):
+    """The (table cell, walk product) operand pairs that ``walk_sums`` hands
+    to add, in order, when it folds these walks by hop count."""
+    tables, pairs = {}, []
+    for i, hops, v, prod in walks:
+        cell = tables.get((hops, i, v), s.zero)
+        pairs.append((cell, prod))
+        tables[hops, i, v] = s.add(cell, prod)
+    return pairs
 
 
 @pytest.mark.parametrize("sid", ALL_IDS + ("capped:5",))
 def test_walks_keep_the_order_and_budget_of_sorting_on_every_visit(sid, monkeypatch):
     s = semiring_from_id(sid)
-    reads = Counter()
-    row = Matrix.row
+    reads, adds = Counter(), []
+    row, add = Matrix.row, s.add
     monkeypatch.setattr(Matrix, "row", lambda A, v: reads.update((v,)) or row(A, v))
     for seed, n in enumerate((1, 3, 5)):
         A = descending_matrix(s, n, seed)
         assert all(list(A.row(v)) == sorted(A.row(v), reverse=True) for v in range(n))
         for src, h in itertools.product(((0,), (n - 1, 0), tuple(range(n))), (0, 1, 3, 5)):
             want = list(reference_walks(A, src, h, math.inf))
+            pairs = folds(s, want)
             reads.clear()
-            got = list(_walks(A, src, h, math.inf))
-            assert got == want
-            # each vertex a walk leaves is read once per enumeration, and no other
-            assert reads == Counter({v for _, hops, v, _ in want if hops < h})
-            budget = len(want) // 2
-            assert refused_at(_walks(A, src, h, budget)) == refused_at(reference_walks(A, src, h, budget))
+            with monkeypatch.context() as m:
+                # a carrier whose add records its operands, in the order it folds them
+                m.setattr(s, "add", lambda x, y: adds.append((x, y)) or add(x, y))
+                adds.clear()
+                walk_sums(A, src, h, math.inf)
+                assert adds == pairs
+                # each vertex a walk leaves is read once per enumeration, and no other
+                assert reads == Counter({v for _, hops, v, _ in want if hops < h})
+                budget = len(want) // 2
+                adds.clear()
+                with pytest.raises(EnumerationBudgetExceeded):
+                    walk_sums(A, src, h, budget)
+                # the refused walk is the first one past the budget, as in the reference
+                assert adds == pairs[:budget]
